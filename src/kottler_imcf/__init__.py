@@ -23,7 +23,6 @@ from .background import (
     radius_bounds,
     richardson_mass,
     static_residual,
-    surface_gravity,
 )
 from .errors import (
     CFLError,
@@ -66,7 +65,6 @@ from .surfaces import (
     GraphSurface,
     SurfaceGeometry,
     compute_geometry,
-    radial_alignment,
     star_shaped_check,
 )
 

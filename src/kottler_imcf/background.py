@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .base import BaseSurface, make_base
 from .errors import ExteriorError, HorizonError
@@ -27,7 +26,6 @@ __all__ = [
     "critical_mass",
     "horizon_radius",
     "mass_from_radius",
-    "surface_gravity",
     "radius_bounds",
     "hk_constant",
     "static_residual",
@@ -44,8 +42,10 @@ def critical_mass(curvature_sign):
 def horizon_radius(curvature_sign, mass):
     """Largest positive root of rho^3 + k*rho - 2m = 0.
 
-    Newton iteration polishes a bracketed root; the bracket keeps the
-    search robust near the degenerate double root at k = -1, m -> m_crit.
+    p(rho) is convex for rho > 0, so Newton iteration started above the
+    root falls monotonically onto it, also near the degenerate double
+    root at k = -1, m -> m_crit; it stops once an iterate no longer
+    decreases.
     """
     k = curvature_sign
     if mass <= critical_mass(k):
@@ -56,13 +56,14 @@ def horizon_radius(curvature_sign, mass):
     def p(rho):
         return rho**3 + k * rho - 2.0 * mass
 
-    # Left bracket end: at the local minimum of p (1/sqrt(3) for k=-1, 0
-    # otherwise), where p is strictly negative for supercritical mass.
-    lo = np.sqrt(1.0 / 3.0) if k == -1 else 0.0
-    hi = max((2.0 * abs(mass)) ** (1.0 / 3.0), 1.0) + 1.0
-    while p(hi) <= 0.0:
-        hi *= 2.0
-    rho = brentq(p, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    rho = max((2.0 * abs(mass)) ** (1.0 / 3.0), 1.0) + 1.0
+    while p(rho) <= 0.0:
+        rho *= 2.0
+    while True:
+        lower = rho - p(rho) / (3.0 * rho**2 + k)
+        if not lower < rho:
+            break
+        rho = lower
     # Newton polish; the root is simple so one or two steps reach residual tolerance.
     for _ in range(4):
         dp = 3.0 * rho**2 + k
@@ -105,6 +106,22 @@ def hk_constant(area, euler_char):
     if denom <= 0.0:
         raise HorizonError("3|bdry| + 2*pi*chi must be positive")
     return area / denom
+
+
+def _chi_horizon_sum(horizons):
+    """sum_j 2 pi chi_j / (3|bdry_j| + 2 pi chi_j) kappa_j |bdry_j|."""
+    return sum(2.0 * np.pi * h.euler_char / (3.0 * h.area + 2.0 * np.pi * h.euler_char)
+               * h.surface_gravity * h.area for h in horizons)
+
+
+def _areal_horizon_sum(horizons):
+    """sum_j (1 - 2 c_j) kappa_j |bdry_j|."""
+    return sum((1.0 - 2.0 * h.hk_constant) * h.surface_gravity * h.area for h in horizons)
+
+
+def _hk_horizon_sum(horizons):
+    """sum_j c_j kappa_j |bdry_j|."""
+    return sum(h.hk_constant * h.surface_gravity * h.area for h in horizons)
 
 
 @dataclass(frozen=True)
@@ -169,11 +186,6 @@ class KottlerBackground:
         )
 
 
-def surface_gravity(background):
-    """kappa = (3 rho_m + k / rho_m) / 2, the horizon gradient of V."""
-    return background.surface_gravity
-
-
 def radius_bounds(kappa):
     """The two ADS-Schwarzschild horizon radii sharing surface gravity kappa.
 
@@ -184,29 +196,6 @@ def radius_bounds(kappa):
         raise HorizonError(f"kappa {kappa} < sqrt(3): no spherical Kottler horizon")
     disc = np.sqrt(max(kappa**2 - 3.0, 0.0))
     return (kappa - disc) / 3.0, (kappa + disc) / 3.0
-
-
-class PerturbedPotential:
-    """V * (1 + eps/rho): an asymptotics-preserving defect for residual tests."""
-
-    def __init__(self, background, eps):
-        self.background = background
-        self.eps = eps
-
-    def value(self, rho):
-        return self.background.potential(rho) * (1.0 + self.eps / rho)
-
-    def d1(self, rho):
-        b = self.background
-        return b.potential_d1(rho) * (1.0 + self.eps / rho) - b.potential(rho) * self.eps / rho**2
-
-    def d2(self, rho):
-        b = self.background
-        return (
-            b.potential_d2(rho) * (1.0 + self.eps / rho)
-            - 2.0 * b.potential_d1(rho) * self.eps / rho**2
-            + 2.0 * b.potential(rho) * self.eps / rho**3
-        )
 
 
 def static_residual(background, sample_rho, potential=None, margin=1e-8):
@@ -309,10 +298,7 @@ def mass_upper_bound(base, horizons):
     """
     if not horizons:
         raise ValueError("horizon list must be nonempty")
-    total = 0.0
-    for h in horizons:
-        total += (1.0 - 2.0 * h.hk_constant) * h.surface_gravity * h.area
-    return total / base.area
+    return _areal_horizon_sum(horizons) / base.area
 
 
 def make_background(curvature_sign, genus, grid_resolution, mass=None, horizon_rho=None,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidBaseError
 
@@ -104,11 +103,35 @@ class BaseSurface:
             raise InvalidBaseError(f"euler_char {self.euler_char} != 2 - 2*genus")
 
 
+def _simpson_weights(x):
+    """Composite Simpson weights on the nodes x, closed by Cartwright's
+    correction on the last interval when the node count is even.
+
+    Each coefficient repeats, in order, the floating-point operations of
+    the reference rule in tests/test_base.py, so the weights, and the sphere
+    goldens built on them, match it bit for bit; reordering moves them.
+    """
+    h = np.diff(x)
+    n = len(x)
+    m = (n - 1) // 2 * 2  # intervals covered by whole Simpson panels
+    h0, h1 = h[0:m:2], h[1:m:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    w = np.zeros(n)
+    w[0:m:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+    w[1:m:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:m + 1:2] += hsum / 6.0 * (2.0 - ratio)
+    if n % 2 == 0:
+        h0, h1 = h[-2:-1], h[-1:]
+        w[-1:] += (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        w[-2:-1] += (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        w[-3:-2] -= h1**3 / (6 * h0 * (h0 + h1))
+    return w
+
+
 def _sphere_grid(n_points):
     theta = np.linspace(0.0, np.pi, n_points)
-    # Simpson weights for each node, obtained by integrating the nodal basis.
-    w_simpson = simpson(np.eye(n_points), x=theta, axis=0)
-    weights = 2.0 * np.pi * w_simpson * np.sin(theta)
+    weights = 2.0 * np.pi * _simpson_weights(theta) * np.sin(theta)
     weights *= 4.0 * np.pi / weights.sum()
     return AxisymmetricSphereGrid(n_points=n_points, theta=theta, weights=weights)
 

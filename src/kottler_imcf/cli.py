@@ -42,7 +42,7 @@ from .functionals import (
     surface_gravity_bound_deficit,
 )
 from .surfaces import GraphSurface
-from .base import PointGrid
+from .base import AxisymmetricSphereGrid, FlatTorusGrid, PointGrid
 
 __all__ = [
     "ScenarioConfig",
@@ -79,9 +79,9 @@ class ScenarioConfig:
     base_area: float | None
     radius: float | None
     amplitude: float
-    mode: int
-    mode1: int
-    mode2: int
+    mode: int | None
+    mode1: int | None
+    mode2: int | None
     t_end: float | None
     sample_interval: float
     cfl: float
@@ -165,9 +165,9 @@ def parse_config(text):
         base_area=get("background", "area"),
         radius=get("surface", "radius"),
         amplitude=get("surface", "amplitude", 0.0),
-        mode=get("surface", "mode", 1, int),
-        mode1=get("surface", "mode1", 1, int),
-        mode2=get("surface", "mode2", 0, int),
+        mode=get("surface", "mode", None, int),
+        mode1=get("surface", "mode1", None, int),
+        mode2=get("surface", "mode2", None, int),
         t_end=get("flow", "t_end"),
         sample_interval=get("flow", "sample_interval", 0.25),
         cfl=get("flow", "cfl", 0.2),
@@ -201,13 +201,13 @@ def _validate(config, lines):
     if config.amplitude < 0.0:
         fail("amplitude must be nonnegative", ("surface", "amplitude"))
     try:
-        rho_m = (
-            config.horizon_radius
-            if config.horizon_radius is not None
-            else bg.horizon_radius(config.curvature_sign, config.mass)
-        )
+        if config.horizon_radius is None:
+            rho_m = bg.horizon_radius(config.curvature_sign, config.mass)
+        else:
+            rho_m = config.horizon_radius
+            bg.mass_from_radius(config.curvature_sign, rho_m)
     except HorizonError as err:
-        fail(str(err), ("background", "mass"))
+        fail(str(err), ("background", "mass" if config.mass is not None else "horizon_radius"))
     if config.radius is not None:
         if config.radius <= rho_m:
             fail(
@@ -233,19 +233,41 @@ def build_background(config):
     )
 
 
+# Per grid kind: the [surface] keys besides `radius` that it reads, and
+# the unit mode field those keys define (mode keys default as in the
+# signatures).  The point grid carries constant graphs only.
+_MODE_FIELDS = {
+    PointGrid: ((), None),
+    AxisymmetricSphereGrid: (
+        ("amplitude", "mode"),
+        lambda grid, mode=1: np.cos(mode * grid.theta),
+    ),
+    FlatTorusGrid: (
+        ("amplitude", "mode1", "mode2"),
+        lambda grid, mode1=1, mode2=0: np.sin(
+            2.0 * np.pi * (mode1 * grid.theta1 + mode2 * grid.theta2) / grid.side
+        ),
+    ),
+}
+
+
 def build_initial_surface(config, background):
     if config.radius is None:
         raise ConfigError("missing required key 'radius' in [surface]")
     grid = background.base.grid
-    r0 = config.radius
-    if config.amplitude == 0.0 or isinstance(grid, PointGrid):
-        return GraphSurface(background, r0)
-    if hasattr(grid, "theta1"):
-        phase = 2.0 * np.pi * (config.mode1 * grid.theta1 + config.mode2 * grid.theta2)
-        r = r0 + config.amplitude * np.sin(phase / grid.side)
-    else:
-        r = r0 + config.amplitude * np.cos(config.mode * grid.theta)
-    return GraphSurface(background, r)
+    keys, mode_field = _MODE_FIELDS[type(grid)]
+    modes = {key: getattr(config, key) for key in ("mode", "mode1", "mode2")
+             if getattr(config, key) is not None}
+    given = {"amplitude"} if config.amplitude != 0.0 else set()
+    ignored = sorted(given.union(modes).difference(keys))
+    if ignored:
+        raise ConfigError(
+            f"[surface] key(s) {', '.join(ignored)} have no effect on a "
+            f"{type(grid).__name__} background"
+        )
+    if config.amplitude == 0.0:
+        return GraphSurface(background, config.radius)
+    return GraphSurface(background, config.radius + config.amplitude * mode_field(grid, **modes))
 
 
 # -- audit checks -----------------------------------------------------------

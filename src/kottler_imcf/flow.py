@@ -13,7 +13,7 @@ sample times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class FlowControls:
     h_floor: float = 1e-6
     star_floor: float = 0.1
     max_dt: float | None = None
-    store_surfaces: bool = False
 
 
 @dataclass
@@ -82,7 +81,6 @@ class FlowTrace:
     data: np.ndarray  # shape (n_samples, len(TRACE_COLUMNS))
     complete: bool = True
     abort_reason: str | None = None
-    snapshots: list = field(default_factory=list)
 
     def column(self, name):
         return self.data[:, TRACE_COLUMNS.index(name)]
@@ -184,7 +182,6 @@ def run_flow(initial, t_end, sample_interval, controls=None):
 
     state = FlowState(0.0, initial, 0)
     rows = [_sample_row(state)]
-    snapshots = [(0.0, initial.radius_field.copy())] if controls.store_surfaces else []
     ode_path = initial.is_constant
     complete = True
     abort_reason = None
@@ -202,8 +199,6 @@ def run_flow(initial, t_end, sample_interval, controls=None):
                 state = step_graph_pde(state, dt, controls.h_floor, controls.cfl)
             if state.time >= next_sample - 1e-12:
                 rows.append(_sample_row(state))
-                if controls.store_surfaces:
-                    snapshots.append((state.time, state.surface.radius_field.copy()))
                 sample_index += 1
                 next_sample = min(sample_index * sample_interval, t_end)
     except (FlowSingularError, CFLError) as err:
@@ -214,7 +209,6 @@ def run_flow(initial, t_end, sample_interval, controls=None):
         data=np.array(rows, dtype=float),
         complete=complete,
         abort_reason=abort_reason,
-        snapshots=snapshots,
     )
 
 

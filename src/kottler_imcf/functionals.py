@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .background import _areal_horizon_sum, _chi_horizon_sum, _hk_horizon_sum
 from .base import integrate
 from .errors import ExteriorError, FlowSingularError
 
@@ -71,14 +72,10 @@ def compute_Q(surface, enclosed_horizons=None):
     area = surface.area()
     if area <= 0.0:
         raise ValueError("surface area must be positive")
-    horizon_term = 0.0
-    for h in _horizons(surface, enclosed_horizons):
-        chi_part = 2.0 * np.pi * h.euler_char / (3.0 * h.area + 2.0 * np.pi * h.euler_char)
-        horizon_term += chi_part * h.surface_gravity * h.area
     return (
         total_mean_curvature(surface)
         - 6.0 * bulk_integral(surface)
-        + 4.0 * horizon_term
+        + 4.0 * _chi_horizon_sum(_horizons(surface, enclosed_horizons))
     ) / np.sqrt(area)
 
 
@@ -93,13 +90,10 @@ def compute_P(surface, enclosed_horizons=None):
     if area <= 0.0:
         raise ValueError("surface area must be positive")
     w2 = surface.background.base.area
-    horizon_term = 0.0
-    for h in _horizons(surface, enclosed_horizons):
-        horizon_term += (1.0 - 2.0 * h.hk_constant) * h.surface_gravity * h.area
     return (
         total_mean_curvature(surface)
         - 2.0 * area**1.5 / np.sqrt(w2)
-        + 4.0 * horizon_term
+        + 4.0 * _areal_horizon_sum(_horizons(surface, enclosed_horizons))
     ) / np.sqrt(area)
 
 
@@ -131,9 +125,7 @@ def hk_gap(surface, enclosed_horizons=None):
     lhs = integrate(
         surface.background.base, g.potential / g.mean_curvature * g.area_density
     )
-    horizon_term = 0.0
-    for h in _horizons(surface, enclosed_horizons):
-        horizon_term += h.hk_constant * h.surface_gravity * h.area
+    horizon_term = _hk_horizon_sum(_horizons(surface, enclosed_horizons))
     return lhs - 1.5 * bulk_integral(surface) - horizon_term
 
 
@@ -146,10 +138,7 @@ def minkowski_deficit(surface, enclosed_horizons=None):
     w2 = surface.background.base.area
     k = surface.background.curvature_sign
     area = surface.area()
-    horizon_term = 0.0
-    for h in _horizons(surface, enclosed_horizons):
-        chi_part = 2.0 * np.pi * h.euler_char / (3.0 * h.area + 2.0 * np.pi * h.euler_char)
-        horizon_term += chi_part * h.surface_gravity * h.area / w2
+    horizon_term = _chi_horizon_sum(_horizons(surface, enclosed_horizons)) / w2
     return (
         0.5 * total_mean_curvature(surface) / w2
         - 3.0 * bulk_integral(surface) / w2
@@ -167,9 +156,7 @@ def areal_minkowski_deficit(surface, enclosed_horizons=None):
     w2 = surface.background.base.area
     k = surface.background.curvature_sign
     a = surface.area() / w2
-    horizon_term = 0.0
-    for h in _horizons(surface, enclosed_horizons):
-        horizon_term += (1.0 - 2.0 * h.hk_constant) * h.surface_gravity * h.area / w2
+    horizon_term = _areal_horizon_sum(_horizons(surface, enclosed_horizons)) / w2
     return (
         0.25 * total_mean_curvature(surface) / w2
         - 0.5 * (k * np.sqrt(a) + a**1.5)
@@ -243,7 +230,7 @@ class FunctionalReport:
 def evaluate_report(surface, enclosed_horizons=None):
     """Evaluate every functional on one surface."""
     horizons = _horizons(surface, enclosed_horizons)
-    horizon_term = sum(h.hk_constant * h.surface_gravity * h.area for h in horizons)
+    horizon_term = _hk_horizon_sum(horizons)
     return FunctionalReport(
         area=surface.area(),
         total_mean_curvature=total_mean_curvature(surface),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .base import AxisymmetricSphereGrid, FlatTorusGrid, PointGrid, integrate
+from .base import AxisymmetricSphereGrid, FlatTorusGrid, integrate
 from .background import KottlerBackground
 from .errors import ExteriorError, FlowSingularError
 
@@ -22,7 +22,6 @@ __all__ = [
     "SurfaceGeometry",
     "GraphSurface",
     "compute_geometry",
-    "radial_alignment",
     "star_shaped_check",
 ]
 
@@ -178,19 +177,12 @@ class GraphSurface:
     _geometry: SurfaceGeometry | None = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
-        grid = self.background.base.grid
-        r = np.atleast_1d(np.asarray(self.radius_field, dtype=float))
-        if isinstance(grid, FlatTorusGrid) and r.ndim == 0:
-            r = np.full((grid.n, grid.n), float(r))
-        if isinstance(grid, PointGrid):
-            r = r.reshape(1)
-        if r.shape != grid.weights.shape:
-            if r.size == 1:
-                r = np.full(grid.weights.shape, float(r.ravel()[0]))
-            else:
-                raise ValueError(
-                    f"radius field shape {r.shape} does not match grid {grid.weights.shape}"
-                )
+        shape = self.background.base.grid.weights.shape
+        r = np.asarray(self.radius_field, dtype=float)
+        if r.size == 1:
+            r = np.full(shape, float(r.ravel()[0]))
+        elif r.shape != shape:
+            raise ValueError(f"radius field shape {r.shape} does not match grid {shape}")
         if not np.all(np.isfinite(r)):
             raise FlowSingularError("non-finite radius field")
         # r == horizon_rho is allowed: the horizon slice is valid initial
@@ -218,7 +210,7 @@ def compute_geometry(surface):
     """Fill the surface's geometry cache; returns the surface."""
     grid = surface.background.base.grid
     r = surface.radius_field
-    if isinstance(grid, PointGrid) or surface.is_constant:
+    if surface.is_constant:
         geom = _slice_geometry(surface.background, r)
     elif isinstance(grid, AxisymmetricSphereGrid):
         geom = _sphere_geometry(surface.background, grid, r)
@@ -232,11 +224,6 @@ def compute_geometry(surface):
     return surface
 
 
-def radial_alignment(surface):
-    """Inner product of the unit normal with the exact-metric radial unit vector."""
-    return surface.geometry.alignment
-
-
 def star_shaped_check(surface, floor):
     """True iff the radial alignment stays at or above the floor everywhere."""
-    return bool(np.min(radial_alignment(surface)) >= floor)
+    return bool(np.min(surface.geometry.alignment) >= floor)

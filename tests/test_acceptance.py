@@ -28,8 +28,9 @@ from kottler_imcf import (
     static_residual,
     surface_gravity_bound_deficit,
 )
-from kottler_imcf.background import PerturbedPotential
 from kottler_imcf.cli import build_background, parse_config, run_scenario
+
+from perturbed_potential import PerturbedPotential
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(ROOT, "scenarios")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from kottler_imcf import (
     ExteriorError,
@@ -18,7 +19,8 @@ from kottler_imcf import (
     richardson_mass,
     static_residual,
 )
-from kottler_imcf.background import PerturbedPotential
+
+from perturbed_potential import PerturbedPotential
 
 
 def test_horizon_radius_examples():
@@ -29,6 +31,36 @@ def test_horizon_radius_examples():
     assert horizon_radius(1, 2.0 / (3.0 * np.sqrt(3.0))) == pytest.approx(
         1.0 / np.sqrt(3.0), abs=1e-12
     )
+
+
+def _brentq_horizon_radius(k, mass):
+    # The bracketed root finder the library used before it dropped scipy,
+    # followed by the same Newton polish.
+    def p(rho):
+        return rho**3 + k * rho - 2.0 * mass
+
+    lo = np.sqrt(1.0 / 3.0) if k == -1 else 0.0
+    hi = max((2.0 * abs(mass)) ** (1.0 / 3.0), 1.0) + 1.0
+    while p(hi) <= 0.0:
+        hi *= 2.0
+    rho = brentq(p, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    for _ in range(4):
+        rho -= p(rho) / (3.0 * rho**2 + k)
+    return rho
+
+
+@pytest.mark.parametrize("k, mass", [(1, 1.0), (0, 0.5), (-1, 1.0), (0, 1.0), (1, 0.5)])
+def test_horizon_radius_matches_brentq(k, mass):
+    assert horizon_radius(k, mass) == _brentq_horizon_radius(k, mass)
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_horizon_radius_residual_sweep(k):
+    offsets = np.concatenate((np.logspace(-14, 3, 60), np.linspace(1e-3, 10.0, 60)))
+    for mass in critical_mass(k) + offsets:
+        rho = horizon_radius(k, mass)
+        assert abs(rho**3 + k * rho - 2.0 * mass) <= 1e-12 * max(1.0, abs(mass))
+        assert 3.0 * rho**2 + k > 0.0
 
 
 def test_critical_mass_values():

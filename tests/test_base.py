@@ -1,8 +1,12 @@
 """Cross-section grids, quadrature, and topology validation."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import simpson
 
 from kottler_imcf import (
     BaseSurface,
@@ -10,6 +14,7 @@ from kottler_imcf import (
     integrate,
     make_base,
 )
+from kottler_imcf.base import _sphere_grid
 
 
 def test_sphere_base_defaults():
@@ -114,6 +119,26 @@ def test_torus_quadrature_spectral_for_smooth_fields():
 
     exact = iv(0, 1.0)  # mean of e^{sin} over one period
     assert abs(integrate(base, f) - exact) < 1e-12
+
+
+def test_sphere_weights_match_scipy_simpson():
+    # scipy's composite Simpson rule (>= 1.11) on the nodal basis is the
+    # oracle; the library reproduces it bit for bit without importing scipy.
+    for n in range(8, 258):
+        theta = np.linspace(0.0, np.pi, n)
+        expected = 2.0 * np.pi * simpson(np.eye(n), x=theta, axis=0) * np.sin(theta)
+        expected *= 4.0 * np.pi / expected.sum()
+        assert np.array_equal(_sphere_grid(n).weights, expected), n
+
+
+def test_library_imports_without_scipy():
+    code = (
+        "import sys, kottler_imcf, kottler_imcf.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_integrate_shape_mismatch():

@@ -215,6 +215,28 @@ def test_cli_flow_writes_outputs(tmp_path, capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("background, surface", [
+    ("curvature_sign = -1\nmass = 1.0\nresolution = point", "amplitude = 0.1"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = point", "amplitude = 0.1"),
+    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode1 = 2"),
+    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode2 = 1"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode = 2"),
+], ids=["hyperbolic-point-amplitude", "torus-point-amplitude", "sphere-mode1", "sphere-mode2",
+        "torus-mode"])
+def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, surface):
+    cfg = _write(tmp_path, f"[background]\n{background}\n[surface]\nradius = 2.5\n{surface}\n")
+    assert main(["audit", "--config", cfg]) == 2
+    assert "no effect" in capsys.readouterr().err
+
+
+def test_cli_degenerate_horizon_radius_exit_two(tmp_path, capsys):
+    text = "[background]\ncurvature_sign = -1\nhorizon_radius = 0.5\nresolution = point\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "degenerate" in str(err.value)
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 2
+
+
 def test_cli_tolerance_scale(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "\n[background]\nresolution = point\n")
     # an absurdly small tolerance scale forces rigidity checks to fail

@@ -1,8 +1,12 @@
 """Flow stepping, traces, and asymptotic rate fits."""
 
+import os
+
 import numpy as np
 import pytest
 
+import kottler_imcf.flow
+import kottler_imcf.surfaces
 from kottler_imcf import (
     CFLError,
     FlowControls,
@@ -19,6 +23,10 @@ from kottler_imcf import (
     step_graph_pde,
     step_slice_ode,
 )
+from kottler_imcf.cli import parse_config, run_scenario
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "scenarios")
 
 
 def _slice_state(k=0, genus=1, mass=0.5, resolution="point", rho=2.0):
@@ -136,14 +144,30 @@ def test_run_flow_pde_area_growth_and_traceless_decay():
     assert a0[-1] < a0[0]
 
 
-def test_run_flow_snapshots():
-    b = make_background(0, 1, "point", mass=0.5)
-    trace = run_flow(GraphSurface(b, 2.0), 1.0, 0.5,
-                     FlowControls(store_surfaces=True))
-    assert len(trace.snapshots) == trace.n_samples
-    t_last, r_last = trace.snapshots[-1]
-    assert t_last == pytest.approx(1.0)
-    assert r_last[0] == pytest.approx(2.0 * np.exp(0.5), rel=1e-12)
+@pytest.mark.parametrize("scenario, steps, evaluations", [
+    ("sphere-perturbed", 1037, 2075),
+    ("torus-perturbed", 2032, 4065),
+])
+def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
+    # Deterministic work, not wall time: a change that adds RK2 steps or
+    # geometry evaluations to a shipped flow shows here.
+    counts = {"steps": 0, "evaluations": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(kottler_imcf.flow, "step_graph_pde", "steps")
+    counted(kottler_imcf.surfaces, "compute_geometry", "evaluations")
+    with open(os.path.join(SCENARIO_DIR, scenario + ".cfg"), encoding="utf-8") as fh:
+        trace, result = run_scenario(parse_config(fh.read()))
+    assert trace.complete and result.passed
+    assert counts == {"steps": steps, "evaluations": evaluations}
 
 
 def _synthetic_trace(model):

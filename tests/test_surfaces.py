@@ -15,7 +15,6 @@ from kottler_imcf import (
     GraphSurface,
     compute_geometry,
     make_background,
-    radial_alignment,
     star_shaped_check,
 )
 
@@ -101,7 +100,7 @@ def test_torus_mean_curvature_second_order():
 
 def test_alignment_bounded_by_one():
     for surface in (_sphere_surface(65)[0], _torus_surface(32)[0]):
-        align = radial_alignment(surface)
+        align = surface.geometry.alignment
         assert np.all(align <= 1.0 + 1e-15)
         assert np.all(align > 0.0)
 
