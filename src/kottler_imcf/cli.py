@@ -200,6 +200,10 @@ def _validate(config, lines):
         fail("t_end must be positive", ("flow", "t_end"))
     if config.amplitude < 0.0:
         fail("amplitude must be nonnegative", ("surface", "amplitude"))
+    stray = ["amplitude"] if config.amplitude != 0.0 else []
+    stray += [key for key in ("mode", "mode1", "mode2") if getattr(config, key) is not None]
+    if config.radius is None and stray:
+        fail(f"[surface] key(s) {', '.join(stray)} need a radius", ("surface", stray[0]))
     try:
         if config.horizon_radius is None:
             rho_m = bg.horizon_radius(config.curvature_sign, config.mass)
@@ -258,13 +262,13 @@ def build_initial_surface(config, background):
     keys, mode_field = _MODE_FIELDS[type(grid)]
     modes = {key: getattr(config, key) for key in ("mode", "mode1", "mode2")
              if getattr(config, key) is not None}
-    given = {"amplitude"} if config.amplitude != 0.0 else set()
-    ignored = sorted(given.union(modes).difference(keys))
+    if config.amplitude == 0.0:
+        ignored, where = sorted(modes), "when amplitude is 0"
+    else:
+        ignored = sorted({"amplitude", *modes}.difference(keys))
+        where = f"on a {type(grid).__name__} background"
     if ignored:
-        raise ConfigError(
-            f"[surface] key(s) {', '.join(ignored)} have no effect on a "
-            f"{type(grid).__name__} background"
-        )
+        raise ConfigError(f"[surface] key(s) {', '.join(ignored)} have no effect {where}")
     if config.amplitude == 0.0:
         return GraphSurface(background, config.radius)
     return GraphSurface(background, config.radius + config.amplitude * mode_field(grid, **modes))

@@ -5,6 +5,7 @@ module-scoped fixtures and are shared by the criteria that consume them.
 """
 
 import filecmp
+import hashlib
 import os
 import time
 
@@ -107,6 +108,15 @@ def test_criterion_2_q_monotone(capsys, torus_flow):
     )
     _verdict(capsys, 2, "monotone functional on torus flow", ok,
              f"max rise = {rises:.2e}, Q {q[0]:.4f} -> {q[-1]:.4f}, {wall:.1f} s")
+
+
+def test_torus_flow_trace_digest(torus_flow):
+    # SHA-256 of the acceptance torus trace at 17 significant digits, one row
+    # a line: any change to a bit of the torus kernel's output shows here.
+    text = "\n".join(",".join(f"{x:.17g}" for x in row) for row in torus_flow[0].data)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b1a82bfa05cd07806d5739fb009d27d006acbd152b3e6b4262f5e6a1bf0d6f83"
+    )
 
 
 def test_criterion_3_area_growth(capsys, torus_flow, sphere_flow, slice_flow):

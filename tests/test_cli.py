@@ -229,6 +229,42 @@ def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, s
     assert "no effect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("background, surface", [
+    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.3\nmode = 2"),
+    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 2"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1"),
+], ids=["sphere-amplitude-mode", "sphere-mode", "torus-amplitude", "torus-zero-amplitude-mode2"])
+def test_cli_surface_keys_without_radius_exit_two(tmp_path, capsys, background, surface):
+    text = f"[background]\n{background}\n[surface]\n{surface}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "need a radius" in str(err.value)
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 2
+
+
+def test_cli_zero_amplitude_without_radius_accepted(tmp_path, capsys):
+    text = "[background]\ncurvature_sign = 1\nmass = 1.0\nresolution = 16\n" \
+        "[surface]\namplitude = 0.0\n"
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 0
+
+
+@pytest.mark.parametrize("background, surface", [
+    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 3"),
+    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.0\nmode = 3"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "mode1 = 2"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode1 = 1\nmode2 = 1"),
+], ids=["sphere-unset", "sphere-explicit-zero", "torus-unset", "torus-explicit-zero"])
+def test_cli_mode_key_with_zero_amplitude_exit_two(tmp_path, capsys, background, surface):
+    text = f"[background]\n{background}\n[surface]\nradius = 2.0\n{surface}\n"
+    config = parse_config(text)
+    with pytest.raises(ConfigError) as err:
+        build_initial_surface(config, build_background(config))
+    assert "when amplitude is 0" in str(err.value)
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 2
+    assert "no effect" in capsys.readouterr().err
+
+
 def test_cli_degenerate_horizon_radius_exit_two(tmp_path, capsys):
     text = "[background]\ncurvature_sign = -1\nhorizon_radius = 0.5\nresolution = point\n"
     with pytest.raises(ConfigError) as err:

@@ -179,6 +179,24 @@ def _synthetic_trace(model):
     return FlowTrace(data=data)
 
 
+def test_torus_flow_self_convergence_second_order():
+    # The acceptance torus input at n = 16, 32, 64: the differences of the
+    # t = 0.5 values between successive resolutions fall by 4x (order 2),
+    # since both the stencils and the CFL-bound step are O(h^2).
+    traces = []
+    for n in (16, 32, 64):
+        b = make_background(0, 1, n, mass=0.5)
+        g = b.base.grid
+        trace = run_flow(GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side)),
+                         0.5, 0.25)
+        assert trace.complete and trace.times[-1] == 0.5
+        traces.append(trace)
+    for name in ("area", "Q", "int_A0sq", "min_H"):
+        coarse, mid, fine = (trace.column(name)[-1] for trace in traces)
+        order = np.log2(abs(coarse - mid) / abs(mid - fine))
+        assert 1.8 <= order <= 2.2, (name, order)
+
+
 def test_rate_fit_recovers_synthetic_exponent():
     rate, amp, residual = asymptotic_rate_fit(_synthetic_trace("exp"), "min_align")
     assert rate == pytest.approx(-1.0, abs=1e-10)

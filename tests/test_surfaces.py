@@ -17,6 +17,7 @@ from kottler_imcf import (
     make_background,
     star_shaped_check,
 )
+from kottler_imcf.surfaces import _torus_geometry
 
 # r = 2 + cos(theta)/5 over ADS-Schwarzschild mass 1, at theta = pi/4, pi/2, 3pi/4
 SPHERE_H_ORACLE = {
@@ -169,3 +170,72 @@ def test_compute_geometry_idempotent_cache():
     g1 = s.geometry
     compute_geometry(s)
     assert np.array_equal(s.geometry.mean_curvature, g1.mean_curvature)
+
+
+def _roll_torus_geometry(background, grid, r):
+    # The torus kernel as first written, with one np.roll copy per
+    # stencil neighbour: the reference the sliced kernel must match bit
+    # for bit.
+    def d1(axis):
+        return (np.roll(r, -1, axis=axis) - np.roll(r, 1, axis=axis)) / (2.0 * h)
+
+    def d2(axis):
+        return (np.roll(r, -1, axis=axis) - 2.0 * r + np.roll(r, 1, axis=axis)) / h**2
+
+    h = grid.spacing
+    f = background.v_squared(r)
+    v = np.sqrt(f)
+    f1 = 2.0 * r + 2.0 * background.mass / r**2
+    r1, r2, r11, r22 = d1(0), d1(1), d2(0), d2(1)
+    r12 = (
+        np.roll(np.roll(r, -1, 0), -1, 1)
+        - np.roll(np.roll(r, -1, 0), 1, 1)
+        - np.roll(np.roll(r, 1, 0), -1, 1)
+        + np.roll(np.roll(r, 1, 0), 1, 1)
+    ) / (4.0 * h**2)
+
+    grad_sq = r1**2 + r2**2
+    n_f = np.sqrt(f + grad_sq / r**2)
+    g11 = r1 * r1 / f + r**2
+    g22 = r2 * r2 / f + r**2
+    g12 = r1 * r2 / f
+    det = g11 * g22 - g12**2
+    i11 = g22 / det
+    i22 = g11 / det
+    i12 = -g12 / det
+
+    fac = 2.0 / r + 0.5 * f1 / f
+    h11 = (-r11 + f * r + fac * r1 * r1) / n_f
+    h22 = (-r22 + f * r + fac * r2 * r2) / n_f
+    h12 = (-r12 + fac * r1 * r2) / n_f
+
+    mean_curv = i11 * h11 + i22 * h22 + 2.0 * i12 * h12
+    s11 = i11 * h11 + i12 * h12
+    s12 = i11 * h12 + i12 * h22
+    s21 = i12 * h11 + i22 * h12
+    s22 = i12 * h12 + i22 * h22
+    a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
+    return {
+        "potential": v,
+        "area_density": np.sqrt(det),
+        "mean_curvature": mean_curv,
+        "traceless_sq": np.maximum(a_sq - 0.5 * mean_curv**2, 0.0),
+        "alignment": v / n_f,
+        "graph_factor": n_f,
+    }
+
+
+@pytest.mark.parametrize("n", [8, 33, 64])
+@pytest.mark.parametrize("area", [1.0, 2.5])
+@pytest.mark.parametrize("modes", [(1, 0), (0, 1), (1, 1), "noise"])
+def test_torus_geometry_matches_roll_reference_bitwise(n, area, modes):
+    b = make_background(0, 1, n, mass=0.5, area=area)
+    g = b.base.grid
+    if modes == "noise":
+        r = 3.0 + 1e-2 * np.random.default_rng(n).standard_normal((n, n))
+    else:
+        phase = 2.0 * np.pi * (modes[0] * g.theta1 + modes[1] * g.theta2) / g.side
+        r = 3.0 + 0.1 * np.sin(phase)
+    fast = _torus_geometry(b, g, r)
+    for name, expected in _roll_torus_geometry(b, g, r).items():
+        assert np.array_equal(getattr(fast, name), expected), name
