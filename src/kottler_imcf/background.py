@@ -48,6 +48,8 @@ def horizon_radius(curvature_sign, mass):
     decreases.
     """
     k = curvature_sign
+    if not np.isfinite(mass):
+        raise HorizonError(f"mass must be finite, got {mass}")
     if mass <= critical_mass(k):
         raise HorizonError(
             f"mass {mass} <= critical mass {critical_mass(k)}: no nondegenerate horizon"
@@ -70,13 +72,15 @@ def horizon_radius(curvature_sign, mass):
         if dp <= 0.0:
             break
         rho -= p(rho) / dp
-    if abs(p(rho)) > 1e-12 * max(1.0, abs(mass)):
+    if not abs(p(rho)) <= 1e-12 * max(1.0, abs(mass)):  # NaN fails too
         raise HorizonError(f"root polish failed: residual {p(rho)}")
     return rho
 
 
 def mass_from_radius(curvature_sign, horizon_rho):
     """Mass of the Kottler solution whose horizon sits at horizon_rho."""
+    if not np.isfinite(horizon_rho):
+        raise HorizonError(f"horizon radius must be finite, got {horizon_rho}")
     if horizon_rho <= 0.0:
         raise HorizonError("horizon radius must be positive")
     if 3.0 * horizon_rho**2 + curvature_sign <= 0.0:

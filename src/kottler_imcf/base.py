@@ -10,6 +10,7 @@ constant graphs over hyperbolic bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,12 @@ class AxisymmetricSphereGrid:
     @property
     def spacing(self):
         return np.pi / (self.n_points - 1)
+
+    @cached_property
+    def interior_cot(self):
+        """cot(theta) on the nodes strictly between the poles."""
+        inner = self.theta[1:-1]
+        return np.cos(inner) / np.sin(inner)
 
 
 @dataclass(frozen=True)

@@ -194,10 +194,14 @@ def _validate(config, lines):
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
-    if config.sample_interval <= 0.0:
-        fail("sample_interval must be positive", ("flow", "sample_interval"))
-    if config.t_end is not None and config.t_end <= 0.0:
-        fail("t_end must be positive", ("flow", "t_end"))
+    for key in sorted(_SECTION_KEYS["flow"]):
+        value = getattr(config, key)
+        if value is not None and not np.isfinite(value):
+            fail(f"{key} must be finite", ("flow", key))
+    for key in ("sample_interval", "t_end", "cfl", "max_dt"):
+        value = getattr(config, key)
+        if value is not None and value <= 0.0:
+            fail(f"{key} must be positive", ("flow", key))
     if config.amplitude < 0.0:
         fail("amplitude must be nonnegative", ("surface", "amplitude"))
     stray = ["amplitude"] if config.amplitude != 0.0 else []

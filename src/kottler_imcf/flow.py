@@ -140,12 +140,15 @@ def step_slice_ode(state, dt):
     return FlowState(state.time + dt, surface, state.step_count + 1)
 
 
+def _check_mean_convex(surface, h_floor):
+    min_h = np.min(surface.geometry.mean_curvature)
+    if min_h <= h_floor:
+        raise FlowSingularError(f"min H = {min_h:.3e} at or below floor {h_floor}")
+
+
 def _velocity(surface, h_floor):
+    _check_mean_convex(surface, h_floor)
     g = surface.geometry
-    if np.min(g.mean_curvature) <= h_floor:
-        raise FlowSingularError(
-            f"min H = {np.min(g.mean_curvature):.3e} at or below floor {h_floor}"
-        )
     return g.graph_factor / g.mean_curvature
 
 
@@ -160,7 +163,7 @@ def step_graph_pde(state, dt, h_floor=1e-6, cfl=0.2):
     half = GraphSurface(surface.background, r + 0.5 * dt * v1)
     v2 = _velocity(half, h_floor)
     new_surface = GraphSurface(surface.background, r + dt * v2)
-    _velocity(new_surface, h_floor)  # mean-convexity must survive the step
+    _check_mean_convex(new_surface, h_floor)  # mean-convexity must survive the step
     return FlowState(state.time + dt, new_surface, state.step_count + 1)
 
 
@@ -173,8 +176,12 @@ def run_flow(initial, t_end, sample_interval, controls=None):
     """
     if controls is None:
         controls = FlowControls()
-    if t_end <= 0.0 or sample_interval <= 0.0:
-        raise ValueError("t_end and sample_interval must be positive")
+    # A non-finite or non-positive time, step fraction or step cap would
+    # never reach t_end; NaN fails every one of these comparisons.
+    if not (0.0 < t_end < np.inf and 0.0 < sample_interval < np.inf):
+        raise ValueError("t_end and sample_interval must be finite and positive")
+    if not controls.cfl > 0.0 or (controls.max_dt is not None and not controls.max_dt > 0.0):
+        raise ValueError("controls.cfl and controls.max_dt must be positive")
     if not star_shaped_check(initial, controls.star_floor):
         raise FlowSingularError(
             f"initial surface fails the star-shape floor {controls.star_floor}"

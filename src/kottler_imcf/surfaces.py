@@ -10,7 +10,9 @@ reproduce the closed forms with no discretization error.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +36,37 @@ class SurfaceGeometry:
     integrate(base, area_density) is the surface area.  graph_factor is
     the conversion between normal speed and radial coordinate speed
     (equal to |grad(rho - r)|_g evaluated on the surface).
+
+    mean_curvature and graph_factor, all that a flow stage reads, are
+    computed with the geometry.  The other four fields are read only at
+    sample times and by audits: on the first read of any of them,
+    ``deferred`` computes (potential, area_density, traceless_sq,
+    alignment) from the kernel's intermediates, once.
     """
 
-    potential: np.ndarray
-    area_density: np.ndarray
     mean_curvature: np.ndarray
-    traceless_sq: np.ndarray
-    alignment: np.ndarray
     graph_factor: np.ndarray
+    deferred: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def _deferred_fields(self):
+        return self.deferred()
+
+    @property
+    def potential(self):
+        return self._deferred_fields[0]
+
+    @property
+    def area_density(self):
+        return self._deferred_fields[1]
+
+    @property
+    def traceless_sq(self):
+        return self._deferred_fields[2]
+
+    @property
+    def alignment(self):
+        return self._deferred_fields[3]
 
 
 def _sphere_derivatives(r, spacing):
@@ -55,48 +80,43 @@ def _sphere_derivatives(r, spacing):
 
 
 def _sphere_geometry(background, grid, r):
-    theta = grid.theta
     f = background.v_squared(r)
-    v = np.sqrt(f)
-    f1 = 2.0 * r + 2.0 * background.mass / r**2
+    r_sq = r**2
+    f1 = 2.0 * r + 2.0 * background.mass / r_sq
 
     r_t, r_tt = _sphere_derivatives(r, grid.spacing)
     grad_sq = r_t**2
-    n_f = np.sqrt(f + grad_sq / r**2)
+    n_f = np.sqrt(f + grad_sq / r_sq)
 
-    gamma_tt = grad_sq / f + r**2
-    h_tt = (-r_tt + f * r + 2.0 * grad_sq / r + grad_sq * 0.5 * f1 / f) / n_f
+    f_r = f * r
+    gamma_tt = grad_sq / f + r_sq
+    h_tt = (-r_tt + f_r + 2.0 * grad_sq / r + grad_sq * 0.5 * f1 / f) / n_f
     k1 = h_tt / gamma_tt
 
     # Azimuthal principal curvature; the cot(theta) term is regularized at
-    # the poles by its L'Hopital limit cot(theta) r_t -> r_tt.
+    # the poles by its L'Hopital limit cot(theta) r_t -> r_tt.  At the poles
+    # r[pole] ** 2 stays a scalar power: numpy's scalar square can differ
+    # from the array square in the last bit, and the goldens pin these bits.
     k2 = np.empty_like(r)
     interior = slice(1, -1)
-    cot = np.cos(theta[interior]) / np.sin(theta[interior])
-    k2[interior] = (-cot * r_t[interior] + f[interior] * r[interior]) / (
-        n_f[interior] * r[interior] ** 2
+    k2[interior] = (-grid.interior_cot * r_t[interior] + f_r[interior]) / (
+        n_f[interior] * r_sq[interior]
     )
     for pole in (0, -1):
-        k2[pole] = (-r_tt[pole] + f[pole] * r[pole]) / (n_f[pole] * r[pole] ** 2)
+        k2[pole] = (-r_tt[pole] + f_r[pole]) / (n_f[pole] * r[pole] ** 2)
         k1[pole] = k2[pole]
 
-    mean_curv = k1 + k2
-    traceless_sq = 0.5 * (k1 - k2) ** 2
-    area_density = r * np.sqrt(r**2 + grad_sq / f)
-    return SurfaceGeometry(
-        potential=v,
-        area_density=area_density,
-        mean_curvature=mean_curv,
-        traceless_sq=traceless_sq,
-        alignment=v / n_f,
-        graph_factor=n_f,
-    )
+    def deferred():
+        v = np.sqrt(f)
+        # r^2 + grad_sq/f is gamma_tt with its two terms swapped (the same bits).
+        return v, r * np.sqrt(gamma_tt), 0.5 * (k1 - k2) ** 2, v / n_f
+
+    return SurfaceGeometry(mean_curvature=k1 + k2, graph_factor=n_f, deferred=deferred)
 
 
 def _torus_geometry(background, grid, r):
     h = grid.spacing
     f = background.v_squared(r)
-    v = np.sqrt(f)
     r_sq = r**2
     f1 = 2.0 * r + 2.0 * background.mass / r_sq
 
@@ -131,36 +151,28 @@ def _torus_geometry(background, grid, r):
     h12 = (-r12 + fac_r1 * r2) / n_f
 
     mean_curv = i11 * h11 + i22 * h22 + 2.0 * i12 * h12
-    # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not symmetric
-    # as a matrix, so the cross terms pair S12 with S21).
-    s11 = i11 * h11 + i12 * h12
-    s12 = i11 * h12 + i12 * h22
-    s21 = i12 * h11 + i22 * h12
-    s22 = i12 * h12 + i22 * h22
-    a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
-    traceless_sq = np.maximum(a_sq - 0.5 * mean_curv**2, 0.0)
-    area_density = np.sqrt(det)
-    return SurfaceGeometry(
-        potential=v,
-        area_density=area_density,
-        mean_curvature=mean_curv,
-        traceless_sq=traceless_sq,
-        alignment=v / n_f,
-        graph_factor=n_f,
-    )
+
+    def deferred():
+        # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not symmetric
+        # as a matrix, so the cross terms pair S12 with S21).
+        s11 = i11 * h11 + i12 * h12
+        s12 = i11 * h12 + i12 * h22
+        s21 = i12 * h11 + i22 * h12
+        s22 = i12 * h12 + i22 * h22
+        a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
+        traceless_sq = np.maximum(a_sq - 0.5 * mean_curv**2, 0.0)
+        v = np.sqrt(f)
+        return v, np.sqrt(det), traceless_sq, v / n_f
+
+    return SurfaceGeometry(mean_curvature=mean_curv, graph_factor=n_f, deferred=deferred)
 
 
 def _slice_geometry(background, r):
-    f = background.v_squared(r)
-    v = np.sqrt(f)
-    zeros = np.zeros_like(r)
+    v = np.sqrt(background.v_squared(r))
     return SurfaceGeometry(
-        potential=v,
-        area_density=r**2,
         mean_curvature=2.0 * v / r,
-        traceless_sq=zeros,
-        alignment=np.ones_like(r),
         graph_factor=v,
+        deferred=lambda: (v, r**2, np.zeros_like(r), np.ones_like(r)),
     )
 
 

@@ -83,6 +83,15 @@ def test_mass_from_radius_degenerate_rejected():
         mass_from_radius(1, -1.0)
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_mass_or_radius_rejected(k, value):
+    with pytest.raises(HorizonError):
+        horizon_radius(k, value)
+    with pytest.raises(HorizonError):
+        mass_from_radius(k, value)
+
+
 @given(
     st.sampled_from([-1, 0, 1]),
     st.floats(min_value=1e-3, max_value=1e3),

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from kottler_imcf.cli import (
     parse_trace_csv,
     run_scenario,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MINIMAL = """
 id = t
@@ -277,3 +281,45 @@ def test_cli_tolerance_scale(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "\n[background]\nresolution = point\n")
     # an absurdly small tolerance scale forces rigidity checks to fail
     assert main(["audit", "--config", cfg, "--tolerance-scale", "1e-20"]) == 1
+
+
+def _sphere_perturbed_with(section, key, value):
+    # The shipped sphere-perturbed scenario with one key set (replaced if present).
+    with open(os.path.join(ROOT, "scenarios", "sphere-perturbed.cfg"), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if line.partition("=")[0].strip() != key]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cfl", "0"), ("cfl", "-1"), ("cfl", "nan"), ("cfl", "inf"),
+    ("max_dt", "0"), ("max_dt", "-1"), ("max_dt", "nan"),
+    ("t_end", "inf"), ("t_end", "nan"), ("t_end", "-1"), ("sample_interval", "0"),
+    ("sample_interval", "nan"), ("sample_interval", "inf"),
+    ("h_floor", "nan"), ("star_floor", "nan"),
+])
+def test_cli_flow_value_that_never_finishes_exit_two(tmp_path, key, value):
+    # Each is a config error.  Unchecked, some of these loop forever, some
+    # abort with exit 3 and some pass with exit 0; the timeout turns a hang
+    # into a failure.
+    cfg = _write(tmp_path, _sphere_perturbed_with("flow", key, value))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "kottler_imcf.cli", "flow", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert key in out.stderr
+
+
+@pytest.mark.parametrize("key", ["mass", "horizon_radius"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_horizon_data_exit_two(tmp_path, capsys, key, value):
+    text = _sphere_perturbed_with("background", key, value)
+    if key == "horizon_radius":
+        text = text.replace("mass = 1.0\n", "")
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Flow stepping, traces, and asymptotic rate fits."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -23,7 +24,7 @@ from kottler_imcf import (
     step_graph_pde,
     step_slice_ode,
 )
-from kottler_imcf.cli import parse_config, run_scenario
+from kottler_imcf.cli import build_background, build_initial_surface, parse_config, run_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "scenarios")
@@ -168,6 +169,87 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
         trace, result = run_scenario(parse_config(fh.read()))
     assert trace.complete and result.passed
     assert counts == {"steps": steps, "evaluations": evaluations}
+
+
+def test_torus_flow_runs_deferred_geometry_once_per_sample_row(monkeypatch):
+    # Flow stages read only H and the graph factor, so the deferred part of
+    # the torus kernel runs once per sample row (the first row shares the
+    # initial star-shape check's geometry), not twice per RK2 step.
+    tails = {"calls": 0}
+    kernel = kottler_imcf.surfaces._torus_geometry
+
+    def counted_kernel(*args):
+        geometry = kernel(*args)
+
+        def deferred():
+            tails["calls"] += 1
+            return geometry.deferred()
+
+        return dataclasses.replace(geometry, deferred=deferred)
+
+    monkeypatch.setattr(kottler_imcf.surfaces, "_torus_geometry", counted_kernel)
+    with open(os.path.join(SCENARIO_DIR, "torus-perturbed.cfg"), encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    surface = build_initial_surface(config, build_background(config))
+    trace = run_flow(surface, config.t_end, config.sample_interval)
+    assert trace.complete
+    assert (trace.n_samples, tails["calls"]) == (7, 7)
+
+
+@pytest.mark.parametrize("t_end, sample_interval, controls", [
+    (np.inf, 0.25, None),
+    (np.nan, 0.25, None),
+    (1.0, np.inf, None),
+    (1.0, np.nan, None),
+    (1.0, 0.25, FlowControls(cfl=0.0)),
+    (1.0, 0.25, FlowControls(cfl=-1.0)),
+    (1.0, 0.25, FlowControls(cfl=np.nan)),
+    (1.0, 0.25, FlowControls(max_dt=0.0)),
+    (1.0, 0.25, FlowControls(max_dt=-1.0)),
+], ids=["t_end-inf", "t_end-nan", "interval-inf", "interval-nan", "cfl-zero", "cfl-negative",
+        "cfl-nan", "max_dt-zero", "max_dt-negative"])
+def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval, controls):
+    b = make_background(1, 0, 17, mass=1.0)
+    surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
+    with pytest.raises(ValueError):
+        run_flow(surface, t_end, sample_interval, controls)
+
+
+def _order(traces, name):
+    coarse, mid, fine = (trace.column(name)[-1] for trace in traces)
+    return np.log2(abs(coarse - mid) / abs(mid - fine))
+
+
+def _sphere_input(n):
+    b = make_background(1, 0, n, mass=1.0)
+    return GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
+
+
+def test_sphere_flow_self_convergence_second_order():
+    # The acceptance sphere input at n = 33, 65, 129 (nested grids) to
+    # t = 0.5.  Area converges faster than order 2 here and is left out.
+    traces = [run_flow(_sphere_input(n), 0.5, 0.25) for n in (33, 65, 129)]
+    assert all(trace.complete and trace.times[-1] == 0.5 for trace in traces)
+    for name in ("Q", "hawking_mass", "int_A0sq", "min_H"):
+        order = _order(traces, name)
+        assert 1.8 <= order <= 2.2, (name, order)
+
+
+@pytest.mark.parametrize("grid", ["sphere", "torus"])
+def test_flow_dt_halving_second_order(grid):
+    # Halving the CFL number halves every CFL-limited step: the RK2 time
+    # error at t = 0.5 falls by 4x on a fixed grid.
+    if grid == "sphere":
+        surface = _sphere_input(65)
+    else:
+        b = make_background(0, 1, 16, mass=0.5)
+        g = b.base.grid
+        surface = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side))
+    traces = [run_flow(surface, 0.5, 0.25, FlowControls(cfl=cfl)) for cfl in (0.2, 0.1, 0.05)]
+    assert all(trace.complete and trace.times[-1] == 0.5 for trace in traces)
+    for name in ("area", "Q", "hawking_mass", "int_A0sq", "min_H"):
+        order = _order(traces, name)
+        assert 1.8 <= order <= 2.2, (name, order)
 
 
 def _synthetic_trace(model):

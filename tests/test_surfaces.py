@@ -17,7 +17,7 @@ from kottler_imcf import (
     make_background,
     star_shaped_check,
 )
-from kottler_imcf.surfaces import _torus_geometry
+from kottler_imcf.surfaces import _sphere_derivatives, _sphere_geometry, _torus_geometry
 
 # r = 2 + cos(theta)/5 over ADS-Schwarzschild mass 1, at theta = pi/4, pi/2, 3pi/4
 SPHERE_H_ORACLE = {
@@ -239,3 +239,94 @@ def test_torus_geometry_matches_roll_reference_bitwise(n, area, modes):
     fast = _torus_geometry(b, g, r)
     for name, expected in _roll_torus_geometry(b, g, r).items():
         assert np.array_equal(getattr(fast, name), expected), name
+
+
+def _reference_sphere_geometry(background, grid, r):
+    # The sphere kernel before its shared terms were computed once and its
+    # cot(theta) cached on the grid, kept verbatim: the reference the kernel
+    # must match bit for bit.
+    theta = grid.theta
+    f = background.v_squared(r)
+    v = np.sqrt(f)
+    f1 = 2.0 * r + 2.0 * background.mass / r**2
+
+    r_t, r_tt = _sphere_derivatives(r, grid.spacing)
+    grad_sq = r_t**2
+    n_f = np.sqrt(f + grad_sq / r**2)
+
+    gamma_tt = grad_sq / f + r**2
+    h_tt = (-r_tt + f * r + 2.0 * grad_sq / r + grad_sq * 0.5 * f1 / f) / n_f
+    k1 = h_tt / gamma_tt
+
+    k2 = np.empty_like(r)
+    interior = slice(1, -1)
+    cot = np.cos(theta[interior]) / np.sin(theta[interior])
+    k2[interior] = (-cot * r_t[interior] + f[interior] * r[interior]) / (
+        n_f[interior] * r[interior] ** 2
+    )
+    for pole in (0, -1):
+        k2[pole] = (-r_tt[pole] + f[pole] * r[pole]) / (n_f[pole] * r[pole] ** 2)
+        k1[pole] = k2[pole]
+
+    mean_curv = k1 + k2
+    return {
+        "potential": v,
+        "area_density": r * np.sqrt(r**2 + grad_sq / f),
+        "mean_curvature": mean_curv,
+        "traceless_sq": 0.5 * (k1 - k2) ** 2,
+        "alignment": v / n_f,
+        "graph_factor": n_f,
+    }
+
+
+@pytest.mark.parametrize("n", [9, 33, 64, 129])
+@pytest.mark.parametrize("mode", [1, 2, 3, "noise"])
+def test_sphere_geometry_matches_reference_bitwise(n, mode):
+    b = make_background(1, 0, n, mass=1.0)
+    g = b.base.grid
+    if mode == "noise":
+        r = 2.0 + 1e-2 * np.random.default_rng(n).standard_normal(n)
+    else:
+        r = 2.0 + 0.2 * np.cos(mode * g.theta)
+    fast = _sphere_geometry(b, g, r)
+    for name, expected in _reference_sphere_geometry(b, g, r).items():
+        assert np.array_equal(getattr(fast, name), expected), name
+
+
+def test_sphere_pole_values_match_reference_bitwise():
+    # numpy's scalar square of a pole radius differs from the array square in
+    # the last bit for about one radius in a thousand, so the two pole nodes
+    # need many fields to show a change of form there.
+    b = make_background(1, 0, 9, mass=1.0)
+    g = b.base.grid
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        r = 2.0 + rng.uniform(0.0, 1.0) * np.exp(rng.uniform(-2.0, 2.0, g.theta.shape))
+        fast = _sphere_geometry(b, g, r)
+        reference = _reference_sphere_geometry(b, g, r)
+        for name in ("mean_curvature", "traceless_sq"):
+            assert np.array_equal(getattr(fast, name), reference[name]), name
+
+
+GEOMETRY_FIELDS = ("potential", "area_density", "mean_curvature", "traceless_sq",
+                   "alignment", "graph_factor")
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus", "sphere-slice", "point"])
+def test_deferred_fields_match_fresh_geometry(kind):
+    # The four sample-only fields are computed on first read; whichever is
+    # read first, every field equals a fresh evaluation's and is computed once.
+    if kind == "sphere":
+        s = _sphere_surface(65)[0]
+    elif kind == "torus":
+        s = _torus_surface(32)[0]
+    elif kind == "sphere-slice":
+        s = GraphSurface(make_background(1, 0, 65, mass=1.0), 2.5)
+    else:
+        s = GraphSurface(make_background(-1, 2, "point", mass=1.0), 2.5)
+    read = s.geometry
+    first = read.area_density
+    assert read.area_density is first
+    fresh = compute_geometry(GraphSurface(s.background, s.radius_field)).geometry
+    for name in reversed(GEOMETRY_FIELDS):
+        assert np.array_equal(getattr(fresh, name), getattr(read, name)), name
