@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# Largest horizon radius accepted.  Its cube, about twice the mass, and the
+# Newton iterates of horizon_radius stay far inside the float range.
+_MAX_HORIZON_RHO = 1e100
+
+
 def critical_mass(curvature_sign):
     """Smallest mass admitting a nondegenerate horizon."""
     return -1.0 / (3.0 * np.sqrt(3.0)) if curvature_sign == -1 else 0.0
@@ -50,6 +55,8 @@ def horizon_radius(curvature_sign, mass):
     k = curvature_sign
     if not np.isfinite(mass):
         raise HorizonError(f"mass must be finite, got {mass}")
+    if mass > 0.5 * _MAX_HORIZON_RHO**3:
+        raise HorizonError(f"mass {mass} too large: horizon radius above {_MAX_HORIZON_RHO:g}")
     if mass <= critical_mass(k):
         raise HorizonError(
             f"mass {mass} <= critical mass {critical_mass(k)}: no nondegenerate horizon"
@@ -83,6 +90,8 @@ def mass_from_radius(curvature_sign, horizon_rho):
         raise HorizonError(f"horizon radius must be finite, got {horizon_rho}")
     if horizon_rho <= 0.0:
         raise HorizonError("horizon radius must be positive")
+    if horizon_rho > _MAX_HORIZON_RHO:
+        raise HorizonError(f"horizon radius {horizon_rho} above {_MAX_HORIZON_RHO:g}")
     if 3.0 * horizon_rho**2 + curvature_sign <= 0.0:
         raise HorizonError("degenerate horizon: 3*rho^2 + k <= 0")
     return 0.5 * (curvature_sign * horizon_rho + horizon_rho**3)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,46 +58,75 @@ __all__ = [
     "main",
 ]
 
-_SECTION_KEYS = {
-    "background": {"curvature_sign", "genus", "mass", "horizon_radius", "resolution", "area"},
-    "surface": {"radius", "amplitude", "mode", "mode1", "mode2"},
-    "flow": {"t_end", "sample_interval", "cfl", "h_floor", "star_floor", "max_dt"},
-    "audit": {"checks", "rho_eval", "seed"},
-}
+
+def _check(parse, test, message):
+    """A parser: `parse`, then ValueError(message) unless `test` holds."""
+    def checked(text):
+        value = parse(text)
+        if not test(value):
+            raise ValueError(message)
+        return value
+    return checked
+
+
+def _list(item):
+    return _check(lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip()),
+                  bool, "must list at least one value")
+
+
+_finite = _check(float, np.isfinite, "must be finite")
+_positive = _check(_finite, lambda value: value > 0.0, "must be positive")
+_nonnegative = _check(_finite, lambda value: value >= 0.0, "must be nonnegative")
+_sign = _check(int, lambda value: value in (-1, 0, 1), "must be -1, 0 or +1")
+_name = _check(str, bool, "must not be empty")
+_radii = _check(_list(_positive), lambda radii: len(set(radii)) == len(radii),
+                "radii must be distinct")
+
+
+def _resolution(text):
+    return text if text == "point" else int(text)
+
+
+def _key(section, parse, default=None, key=None):
+    return field(default=default, metadata={"section": section, "parse": parse, "key": key})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One validated scenario."""
+    """One validated scenario.
 
-    scenario_id: str
-    curvature_sign: int
-    genus: int
-    mass: float | None
-    horizon_radius: float | None
-    resolution: object  # int or "point"
-    base_area: float | None
-    radius: float | None
-    amplitude: float
-    mode: int | None
-    mode1: int | None
-    mode2: int | None
-    t_end: float | None
-    sample_interval: float
-    cfl: float
-    h_floor: float
-    star_floor: float
-    max_dt: float | None
-    checks: tuple
-    rho_eval: tuple
-    seed: int
+    Each field is one config key, declared with its [section] (None for
+    the leading `id`), its parser, which rejects a malformed or
+    out-of-range value with ValueError, the default used when the key is
+    absent, and its key name where that differs from the field name.
+    """
+
+    scenario_id: str = _key(None, _name, "scenario", key="id")
+    curvature_sign: int = _key("background", _sign)  # required
+    genus: int = _key("background", int)  # default set by the curvature sign
+    mass: float | None = _key("background", _finite)
+    horizon_radius: float | None = _key("background", _positive)
+    resolution: object = _key("background", _resolution, 64)  # int or "point"
+    base_area: float | None = _key("background", _positive, key="area")
+    radius: float | None = _key("surface", _positive)
+    amplitude: float = _key("surface", _nonnegative, 0.0)
+    mode: int | None = _key("surface", int)
+    mode1: int | None = _key("surface", int)
+    mode2: int | None = _key("surface", int)
+    t_end: float | None = _key("flow", _positive)
+    sample_interval: float = _key("flow", _positive, 0.25)
+    cfl: float = _key("flow", _positive, 0.2)
+    h_floor: float = _key("flow", _finite, 1e-6)
+    star_floor: float = _key("flow", _finite, 0.1)
+    max_dt: float | None = _key("flow", _positive)
+    checks: tuple = _key("audit", _list(str), ("all",))
+    rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
+    seed: int = _key("audit", int, 0)
 
 
-def _convert(key, value, line, kind):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r}", line) from None
+_KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
+         for f in fields(ScenarioConfig)}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_config(text):
@@ -105,109 +134,57 @@ def parse_config(text):
     section = None
     values = {}
     lines = {}
-    scenario_id = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if section is None:
-            if key != "id":
-                raise ConfigError(f"key {key!r} before any section (only 'id' allowed)", lineno)
-            scenario_id = value
-            continue
-        if key not in _SECTION_KEYS[section]:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        full = (section, key)
-        if full in values:
-            raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
-        values[full] = value
-        lines[full] = lineno
+        where = f"in section [{section}]" if section else "before any section"
+        spec = _KEYS.get((section, key))
+        if spec is None:
+            raise ConfigError(f"unknown key {key!r} {where}", lineno)
+        if spec.name in values:
+            raise ConfigError(f"duplicate key {key!r} {where}", lineno)
+        try:
+            values[spec.name] = spec.metadata["parse"](value.strip())
+        except ValueError as err:
+            raise ConfigError(f"key {key!r}: {err}", lineno) from None
+        lines[spec.name] = lineno
 
-    def get(section, key, default=None, kind=float):
-        full = (section, key)
-        if full not in values:
-            return default
-        return _convert(key, values[full], lines[full], kind)
-
-    k = get("background", "curvature_sign", None, int)
-    if k is None:
+    if "curvature_sign" not in values:
         raise ConfigError("missing required key 'curvature_sign' in [background]")
-    genus = get("background", "genus", {1: 0, 0: 1, -1: 2}[k] if k in (1, 0, -1) else 0, int)
-    mass = get("background", "mass")
-    horizon_radius = get("background", "horizon_radius")
-    if (mass is None) == (horizon_radius is None):
+    values.setdefault("genus", {1: 0, 0: 1, -1: 2}[values["curvature_sign"]])
+    if ("mass" in values) == ("horizon_radius" in values):
         raise ConfigError(
             "give exactly one of 'mass', 'horizon_radius' in [background]",
-            lines.get(("background", "mass")) or lines.get(("background", "horizon_radius")),
+            lines.get("mass") or lines.get("horizon_radius"),
         )
-    raw_res = values.get(("background", "resolution"), "64")
-    resolution = raw_res if raw_res == "point" else _convert(
-        "resolution", raw_res, lines.get(("background", "resolution")), int
-    )
-
-    config = ScenarioConfig(
-        scenario_id=scenario_id or "scenario",
-        curvature_sign=k,
-        genus=genus,
-        mass=mass,
-        horizon_radius=horizon_radius,
-        resolution=resolution,
-        base_area=get("background", "area"),
-        radius=get("surface", "radius"),
-        amplitude=get("surface", "amplitude", 0.0),
-        mode=get("surface", "mode", None, int),
-        mode1=get("surface", "mode1", None, int),
-        mode2=get("surface", "mode2", None, int),
-        t_end=get("flow", "t_end"),
-        sample_interval=get("flow", "sample_interval", 0.25),
-        cfl=get("flow", "cfl", 0.2),
-        h_floor=get("flow", "h_floor", 1e-6),
-        star_floor=get("flow", "star_floor", 0.1),
-        max_dt=get("flow", "max_dt"),
-        checks=tuple(
-            s.strip()
-            for s in values.get(("audit", "checks"), "all").split(",")
-            if s.strip()
-        ),
-        rho_eval=tuple(
-            _convert("rho_eval", s.strip(), lines.get(("audit", "rho_eval")), float)
-            for s in values.get(("audit", "rho_eval"), "10, 20, 40, 80").split(",")
-            if s.strip()
-        ),
-        seed=get("audit", "seed", 0, int),
-    )
+    config = ScenarioConfig(**values)
     _validate(config, lines)
     return config
 
 
 def _validate(config, lines):
+    """The rules that involve more than one key."""
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
-    for key in sorted(_SECTION_KEYS["flow"]):
-        value = getattr(config, key)
-        if value is not None and not np.isfinite(value):
-            fail(f"{key} must be finite", ("flow", key))
-    for key in ("sample_interval", "t_end", "cfl", "max_dt"):
-        value = getattr(config, key)
-        if value is not None and value <= 0.0:
-            fail(f"{key} must be positive", ("flow", key))
-    if config.amplitude < 0.0:
-        fail("amplitude must be nonnegative", ("surface", "amplitude"))
-    stray = ["amplitude"] if config.amplitude != 0.0 else []
-    stray += [key for key in ("mode", "mode1", "mode2") if getattr(config, key) is not None]
-    if config.radius is None and stray:
-        fail(f"[surface] key(s) {', '.join(stray)} need a radius", ("surface", stray[0]))
+    surface = ["amplitude"] if config.amplitude != 0.0 else []
+    surface += [key for key in ("mode", "mode1", "mode2") if getattr(config, key) is not None]
+    flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
+    for section, given in (("surface", surface), ("flow", flow)):
+        if config.radius is None and given:
+            fail(f"[{section}] key(s) {', '.join(given)} need a radius", given[0])
+    if config.t_end is None and flow:
+        fail(f"[flow] key(s) {', '.join(flow)} have no effect without t_end", flow[0])
     try:
         if config.horizon_radius is None:
             rho_m = bg.horizon_radius(config.curvature_sign, config.mass)
@@ -215,18 +192,16 @@ def _validate(config, lines):
             rho_m = config.horizon_radius
             bg.mass_from_radius(config.curvature_sign, rho_m)
     except HorizonError as err:
-        fail(str(err), ("background", "mass" if config.mass is not None else "horizon_radius"))
+        key = "mass" if config.mass is not None else "horizon_radius"
+        fail(f"key {key!r}: {err}", key)
     if config.radius is not None:
         if config.radius <= rho_m:
-            fail(
-                f"radius {config.radius} must exceed horizon radius {rho_m:.6g}",
-                ("surface", "radius"),
-            )
+            fail(f"radius {config.radius} must exceed horizon radius {rho_m:.6g}", "radius")
         if config.amplitude >= config.radius - rho_m:
             fail(
                 f"amplitude {config.amplitude} must stay below radius - horizon "
                 f"= {config.radius - rho_m:.6g}",
-                ("surface", "amplitude"),
+                "amplitude",
             )
 
 

@@ -92,6 +92,28 @@ def test_non_finite_mass_or_radius_rejected(k, value):
         mass_from_radius(k, value)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_huge_mass_or_radius_rejected(k):
+    # Python-float powers raise OverflowError rather than return inf.
+    for mass in (6e307, 1e300):
+        with pytest.raises(HorizonError):
+            horizon_radius(k, mass)
+    for rho in (1e200, 1e101):
+        with pytest.raises(HorizonError):
+            mass_from_radius(k, rho)
+    assert mass_from_radius(k, horizon_radius(k, 1e299)) == pytest.approx(1e299)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([-1, 0, 1]), st.floats(allow_nan=False, allow_infinity=False))
+def test_horizon_data_returns_or_raises_horizon_error(k, value):
+    for func in (horizon_radius, mass_from_radius):
+        try:
+            assert np.isfinite(func(k, value))
+        except HorizonError:
+            pass
+
+
 @given(
     st.sampled_from([-1, 0, 1]),
     st.floats(min_value=1e-3, max_value=1e3),

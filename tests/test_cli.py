@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kottler_imcf import ConfigError, FlowTrace, TRACE_COLUMNS
 from kottler_imcf.cli import (
     AuditResult,
     CheckResult,
+    ScenarioConfig,
     build_background,
     build_initial_surface,
     emit_audit_json,
@@ -238,7 +241,11 @@ def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, s
     ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 2"),
     ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1"),
     ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1"),
-], ids=["sphere-amplitude-mode", "sphere-mode", "torus-amplitude", "torus-zero-amplitude-mode2"])
+    ("curvature_sign = 1\nmass = 1.0\nresolution = point", "[flow]\nt_end = 1.0"),
+    ("curvature_sign = 1\nmass = 1.0\nresolution = point", "amplitude = 0.0\n[flow]\nt_end = 1.0"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "[flow]\ncfl = 0.1\nmax_dt = 0.01"),
+], ids=["sphere-amplitude-mode", "sphere-mode", "torus-amplitude", "torus-zero-amplitude-mode2",
+        "flow-t_end", "flow-zero-amplitude-t_end", "flow-controls"])
 def test_cli_surface_keys_without_radius_exit_two(tmp_path, capsys, background, surface):
     text = f"[background]\n{background}\n[surface]\n{surface}\n"
     with pytest.raises(ConfigError) as err:
@@ -283,13 +290,17 @@ def test_cli_tolerance_scale(tmp_path, capsys):
     assert main(["audit", "--config", cfg, "--tolerance-scale", "1e-20"]) == 1
 
 
-def _sphere_perturbed_with(section, key, value):
-    # The shipped sphere-perturbed scenario with one key set (replaced if present).
-    with open(os.path.join(ROOT, "scenarios", "sphere-perturbed.cfg"), encoding="utf-8") as fh:
+def _scenario_with(scenario, section, key, value):
+    # A shipped scenario with one key set (replaced if present).
+    with open(os.path.join(ROOT, "scenarios", scenario + ".cfg"), encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines()
                  if line.partition("=")[0].strip() != key]
     at = lines.index(f"[{section}]") + 1
     return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
+def _sphere_perturbed_with(section, key, value):
+    return _scenario_with("sphere-perturbed", section, key, value)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -323,3 +334,97 @@ def test_cli_non_finite_horizon_data_exit_two(tmp_path, capsys, key, value):
         text = text.replace("mass = 1.0\n", "")
     assert main(["audit", "--config", _write(tmp_path, text)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, scenario, section, key, value", [
+    ("audit", "sphere-perturbed", "surface", "radius", "nan"),
+    ("audit", "sphere-perturbed", "surface", "radius", "-inf"),
+    ("audit", "sphere-perturbed", "surface", "amplitude", "nan"),
+    ("audit", "sphere-perturbed", "surface", "amplitude", "-0.1"),
+    ("audit", "torus-perturbed", "background", "area", "nan"),
+    ("audit", "torus-perturbed", "background", "area", "inf"),
+    ("audit", "torus-perturbed", "background", "curvature_sign", "2"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "10, nan, 40"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "10, inf"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "10, -20"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "10, 40, 10"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", ""),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", ", ,"),
+    ("audit", "slice-rigidity-sphere", "audit", "checks", ","),
+    ("audit", "slice-rigidity-sphere", "audit", "checks", ""),
+    ("audit", "slice-rigidity-sphere", "background", "mass", "1e308"),
+    ("audit", "slice-rigidity-sphere", "background", "mass", "6e307"),
+    ("audit", "spherical-area-window", "background", "horizon_radius", "1e200"),
+    ("audit", "spherical-area-window", "background", "horizon_radius", "1e101"),
+])
+def test_cli_out_of_range_value_exit_two(tmp_path, capsys, command, scenario, section, key,
+                                         value):
+    # Unchecked, these abort with exit 3, print nan rows, crash with a
+    # traceback, or run zero checks and pass.
+    text = _scenario_with(scenario, section, key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert key in str(err.value)
+    assert main([command, "--config", _write(tmp_path, text)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flow", ["cfl = 0.1", "sample_interval = 0.5\nh_floor = 1e-3"],
+                         ids=["cfl", "sampling"])
+def test_cli_flow_key_without_t_end_exit_two(tmp_path, capsys, flow):
+    text = "[background]\ncurvature_sign = 1\nmass = 1.0\nresolution = point\n" \
+        f"[surface]\nradius = 2.0\n[flow]\n{flow}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "no effect" in str(err.value)
+    assert flow.partition(" ")[0] in str(err.value)
+    assert main(["flow", "--config", _write(tmp_path, text)]) == 2
+
+
+@pytest.mark.parametrize("text", ["id = \n", "id = a\nid = b\n"], ids=["empty", "duplicate"])
+def test_bad_scenario_id_rejected(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + MINIMAL.replace("id = t\n", ""))
+    assert "id" in str(err.value)
+
+
+def _parses_or_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_config_arbitrary_text(text):
+    _parses_or_config_error(text)
+
+
+_TABLE_KEYS = [(f.metadata["section"], f.metadata["key"] or f.name)
+               for f in fields(ScenarioConfig)]
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.lists(st.floats(), max_size=4).map(lambda xs: ", ".join(map(repr, xs))),
+    st.sampled_from(["point", "all", "", ",", "-1", "0", "+1", "1e200", "6e307"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.sampled_from(_TABLE_KEYS), _VALUES), _VALUES)
+def test_parse_config_table_keys_with_arbitrary_values(entries, mass):
+    # Most documents carry a valid curvature sign and one horizon key, so
+    # that the cross-key rules run too.
+    entries.setdefault(("background", "curvature_sign"), "1")
+    if ("background", "horizon_radius") not in entries:
+        entries.setdefault(("background", "mass"), mass)
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "\n".join(sections.pop(None, []))
+    for section, lines in sections.items():
+        text += f"\n[{section}]\n" + "\n".join(lines)
+    _parses_or_config_error(text)
