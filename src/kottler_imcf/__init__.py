@@ -11,7 +11,6 @@ from .base import (
     make_base,
 )
 from .background import (
-    HorizonData,
     KottlerBackground,
     ch_mass_integral,
     critical_mass,

@@ -22,7 +22,6 @@ from .errors import ExteriorError, HorizonError
 
 __all__ = [
     "KottlerBackground",
-    "HorizonData",
     "critical_mass",
     "horizon_radius",
     "mass_from_radius",
@@ -97,44 +96,12 @@ def mass_from_radius(curvature_sign, horizon_rho):
     return 0.5 * (curvature_sign * horizon_rho + horizon_rho**3)
 
 
-@dataclass(frozen=True)
-class HorizonData:
-    """Area, topology, surface gravity, and Heintze-Karcher constant of a horizon."""
-
-    area: float
-    euler_char: int
-    surface_gravity: float
-    hk_constant: float
-
-    def __post_init__(self):
-        if self.surface_gravity <= 0.0:
-            raise HorizonError("degenerate horizon: surface gravity must be positive")
-        if 3.0 * self.area + 2.0 * np.pi * self.euler_char <= 0.0:
-            raise HorizonError("3|bdry| + 2*pi*chi must be positive")
-
-
 def hk_constant(area, euler_char):
     """c = |bdry| / (3|bdry| + 2*pi*chi); lies in (0, 1)."""
     denom = 3.0 * area + 2.0 * np.pi * euler_char
     if denom <= 0.0:
         raise HorizonError("3|bdry| + 2*pi*chi must be positive")
     return area / denom
-
-
-def _chi_horizon_sum(horizons):
-    """sum_j 2 pi chi_j / (3|bdry_j| + 2 pi chi_j) kappa_j |bdry_j|."""
-    return sum(2.0 * np.pi * h.euler_char / (3.0 * h.area + 2.0 * np.pi * h.euler_char)
-               * h.surface_gravity * h.area for h in horizons)
-
-
-def _areal_horizon_sum(horizons):
-    """sum_j (1 - 2 c_j) kappa_j |bdry_j|."""
-    return sum((1.0 - 2.0 * h.hk_constant) * h.surface_gravity * h.area for h in horizons)
-
-
-def _hk_horizon_sum(horizons):
-    """sum_j c_j kappa_j |bdry_j|."""
-    return sum(h.hk_constant * h.surface_gravity * h.area for h in horizons)
 
 
 @dataclass(frozen=True)
@@ -144,6 +111,11 @@ class KottlerBackground:
     base: BaseSurface
     mass: float
     horizon_rho: float
+
+    def __post_init__(self):
+        self.hk_constant  # raises HorizonError unless 3|bdry| + 2*pi*chi > 0
+        if self.surface_gravity <= 0.0:
+            raise HorizonError("degenerate horizon: surface gravity must be positive")
 
     @classmethod
     def from_mass(cls, base, mass):
@@ -190,13 +162,28 @@ class KottlerBackground:
     def horizon_area(self):
         return self.base.area * self.horizon_rho**2
 
-    def horizon(self):
-        return HorizonData(
-            area=self.horizon_area,
-            euler_char=self.base.euler_char,
-            surface_gravity=self.surface_gravity,
-            hk_constant=hk_constant(self.horizon_area, self.base.euler_char),
-        )
+    @property
+    def hk_constant(self):
+        return hk_constant(self.horizon_area, self.base.euler_char)
+
+    # The paper sums these terms over the horizon components; a Kottler
+    # background has exactly one.
+
+    @property
+    def chi_horizon_term(self):
+        """2 pi chi / (3|bdry| + 2 pi chi) kappa |bdry|."""
+        area, chi = self.horizon_area, self.base.euler_char
+        return 2.0 * np.pi * chi / (3.0 * area + 2.0 * np.pi * chi) * self.surface_gravity * area
+
+    @property
+    def areal_horizon_term(self):
+        """(1 - 2c) kappa |bdry|."""
+        return (1.0 - 2.0 * self.hk_constant) * self.surface_gravity * self.horizon_area
+
+    @property
+    def hk_horizon_term(self):
+        """c kappa |bdry|."""
+        return self.hk_constant * self.surface_gravity * self.horizon_area
 
 
 def radius_bounds(kappa):
@@ -211,7 +198,7 @@ def radius_bounds(kappa):
     return (kappa - disc) / 3.0, (kappa + disc) / 3.0
 
 
-def static_residual(background, sample_rho, potential=None, margin=1e-8):
+def static_residual(background, sample_rho, potential=None):
     """Max norms of the static vacuum equation residuals at the sample radii.
 
     Returns (hessian_residual, laplace_residual), where the first is the
@@ -220,7 +207,7 @@ def static_residual(background, sample_rho, potential=None, margin=1e-8):
     derivatives of the potential W (the background's V by default).
     """
     rho = np.atleast_1d(np.asarray(sample_rho, dtype=float))
-    if np.any(rho <= background.horizon_rho + margin):
+    if np.any(rho <= background.horizon_rho + 1e-8):
         raise ExteriorError("sample points must lie strictly outside the horizon")
 
     k = background.curvature_sign
@@ -253,7 +240,7 @@ def static_residual(background, sample_rho, potential=None, margin=1e-8):
     return float(np.max(hess_norm)), float(np.max(np.abs(lap - 3.0 * w)))
 
 
-def ch_mass_integral(background, rho_eval, warn_factor=5.0):
+def ch_mass_integral(background, rho_eval):
     """Boundary mass integral at coordinate radius rho_eval.
 
     The deviation tensor q = g - gbar is diagonal with only a rho-rho
@@ -262,10 +249,8 @@ def ch_mass_integral(background, rho_eval, warn_factor=5.0):
     the mass parameter as rho_eval -> infinity.
     """
     rho = float(rho_eval)
-    if rho < warn_factor * background.horizon_rho:
-        raise ExteriorError(
-            f"rho_eval {rho} below {warn_factor} x horizon radius: preasymptotic"
-        )
+    if rho < 5.0 * background.horizon_rho:
+        raise ExteriorError(f"rho_eval {rho} below 5.0 x horizon radius: preasymptotic")
     k = background.curvature_sign
     fbar_sq = k + rho**2
     fbar = np.sqrt(fbar_sq)
@@ -303,15 +288,13 @@ def richardson_mass(background, rho_values):
     return (ratio * vals[-1] - vals[-2]) / (ratio - 1.0)
 
 
-def mass_upper_bound(base, horizons):
-    """(1/w2) * sum_j (1 - 2 c_j) kappa_j |bdry_j|, an upper bound on the mass.
+def mass_upper_bound(background):
+    """(1/w2) (1 - 2c) kappa |bdry|, an upper bound on the mass.
 
-    Equality holds on single-horizon Kottler backgrounds, where the sum
-    telescopes to the mass parameter.
+    The paper sums the horizon term over the horizon components; on a
+    Kottler background, with its one horizon, it equals the mass parameter.
     """
-    if not horizons:
-        raise ValueError("horizon list must be nonempty")
-    return _areal_horizon_sum(horizons) / base.area
+    return background.areal_horizon_term / background.base.area
 
 
 def make_background(curvature_sign, genus, grid_resolution, mass=None, horizon_rho=None,

@@ -74,13 +74,22 @@ def _list(item):
                   bool, "must list at least one value")
 
 
+def _within(parse, low, high):
+    return _check(parse, lambda value: low <= value <= high, f"must lie in [{low:g}, {high:g}]")
+
+
 _finite = _check(float, np.isfinite, "must be finite")
 _positive = _check(_finite, lambda value: value > 0.0, "must be positive")
 _nonnegative = _check(_finite, lambda value: value >= 0.0, "must be nonnegative")
 _sign = _check(int, lambda value: value in (-1, 0, 1), "must be -1, 0 or +1")
 _name = _check(str, bool, "must not be empty")
-_radii = _check(_list(_positive), lambda radii: len(set(radii)) == len(radii),
-                "radii must be distinct")
+# Integer bounds keep genus, modes and seed inside float and C-long range;
+# radii in [1e-50, 1e50] keep rho**2 and the Richardson ratio (r2/r1)**3 finite.
+_genus = _within(int, 0, 10**6)
+_mode = _within(int, -10**6, 10**6)
+_seed = _within(int, -10**9, 10**9)
+_radii = _check(_list(_within(_positive, 1e-50, 1e50)),
+                lambda radii: len(set(radii)) == len(radii), "radii must be distinct")
 
 
 def _resolution(text):
@@ -103,25 +112,25 @@ class ScenarioConfig:
 
     scenario_id: str = _key(None, _name, "scenario", key="id")
     curvature_sign: int = _key("background", _sign)  # required
-    genus: int = _key("background", int)  # default set by the curvature sign
+    genus: int = _key("background", _genus)  # default set by the curvature sign
     mass: float | None = _key("background", _finite)
     horizon_radius: float | None = _key("background", _positive)
     resolution: object = _key("background", _resolution, 64)  # int or "point"
     base_area: float | None = _key("background", _positive, key="area")
     radius: float | None = _key("surface", _positive)
     amplitude: float = _key("surface", _nonnegative, 0.0)
-    mode: int | None = _key("surface", int)
-    mode1: int | None = _key("surface", int)
-    mode2: int | None = _key("surface", int)
+    mode: int | None = _key("surface", _mode)
+    mode1: int | None = _key("surface", _mode)
+    mode2: int | None = _key("surface", _mode)
     t_end: float | None = _key("flow", _positive)
     sample_interval: float = _key("flow", _positive, 0.25)
-    cfl: float = _key("flow", _positive, 0.2)
-    h_floor: float = _key("flow", _finite, 1e-6)
-    star_floor: float = _key("flow", _finite, 0.1)
+    cfl: float = _key("flow", _positive, FlowControls.cfl)
+    h_floor: float = _key("flow", _finite, FlowControls.h_floor)
+    star_floor: float = _key("flow", _finite, FlowControls.star_floor)
     max_dt: float | None = _key("flow", _positive)
     checks: tuple = _key("audit", _list(str), ("all",))
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
-    seed: int = _key("audit", int, 0)
+    seed: int = _key("audit", _seed, 0)
 
 
 _KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
@@ -331,7 +340,7 @@ def _background_checks(background, tolerance_scale, seed=0):
     checks = [
         _abs_check(
             "surface_gravity_bound",
-            surface_gravity_bound_deficit(background.horizon(), base),
+            surface_gravity_bound_deficit(background),
             tol,
             "Euler characteristic bound on surface gravity, equality on models",
         ),
@@ -343,7 +352,7 @@ def _background_checks(background, tolerance_scale, seed=0):
         ),
         _abs_check(
             "mass_upper_bound",
-            bg.mass_upper_bound(base, [background.horizon()]) - background.mass,
+            bg.mass_upper_bound(background) - background.mass,
             tol,
             "horizon-data mass upper bound, equality on models",
         ),
@@ -558,17 +567,16 @@ def _write_outputs(args, trace, result):
 def _cmd_background(args):
     config = _load_config(args)
     background = build_background(config)
-    h = background.horizon()
     print(f"curvature_sign  {background.curvature_sign:+d}")
     print(f"genus           {background.base.genus}")
     print(f"base_area       {background.base.area:.17g}")
     print(f"mass            {background.mass:.17g}")
     print(f"horizon_radius  {background.horizon_rho:.17g}")
-    print(f"horizon_area    {h.area:.17g}")
-    print(f"surface_gravity {h.surface_gravity:.17g}")
-    print(f"hk_constant     {h.hk_constant:.17g}")
-    if background.curvature_sign == 1 and h.surface_gravity >= np.sqrt(3.0):
-        lo, hi = bg.radius_bounds(h.surface_gravity)
+    print(f"horizon_area    {background.horizon_area:.17g}")
+    print(f"surface_gravity {background.surface_gravity:.17g}")
+    print(f"hk_constant     {background.hk_constant:.17g}")
+    if background.curvature_sign == 1 and background.surface_gravity >= np.sqrt(3.0):
+        lo, hi = bg.radius_bounds(background.surface_gravity)
         print(f"radius_window   [{lo:.17g}, {hi:.17g}]")
     return 0
 

@@ -116,7 +116,7 @@ def _sample_row(state):
     return row
 
 
-def cfl_limit(surface, cfl=0.2):
+def cfl_limit(surface, cfl=FlowControls.cfl):
     """Largest stable explicit time step for the graphical flow.
 
     The diffusion coefficient of the linearized operator scales like
@@ -152,7 +152,7 @@ def _velocity(surface, h_floor):
     return g.graph_factor / g.mean_curvature
 
 
-def step_graph_pde(state, dt, h_floor=1e-6, cfl=0.2):
+def step_graph_pde(state, dt, h_floor=FlowControls.h_floor, cfl=FlowControls.cfl):
     """One explicit midpoint step of the graphical flow equation."""
     surface = state.surface
     limit = cfl_limit(surface, cfl)
@@ -222,7 +222,7 @@ def run_flow(initial, t_end, sample_interval, controls=None):
 _FIT_TARGETS = {"min_align": 1.0, "min_H": 2.0, "max_H": 2.0}
 
 
-def asymptotic_rate_fit(trace, column, model="exp", target=None, noise_floor=1e-12):
+def asymptotic_rate_fit(trace, column, model="exp"):
     """Fit the late-time decay rate of a trace column toward its limit.
 
     The deviation |column - target| is fitted in log space against
@@ -233,10 +233,9 @@ def asymptotic_rate_fit(trace, column, model="exp", target=None, noise_floor=1e-
     the RMS log misfit.  Raises NoiseFloorError when the deviation sits
     at round-off, where a fit is meaningless.
     """
-    if target is None:
-        if column not in _FIT_TARGETS:
-            raise ValueError(f"no default target for column {column!r}")
-        target = _FIT_TARGETS[column]
+    if column not in _FIT_TARGETS:
+        raise ValueError(f"no fit target for column {column!r}")
+    target = _FIT_TARGETS[column]
     t = trace.times
     dev = np.abs(trace.column(column) - target)
     n_fit = max(8, 3 * len(t) // 4)
@@ -245,7 +244,7 @@ def asymptotic_rate_fit(trace, column, model="exp", target=None, noise_floor=1e-
     t = t[-n_fit:]
     dev = dev[-n_fit:]
     scale = max(abs(target), 1.0)
-    if np.max(dev) <= noise_floor * scale:
+    if np.max(dev) <= 1e-12 * scale:
         raise NoiseFloorError(
             f"column {column!r} deviation at round-off ({np.max(dev):.3e})"
         )

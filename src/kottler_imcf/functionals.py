@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import _areal_horizon_sum, _chi_horizon_sum, _hk_horizon_sum
 from .base import integrate
 from .errors import ExteriorError, FlowSingularError
 
@@ -33,12 +32,6 @@ __all__ = [
     "asymptotic_limit_targets",
     "evaluate_report",
 ]
-
-
-def _horizons(surface, horizons=None):
-    if horizons is None:
-        return (surface.background.horizon(),)
-    return tuple(horizons)
 
 
 def bulk_integral(surface):
@@ -63,7 +56,7 @@ def total_mean_curvature(surface):
     )
 
 
-def compute_Q(surface, enclosed_horizons=None):
+def compute_Q(surface):
     """Scale-normalized monotone flow functional.
 
     Non-increasing along inverse mean curvature flow and constant, equal
@@ -75,15 +68,15 @@ def compute_Q(surface, enclosed_horizons=None):
     return (
         total_mean_curvature(surface)
         - 6.0 * bulk_integral(surface)
-        + 4.0 * _chi_horizon_sum(_horizons(surface, enclosed_horizons))
+        + 4.0 * surface.background.chi_horizon_term
     ) / np.sqrt(area)
 
 
-def compute_P(surface, enclosed_horizons=None):
+def compute_P(surface):
     """Areal variant of the monotone functional.
 
     Replaces the bulk volume in Q by the area power |Sigma|^{3/2} and the
-    Euler-characteristic horizon weight by 1 - 2c_j; tends to the same
+    Euler-characteristic horizon weight by 1 - 2c; tends to the same
     limit 2 * k * sqrt(w2) and equals it identically on Kottler slices.
     """
     area = surface.area()
@@ -93,18 +86,17 @@ def compute_P(surface, enclosed_horizons=None):
     return (
         total_mean_curvature(surface)
         - 2.0 * area**1.5 / np.sqrt(w2)
-        + 4.0 * _areal_horizon_sum(_horizons(surface, enclosed_horizons))
+        + 4.0 * surface.background.areal_horizon_term
     ) / np.sqrt(area)
 
 
-def hawking_mass(surface, genus=None):
+def hawking_mass(surface):
     """Hawking mass adapted to the hyperbolic asymptotics.
 
     Equals the mass parameter exactly on spherical Kottler slices and is
     non-decreasing along inverse mean curvature flow in static vacuum.
     """
-    if genus is None:
-        genus = surface.background.base.genus
+    genus = surface.background.base.genus
     g = surface.geometry
     area = surface.area()
     willmore = integrate(
@@ -113,10 +105,10 @@ def hawking_mass(surface, genus=None):
     return np.sqrt(area / (16.0 * np.pi)) * (1.0 - genus - willmore / (16.0 * np.pi))
 
 
-def hk_gap(surface, enclosed_horizons=None):
+def hk_gap(surface):
     """Slack in the potential-weighted Heintze-Karcher inequality.
 
-    gap = int V/H - (3/2) int_Omega V - sum_j c_j kappa_j |bdry_j|;
+    gap = int V/H - (3/2) int_Omega V - c kappa |bdry|;
     nonnegative on mean-convex surfaces, zero exactly on slices.
     """
     g = surface.geometry
@@ -125,11 +117,10 @@ def hk_gap(surface, enclosed_horizons=None):
     lhs = integrate(
         surface.background.base, g.potential / g.mean_curvature * g.area_density
     )
-    horizon_term = _hk_horizon_sum(_horizons(surface, enclosed_horizons))
-    return lhs - 1.5 * bulk_integral(surface) - horizon_term
+    return lhs - 1.5 * bulk_integral(surface) - surface.background.hk_horizon_term
 
 
-def minkowski_deficit(surface, enclosed_horizons=None):
+def minkowski_deficit(surface):
     """Left minus right side of the Minkowski-type inequality.
 
     Nonnegative for star-shaped mean-convex surfaces; vanishing forces
@@ -138,7 +129,7 @@ def minkowski_deficit(surface, enclosed_horizons=None):
     w2 = surface.background.base.area
     k = surface.background.curvature_sign
     area = surface.area()
-    horizon_term = _chi_horizon_sum(_horizons(surface, enclosed_horizons)) / w2
+    horizon_term = surface.background.chi_horizon_term / w2
     return (
         0.5 * total_mean_curvature(surface) / w2
         - 3.0 * bulk_integral(surface) / w2
@@ -147,16 +138,15 @@ def minkowski_deficit(surface, enclosed_horizons=None):
     )
 
 
-def areal_minkowski_deficit(surface, enclosed_horizons=None):
+def areal_minkowski_deficit(surface):
     """Left minus right side of the areal Minkowski inequality.
 
-    Uses the area power in place of the bulk volume; requires every
-    background horizon to be enclosed.
+    Uses the area power in place of the bulk volume.
     """
     w2 = surface.background.base.area
     k = surface.background.curvature_sign
     a = surface.area() / w2
-    horizon_term = _areal_horizon_sum(_horizons(surface, enclosed_horizons)) / w2
+    horizon_term = surface.background.areal_horizon_term / w2
     return (
         0.25 * total_mean_curvature(surface) / w2
         - 0.5 * (k * np.sqrt(a) + a**1.5)
@@ -164,17 +154,18 @@ def areal_minkowski_deficit(surface, enclosed_horizons=None):
     )
 
 
-def surface_gravity_bound_deficit(horizon, base):
+def surface_gravity_bound_deficit(background):
     """Slack in the Euler-characteristic bound on horizon surface gravity.
 
     deficit = 2 pi chi kappa - (k/2)(3 w2 sqrt(a) + 2 pi chi / sqrt(a))
-    with a = area / w2; vanishes on every single-horizon Kottler model.
+    with a = |bdry| / w2; vanishes on every Kottler model.
     """
-    w2 = base.area
-    k = base.curvature_sign
-    sqrt_a = np.sqrt(horizon.area / w2)
-    lhs = 2.0 * np.pi * horizon.euler_char * horizon.surface_gravity
-    rhs = 0.5 * k * (3.0 * w2 * sqrt_a + 2.0 * np.pi * horizon.euler_char / sqrt_a)
+    w2 = background.base.area
+    k = background.curvature_sign
+    chi = background.base.euler_char
+    sqrt_a = np.sqrt(background.horizon_area / w2)
+    lhs = 2.0 * np.pi * chi * background.surface_gravity
+    rhs = 0.5 * k * (3.0 * w2 * sqrt_a + 2.0 * np.pi * chi / sqrt_a)
     return lhs - rhs
 
 
@@ -192,15 +183,14 @@ def reverse_penrose_deficit(background):
     return 0.5 * (-np.sqrt(a) + a**1.5) - background.mass
 
 
-def penrose_conjecture_deficit(background, surface=None):
+def penrose_conjecture_deficit(background):
     """Mass minus the conjectured horizon-area lower bound.
 
-    deficit = m - (1/2)(k sqrt(a) + a^{3/2}) with a the normalized area of
-    the given surface (the horizon by default); zero on Kottler horizons.
+    deficit = m - (1/2)(k sqrt(a) + a^{3/2}) with a = |bdry| / w2; zero on
+    Kottler horizons.
     """
     w2 = background.base.area
-    area = background.horizon_area if surface is None else surface.area()
-    a = area / w2
+    a = background.horizon_area / w2
     k = background.curvature_sign
     return background.mass - 0.5 * (k * np.sqrt(a) + a**1.5)
 
@@ -227,19 +217,17 @@ class FunctionalReport:
     areal_minkowski_deficit: float
 
 
-def evaluate_report(surface, enclosed_horizons=None):
+def evaluate_report(surface):
     """Evaluate every functional on one surface."""
-    horizons = _horizons(surface, enclosed_horizons)
-    horizon_term = _hk_horizon_sum(horizons)
     return FunctionalReport(
         area=surface.area(),
         total_mean_curvature=total_mean_curvature(surface),
         bulk_integral=bulk_integral(surface),
-        horizon_term=horizon_term,
-        q_value=compute_Q(surface, horizons),
-        p_value=compute_P(surface, horizons),
+        horizon_term=surface.background.hk_horizon_term,
+        q_value=compute_Q(surface),
+        p_value=compute_P(surface),
         hawking_mass=float(hawking_mass(surface)),
-        hk_gap=hk_gap(surface, horizons),
-        minkowski_deficit=minkowski_deficit(surface, horizons),
-        areal_minkowski_deficit=areal_minkowski_deficit(surface, horizons),
+        hk_gap=hk_gap(surface),
+        minkowski_deficit=minkowski_deficit(surface),
+        areal_minkowski_deficit=areal_minkowski_deficit(surface),
     )

@@ -182,7 +182,7 @@ class GraphSurface:
 
     background: KottlerBackground
     radius_field: np.ndarray
-    _geometry: SurfaceGeometry | None = dataclass_field(default=None, repr=False)
+    _geometry: SurfaceGeometry | None = dataclass_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         shape = self.background.base.grid.weights.shape

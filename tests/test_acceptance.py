@@ -145,9 +145,7 @@ def test_criterion_4_surface_gravity_bound(capsys):
         and abs(mass_from_radius(1, lo) - 2.0 / (3.0 * np.sqrt(3.0))) <= 1e-12
     )
     worst_def = max(
-        abs(surface_gravity_bound_deficit(
-            make_background(k, g, "point", mass=m).horizon(),
-            make_background(k, g, "point", mass=m).base))
+        abs(surface_gravity_bound_deficit(make_background(k, g, "point", mass=m)))
         for k, g, m in BACKGROUNDS
     )
     ok = worst_rt <= 1e-12 and degenerate and worst_def <= 1e-12
@@ -163,7 +161,7 @@ def test_criterion_5_mass_bounds(capsys):
     worst_ub = 0.0
     for k, genus, mass in BACKGROUNDS:
         b = make_background(k, genus, "point", mass=mass)
-        worst_ub = max(worst_ub, abs(mass_upper_bound(b.base, [b.horizon()]) - mass))
+        worst_ub = max(worst_ub, abs(mass_upper_bound(b) - mass))
     ok = worst_rp <= 1e-12 and worst_ub <= 1e-12
     _verdict(capsys, 5, "reverse Penrose and mass upper bound", ok,
              f"reverse = {worst_rp:.2e}, upper bound = {worst_ub:.2e}")

@@ -8,11 +8,13 @@ from scipy.optimize import brentq
 from kottler_imcf import (
     ExteriorError,
     HorizonError,
+    KottlerBackground,
     ch_mass_integral,
     critical_mass,
     hk_constant,
     horizon_radius,
     make_background,
+    make_base,
     mass_from_radius,
     mass_upper_bound,
     radius_bounds,
@@ -215,13 +217,16 @@ def test_richardson_mass(k, genus, mass):
 )
 def test_mass_upper_bound_equality_on_models(k, genus, mass):
     b = make_background(k, genus, "point", mass=mass)
-    assert mass_upper_bound(b.base, [b.horizon()]) == pytest.approx(mass, abs=1e-12)
+    assert mass_upper_bound(b) == pytest.approx(mass, abs=1e-12)
 
 
-def test_mass_upper_bound_empty_rejected():
-    b = make_background(1, 0, "point", mass=1.0)
-    with pytest.raises(ValueError):
-        mass_upper_bound(b.base, [])
+def test_degenerate_horizon_rejected():
+    # 3 rho^2 + k < 0 on the hyperbolic base makes 3|bdry| + 2 pi chi negative;
+    # a negative radius on the sphere keeps it positive but not kappa.
+    with pytest.raises(HorizonError, match="3\\|bdry\\|"):
+        KottlerBackground(make_base(-1, 2, "point"), 0.0, 0.5)
+    with pytest.raises(HorizonError, match="surface gravity"):
+        KottlerBackground(make_base(1, 0, "point"), 1.0, -1.0)
 
 
 def test_make_background_argument_check():

@@ -177,6 +177,28 @@ def _write(tmp_path, text):
     return str(path)
 
 
+SCENARIOS = sorted(name[:-len(".cfg")] for name in os.listdir(os.path.join(ROOT, "scenarios"))
+                   if name.endswith(".cfg"))
+
+
+def _golden(name):
+    with open(os.path.join(ROOT, "tests", "goldens", name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_background_and_chmass_goldens(tmp_path, capsys, scenario):
+    # The stdout of `background` and `chmass` and the audit JSON of
+    # `chmass --out`, byte for byte.
+    config = os.path.join(ROOT, "scenarios", scenario + ".cfg")
+    assert main(["background", "--config", config]) == 0
+    assert capsys.readouterr().out.encode() == _golden(scenario + "_background.txt")
+    assert main(["chmass", "--config", config, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.encode() == _golden(scenario + "_chmass.txt")
+    with open(tmp_path / (scenario + "_audit.json"), "rb") as fh:
+        assert fh.read() == _golden(scenario + "_chmass_audit.json")
+
+
 def test_cli_audit_exit_zero(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "\n[background]\nresolution = point\n")
     assert main(["audit", "--config", cfg]) == 0
@@ -356,6 +378,22 @@ def test_cli_non_finite_horizon_data_exit_two(tmp_path, capsys, key, value):
     ("audit", "slice-rigidity-sphere", "background", "mass", "6e307"),
     ("audit", "spherical-area-window", "background", "horizon_radius", "1e200"),
     ("audit", "spherical-area-window", "background", "horizon_radius", "1e101"),
+    pytest.param("audit", "slice-rigidity-sphere", "audit", "seed", "1" * 31,
+                 id="audit-seed-31-digits"),
+    ("audit", "slice-rigidity-sphere", "audit", "seed", "-1000000001"),
+    pytest.param("audit", "slice-rigidity-hyperbolic", "background", "genus", "9" * 400,
+                 id="audit-genus-400-digits"),
+    pytest.param("chmass", "slice-rigidity-hyperbolic", "background", "genus", "9" * 400,
+                 id="chmass-genus-400-digits"),
+    ("audit", "slice-rigidity-sphere", "background", "genus", "-1"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "10, 1e200"),
+    ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "1e-250, 1e100"),
+    pytest.param("audit", "sphere-perturbed", "surface", "mode", "9" * 400,
+                 id="audit-mode-400-digits"),
+    pytest.param("audit", "torus-perturbed", "surface", "mode1", "9" * 30,
+                 id="audit-mode1-30-digits"),
+    pytest.param("audit", "torus-perturbed", "surface", "mode2", "-" + "9" * 400,
+                 id="audit-mode2-400-digits"),
 ])
 def test_cli_out_of_range_value_exit_two(tmp_path, capsys, command, scenario, section, key,
                                          value):

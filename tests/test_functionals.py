@@ -106,7 +106,7 @@ def test_areal_deficit_consistent_with_p():
 @pytest.mark.parametrize("k,genus,mass", BACKGROUNDS)
 def test_surface_gravity_bound_equality_on_models(k, genus, mass):
     b = make_background(k, genus, "point", mass=mass)
-    assert abs(surface_gravity_bound_deficit(b.horizon(), b.base)) <= 1e-12
+    assert abs(surface_gravity_bound_deficit(b)) <= 1e-12
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0, 3.0])

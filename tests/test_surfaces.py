@@ -14,6 +14,7 @@ from kottler_imcf import (
     FlowSingularError,
     GraphSurface,
     compute_geometry,
+    integrate,
     make_background,
     star_shaped_check,
 )
@@ -330,3 +331,62 @@ def test_deferred_fields_match_fresh_geometry(kind):
     fresh = compute_geometry(GraphSurface(s.background, s.radius_field)).geometry
     for name in reversed(GEOMETRY_FIELDS):
         assert np.array_equal(getattr(fresh, name), getattr(read, name)), name
+
+
+# -- independent identities off the slices ------------------------------------
+#
+# Neither identity below reuses a kernel formula.  Unlike the mean-curvature
+# oracle above, the torus surface has nonzero r2 and r12, so the kernel's
+# cross terms, traceless_sq and alignment are all tested off the slices.
+
+
+def _gauss_bonnet_torus(n):
+    b = make_background(0, 1, n, mass=0.5)
+    g = b.base.grid
+    x, y = (2.0 * np.pi * t / g.side for t in (g.theta1, g.theta2))
+    return GraphSurface(b, 3.0 + 0.3 * np.sin(x + y) + 0.1 * np.cos(x - 2.0 * y))
+
+
+def _gauss_bonnet_sphere(n):
+    b = make_background(1, 0, n, mass=1.0)
+    th = b.base.grid.theta
+    return GraphSurface(b, 2.0 + 0.2 * np.cos(th) + 0.1 * np.cos(2.0 * th))
+
+
+def _gauss_bonnet_error(surface):
+    """|int K dA - 2 pi chi| / int |K| dA, with K from the Gauss equation.
+
+    With Lambda = -3, Kottler has Ric = -2 - 2m/rho^3 radially and
+    -2 + m/rho^3 tangentially, so a tangent plane whose unit normal has
+    radial alignment a has ambient curvature -1 - (m/rho^3)(1 - 3a^2);
+    the Gauss equation adds H^2/4 - |A0|^2/2.
+    """
+    g = surface.geometry
+    b = surface.background
+    ambient = -1.0 - b.mass / surface.radius_field**3 * (1.0 - 3.0 * g.alignment**2)
+    gauss = ambient + 0.25 * g.mean_curvature**2 - 0.5 * g.traceless_sq
+    total = integrate(b.base, gauss * g.area_density)
+    return abs(total - 2.0 * np.pi * b.base.euler_char) / integrate(
+        b.base, np.abs(gauss) * g.area_density)
+
+
+@pytest.mark.parametrize("surface, sizes, bound", [
+    (_gauss_bonnet_torus, (32, 64, 128), 4e-4),  # measured 5.1e-3, 1.3e-3, 3.2e-4
+    (_gauss_bonnet_sphere, (65, 129, 257), 5e-6),  # measured 6.8e-5, 1.7e-5, 4.3e-6
+], ids=["torus", "sphere"])
+def test_gauss_bonnet_second_order(surface, sizes, bound):
+    errors = np.array([_gauss_bonnet_error(surface(n)) for n in sizes])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), (errors, orders)
+    assert errors[-1] <= bound, errors
+
+
+@pytest.mark.parametrize("surface, n", [(_gauss_bonnet_torus, 32), (_gauss_bonnet_sphere, 65)],
+                         ids=["torus", "sphere"])
+def test_weighted_area_density_is_radius_squared(surface, n):
+    # V dA / graph_factor = rho^2 dA_base exactly in the algebra; it is what
+    # makes bulk_integral a closed form.
+    surface = surface(n)
+    g = surface.geometry
+    np.testing.assert_allclose(g.potential * g.area_density / g.graph_factor,
+                               surface.radius_field**2, rtol=1e-14, atol=0.0)
