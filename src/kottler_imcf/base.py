@@ -224,4 +224,4 @@ def integrate(base, field):
         raise ValueError(
             f"field shape {field.shape} does not match grid shape {grid.weights.shape}"
         )
-    return float(np.sum(grid.weights * field))
+    return float(np.add.reduce(grid.weights * field, axis=None))

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+# -- surface integrals (the area is GraphSurface.area) ----------------------
+
+
 def bulk_integral(surface):
     """Weighted volume between the horizon and the graph.
 
@@ -56,20 +59,88 @@ def total_mean_curvature(surface):
     )
 
 
+def _willmore(surface):
+    g = surface.geometry
+    return integrate(
+        surface.background.base, (g.mean_curvature**2 - 4.0) * g.area_density
+    )
+
+
+def _hk_lhs(surface):
+    g = surface.geometry
+    if np.min(g.mean_curvature) <= 0.0:
+        raise FlowSingularError("Heintze-Karcher gap needs a mean-convex surface")
+    return integrate(
+        surface.background.base, g.potential / g.mean_curvature * g.area_density
+    )
+
+
+# -- scalar formulas over the integrals, shared with evaluate_report --------
+
+
+def _q(background, area, tmc, bulk):
+    if area <= 0.0:
+        raise ValueError("surface area must be positive")
+    return (tmc - 6.0 * bulk + 4.0 * background.chi_horizon_term) / np.sqrt(area)
+
+
+def _p(background, area, tmc):
+    if area <= 0.0:
+        raise ValueError("surface area must be positive")
+    w2 = background.base.area
+    return (
+        tmc - 2.0 * area**1.5 / np.sqrt(w2) + 4.0 * background.areal_horizon_term
+    ) / np.sqrt(area)
+
+
+def _hawking_mass(background, area, willmore):
+    genus = background.base.genus
+    return np.sqrt(area / (16.0 * np.pi)) * (1.0 - genus - willmore / (16.0 * np.pi))
+
+
+def _hk_gap(background, lhs, bulk):
+    return lhs - 1.5 * bulk - background.hk_horizon_term
+
+
+def _minkowski_deficit(background, area, tmc, bulk):
+    w2 = background.base.area
+    k = background.curvature_sign
+    horizon_term = background.chi_horizon_term / w2
+    return (
+        0.5 * tmc / w2
+        - 3.0 * bulk / w2
+        + 2.0 * horizon_term
+        - k * np.sqrt(area / w2)
+    )
+
+
+def _areal_minkowski_deficit(background, area, tmc):
+    w2 = background.base.area
+    k = background.curvature_sign
+    a = area / w2
+    horizon_term = background.areal_horizon_term / w2
+    return (
+        0.25 * tmc / w2
+        - 0.5 * (k * np.sqrt(a) + a**1.5)
+        + horizon_term
+    )
+
+
+# -- public functionals -----------------------------------------------------
+
+
 def compute_Q(surface):
     """Scale-normalized monotone flow functional.
 
     Non-increasing along inverse mean curvature flow and constant, equal
     to 2 * k * sqrt(w2), precisely on Kottler slices.
     """
-    area = surface.area()
-    if area <= 0.0:
-        raise ValueError("surface area must be positive")
-    return (
-        total_mean_curvature(surface)
-        - 6.0 * bulk_integral(surface)
-        + 4.0 * surface.background.chi_horizon_term
-    ) / np.sqrt(area)
+    return _q(
+        surface.background,
+        surface.area(),
+        total_mean_curvature(surface),
+        bulk_integral(surface),
+    )
 
 
 def compute_P(surface):
@@ -79,15 +150,7 @@ def compute_P(surface):
     Euler-characteristic horizon weight by 1 - 2c; tends to the same
     limit 2 * k * sqrt(w2) and equals it identically on Kottler slices.
     """
-    area = surface.area()
-    if area <= 0.0:
-        raise ValueError("surface area must be positive")
-    w2 = surface.background.base.area
-    return (
-        total_mean_curvature(surface)
-        - 2.0 * area**1.5 / np.sqrt(w2)
-        + 4.0 * surface.background.areal_horizon_term
-    ) / np.sqrt(area)
+    return _p(surface.background, surface.area(), total_mean_curvature(surface))
 
 
 def hawking_mass(surface):
@@ -96,13 +159,7 @@ def hawking_mass(surface):
     Equals the mass parameter exactly on spherical Kottler slices and is
     non-decreasing along inverse mean curvature flow in static vacuum.
     """
-    genus = surface.background.base.genus
-    g = surface.geometry
-    area = surface.area()
-    willmore = integrate(
-        surface.background.base, (g.mean_curvature**2 - 4.0) * g.area_density
-    )
-    return np.sqrt(area / (16.0 * np.pi)) * (1.0 - genus - willmore / (16.0 * np.pi))
+    return _hawking_mass(surface.background, surface.area(), _willmore(surface))
 
 
 def hk_gap(surface):
@@ -111,13 +168,7 @@ def hk_gap(surface):
     gap = int V/H - (3/2) int_Omega V - c kappa |bdry|;
     nonnegative on mean-convex surfaces, zero exactly on slices.
     """
-    g = surface.geometry
-    if np.min(g.mean_curvature) <= 0.0:
-        raise FlowSingularError("Heintze-Karcher gap needs a mean-convex surface")
-    lhs = integrate(
-        surface.background.base, g.potential / g.mean_curvature * g.area_density
-    )
-    return lhs - 1.5 * bulk_integral(surface) - surface.background.hk_horizon_term
+    return _hk_gap(surface.background, _hk_lhs(surface), bulk_integral(surface))
 
 
 def minkowski_deficit(surface):
@@ -126,15 +177,11 @@ def minkowski_deficit(surface):
     Nonnegative for star-shaped mean-convex surfaces; vanishing forces
     the surface to be a Kottler slice.
     """
-    w2 = surface.background.base.area
-    k = surface.background.curvature_sign
-    area = surface.area()
-    horizon_term = surface.background.chi_horizon_term / w2
-    return (
-        0.5 * total_mean_curvature(surface) / w2
-        - 3.0 * bulk_integral(surface) / w2
-        + 2.0 * horizon_term
-        - k * np.sqrt(area / w2)
+    return _minkowski_deficit(
+        surface.background,
+        surface.area(),
+        total_mean_curvature(surface),
+        bulk_integral(surface),
     )
 
 
@@ -143,14 +190,8 @@ def areal_minkowski_deficit(surface):
 
     Uses the area power in place of the bulk volume.
     """
-    w2 = surface.background.base.area
-    k = surface.background.curvature_sign
-    a = surface.area() / w2
-    horizon_term = surface.background.areal_horizon_term / w2
-    return (
-        0.25 * total_mean_curvature(surface) / w2
-        - 0.5 * (k * np.sqrt(a) + a**1.5)
-        + horizon_term
+    return _areal_minkowski_deficit(
+        surface.background, surface.area(), total_mean_curvature(surface)
     )
 
 
@@ -218,16 +259,26 @@ class FunctionalReport:
 
 
 def evaluate_report(surface):
-    """Evaluate every functional on one surface."""
+    """Evaluate every functional on one surface.
+
+    Each of the five surface integrals (area, total mean curvature, bulk,
+    Willmore, Heintze-Karcher left side) is computed once and fed to the
+    same scalar formulas as the standalone functionals, so every field
+    equals its standalone functional bit for bit.
+    """
+    background = surface.background
+    area = surface.area()
+    tmc = total_mean_curvature(surface)
+    bulk = bulk_integral(surface)
     return FunctionalReport(
-        area=surface.area(),
-        total_mean_curvature=total_mean_curvature(surface),
-        bulk_integral=bulk_integral(surface),
-        horizon_term=surface.background.hk_horizon_term,
-        q_value=compute_Q(surface),
-        p_value=compute_P(surface),
-        hawking_mass=float(hawking_mass(surface)),
-        hk_gap=hk_gap(surface),
-        minkowski_deficit=minkowski_deficit(surface),
-        areal_minkowski_deficit=areal_minkowski_deficit(surface),
+        area=area,
+        total_mean_curvature=tmc,
+        bulk_integral=bulk,
+        horizon_term=background.hk_horizon_term,
+        q_value=_q(background, area, tmc, bulk),
+        p_value=_p(background, area, tmc),
+        hawking_mass=float(_hawking_mass(background, area, _willmore(surface))),
+        hk_gap=_hk_gap(background, _hk_lhs(surface), bulk),
+        minkowski_deficit=_minkowski_deficit(background, area, tmc, bulk),
+        areal_minkowski_deficit=_areal_minkowski_deficit(background, area, tmc),
     )

@@ -39,34 +39,42 @@ class SurfaceGeometry:
 
     mean_curvature and graph_factor, all that a flow stage reads, are
     computed with the geometry.  The other four fields are read only at
-    sample times and by audits: on the first read of any of them,
-    ``deferred`` computes (potential, area_density, traceless_sq,
-    alignment) from the kernel's intermediates, once.
+    sample times and by audits, and are computed on first read from the
+    kernel's intermediates, in two groups, each once.  ``measure`` gives
+    (potential, area_density), all that the functionals read, and the
+    shape group's closure, which gives (traceless_sq, alignment) from the
+    same potential.  The shape closure is made only when the measure
+    group runs, so a flow stage, which reads neither group, makes one
+    closure per geometry.
     """
 
     mean_curvature: np.ndarray
     graph_factor: np.ndarray
-    deferred: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
+    measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
 
     @cached_property
-    def _deferred_fields(self):
-        return self.deferred()
+    def _measure_fields(self):
+        return self.measure()
+
+    @cached_property
+    def _shape_fields(self):
+        return self._measure_fields[2]()
 
     @property
     def potential(self):
-        return self._deferred_fields[0]
+        return self._measure_fields[0]
 
     @property
     def area_density(self):
-        return self._deferred_fields[1]
+        return self._measure_fields[1]
 
     @property
     def traceless_sq(self):
-        return self._deferred_fields[2]
+        return self._shape_fields[0]
 
     @property
     def alignment(self):
-        return self._deferred_fields[3]
+        return self._shape_fields[1]
 
 
 def _sphere_derivatives(r, spacing):
@@ -106,12 +114,16 @@ def _sphere_geometry(background, grid, r):
         k2[pole] = (-r_tt[pole] + f_r[pole]) / (n_f[pole] * r[pole] ** 2)
         k1[pole] = k2[pole]
 
-    def deferred():
+    def measure():
         v = np.sqrt(f)
-        # r^2 + grad_sq/f is gamma_tt with its two terms swapped (the same bits).
-        return v, r * np.sqrt(gamma_tt), 0.5 * (k1 - k2) ** 2, v / n_f
 
-    return SurfaceGeometry(mean_curvature=k1 + k2, graph_factor=n_f, deferred=deferred)
+        def shape():
+            return 0.5 * (k1 - k2) ** 2, v / n_f
+
+        # r^2 + grad_sq/f is gamma_tt with its two terms swapped (the same bits).
+        return v, r * np.sqrt(gamma_tt), shape
+
+    return SurfaceGeometry(mean_curvature=k1 + k2, graph_factor=n_f, measure=measure)
 
 
 def _torus_geometry(background, grid, r):
@@ -152,19 +164,23 @@ def _torus_geometry(background, grid, r):
 
     mean_curv = i11 * h11 + i22 * h22 + 2.0 * i12 * h12
 
-    def deferred():
-        # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not symmetric
-        # as a matrix, so the cross terms pair S12 with S21).
-        s11 = i11 * h11 + i12 * h12
-        s12 = i11 * h12 + i12 * h22
-        s21 = i12 * h11 + i22 * h12
-        s22 = i12 * h12 + i22 * h22
-        a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
-        traceless_sq = np.maximum(a_sq - 0.5 * mean_curv**2, 0.0)
+    def measure():
         v = np.sqrt(f)
-        return v, np.sqrt(det), traceless_sq, v / n_f
 
-    return SurfaceGeometry(mean_curvature=mean_curv, graph_factor=n_f, deferred=deferred)
+        def shape():
+            # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not
+            # symmetric as a matrix, so the cross terms pair S12 with S21).
+            s11 = i11 * h11 + i12 * h12
+            s12 = i11 * h12 + i12 * h22
+            s21 = i12 * h11 + i22 * h12
+            s22 = i12 * h12 + i22 * h22
+            a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
+            traceless_sq = np.maximum(a_sq - 0.5 * mean_curv**2, 0.0)
+            return traceless_sq, v / n_f
+
+        return v, np.sqrt(det), shape
+
+    return SurfaceGeometry(mean_curvature=mean_curv, graph_factor=n_f, measure=measure)
 
 
 def _slice_geometry(background, r):
@@ -172,7 +188,7 @@ def _slice_geometry(background, r):
     return SurfaceGeometry(
         mean_curvature=2.0 * v / r,
         graph_factor=v,
-        deferred=lambda: (v, r**2, np.zeros_like(r), np.ones_like(r)),
+        measure=lambda: (v, r**2, lambda: (np.zeros_like(r), np.ones_like(r))),
     )
 
 

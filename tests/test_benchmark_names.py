@@ -57,3 +57,21 @@ def test_worker_functionals_are_exported(perfbench):
     for name in worker.FUNCTIONALS:
         assert name in functionals.__all__, name
         assert inspect.isfunction(getattr(functionals, name)), name
+
+
+def test_functional_report_layout_is_pinned():
+    # The audit sweep hashes every report field, in declaration order, into
+    # values_sha256: a renamed, added or reordered field would change the
+    # benchmark's digest with no failing check.
+    assert list(functionals.FunctionalReport.__dataclass_fields__) == [
+        "area",
+        "total_mean_curvature",
+        "bulk_integral",
+        "horizon_term",
+        "q_value",
+        "p_value",
+        "hawking_mass",
+        "hk_gap",
+        "minkowski_deficit",
+        "areal_minkowski_deficit",
+    ]

@@ -19,6 +19,7 @@ from kottler_imcf import (
     TRACE_COLUMNS,
     asymptotic_rate_fit,
     cfl_limit,
+    evaluate_report,
     make_background,
     run_flow,
     step_graph_pde,
@@ -171,29 +172,52 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     assert counts == {"steps": steps, "evaluations": evaluations}
 
 
-def test_torus_flow_runs_deferred_geometry_once_per_sample_row(monkeypatch):
-    # Flow stages read only H and the graph factor, so the deferred part of
-    # the torus kernel runs once per sample row (the first row shares the
-    # initial star-shape check's geometry), not twice per RK2 step.
-    tails = {"calls": 0}
+def _count_torus_deferred_groups(monkeypatch):
+    """Count the runs of each deferred group of every torus geometry."""
+    counts = {"measure": 0, "shape": 0}
     kernel = kottler_imcf.surfaces._torus_geometry
 
     def counted_kernel(*args):
         geometry = kernel(*args)
 
-        def deferred():
-            tails["calls"] += 1
-            return geometry.deferred()
+        def measure():
+            counts["measure"] += 1
+            potential, area_density, shape = geometry.measure()
 
-        return dataclasses.replace(geometry, deferred=deferred)
+            def counted_shape():
+                counts["shape"] += 1
+                return shape()
+
+            return potential, area_density, counted_shape
+
+        return dataclasses.replace(geometry, measure=measure)
 
     monkeypatch.setattr(kottler_imcf.surfaces, "_torus_geometry", counted_kernel)
+    return counts
+
+
+def test_torus_flow_runs_deferred_geometry_once_per_sample_row(monkeypatch):
+    # Flow stages read only H and the graph factor, so each deferred group of
+    # the torus kernel runs once per sample row (the first row shares the
+    # initial star-shape check's geometry), not twice per RK2 step.
+    counts = _count_torus_deferred_groups(monkeypatch)
     with open(os.path.join(SCENARIO_DIR, "torus-perturbed.cfg"), encoding="utf-8") as fh:
         config = parse_config(fh.read())
     surface = build_initial_surface(config, build_background(config))
     trace = run_flow(surface, config.t_end, config.sample_interval)
     assert trace.complete
-    assert (trace.n_samples, tails["calls"]) == (7, 7)
+    assert (trace.n_samples, counts) == (7, {"measure": 7, "shape": 7})
+
+
+def test_evaluate_report_runs_only_the_measure_group(monkeypatch):
+    # The functionals read the potential and the area density, never the
+    # traceless part or the alignment, so an audit skips the shape operator.
+    counts = _count_torus_deferred_groups(monkeypatch)
+    b = make_background(0, 1, 32, mass=0.5)
+    g = b.base.grid
+    r = 3.0 + 0.3 * np.sin(2.0 * np.pi * (g.theta1 + g.theta2) / g.side)
+    evaluate_report(GraphSurface(b, r))
+    assert counts == {"measure": 1, "shape": 0}
 
 
 @pytest.mark.parametrize("t_end, sample_interval, controls", [

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import kottler_imcf.functionals
+import kottler_imcf.surfaces
 from kottler_imcf import (
     GraphSurface,
     areal_minkowski_deficit,
@@ -194,3 +196,51 @@ def test_evaluate_report_fields():
     assert abs(report.hk_gap) <= 1e-10
     assert report.hawking_mass == pytest.approx(1.0, abs=1e-10)
     assert report.q_value == pytest.approx(report.p_value, abs=1e-10)
+
+
+def _report_surface(kind):
+    if kind == "sphere-129":
+        b = make_background(1, 0, 129, mass=1.0)
+        th = b.base.grid.theta
+        return GraphSurface(b, 2.5 + 0.2 * np.cos(th) + 0.1 * np.cos(2.0 * th))
+    if kind == "torus-32":
+        b = make_background(0, 1, 32, mass=0.5)
+        g = b.base.grid
+        x, y = (2.0 * np.pi * t / g.side for t in (g.theta1, g.theta2))
+        return GraphSurface(b, 3.0 + 0.1 * np.sin(x + y) + 0.05 * np.cos(x - 2.0 * y))
+    if kind == "sphere-slice":
+        return _slice(1, 0, 1.0, 2.5, resolution=65)
+    return _slice(-1, 2, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("kind", ["sphere-129", "torus-32", "sphere-slice", "hyperbolic-point"])
+def test_evaluate_report_equals_functionals_exactly(kind, monkeypatch):
+    # The report evaluates each of its five integrals (area, total mean
+    # curvature, bulk, Willmore, Heintze-Karcher left side) once, through
+    # the same scalar formulas as the standalone functionals.
+    calls = []
+
+    def counted(base, field):
+        calls.append(1)
+        return integrate(base, field)
+
+    for module in (kottler_imcf.functionals, kottler_imcf.surfaces):
+        monkeypatch.setattr(module, "integrate", counted)
+    s = _report_surface(kind)
+    report = evaluate_report(s)
+    assert len(calls) == 5
+    standalone = {
+        "area": s.area(),
+        "total_mean_curvature": total_mean_curvature(s),
+        "bulk_integral": bulk_integral(s),
+        "horizon_term": s.background.hk_horizon_term,
+        "q_value": compute_Q(s),
+        "p_value": compute_P(s),
+        "hawking_mass": float(hawking_mass(s)),
+        "hk_gap": hk_gap(s),
+        "minkowski_deficit": minkowski_deficit(s),
+        "areal_minkowski_deficit": areal_minkowski_deficit(s),
+    }
+    assert list(standalone) == list(report.__dataclass_fields__)
+    for name, value in standalone.items():
+        assert getattr(report, name) == value, name

@@ -335,7 +335,7 @@ def test_deferred_fields_match_fresh_geometry(kind):
 
 # -- independent identities off the slices ------------------------------------
 #
-# Neither identity below reuses a kernel formula.  Unlike the mean-curvature
+# None of the identities below reuses a kernel formula.  Unlike the mean-curvature
 # oracle above, the torus surface has nonzero r2 and r12, so the kernel's
 # cross terms, traceless_sq and alignment are all tested off the slices.
 
@@ -390,3 +390,54 @@ def test_weighted_area_density_is_radius_squared(surface, n):
     g = surface.geometry
     np.testing.assert_allclose(g.potential * g.area_density / g.graph_factor,
                                surface.radius_field**2, rtol=1e-14, atol=0.0)
+
+
+def _first_variation_torus(n):
+    b = make_background(0, 1, n, mass=0.5)
+    g = b.base.grid
+    x, y = (2.0 * np.pi * t / g.side for t in (g.theta1, g.theta2))
+    r = 3.0 + 0.3 * np.sin(x + y)
+    # r depends on x + y alone, so a variation must have a part in x + y to
+    # move the area at all; r**2 is a variation that is not a single mode.
+    return b, r, [np.ones_like(r), np.sin(x + y), np.cos(2.0 * (x + y)) + np.sin(x), r**2]
+
+
+def _first_variation_sphere(n):
+    b = make_background(1, 0, n, mass=1.0)
+    th = b.base.grid.theta
+    r = 2.0 + 0.2 * np.cos(th) + 0.1 * np.cos(2.0 * th)
+    return b, r, [np.ones_like(r), np.cos(th), np.cos(2.0 * th), np.sin(th) ** 2]
+
+
+def _first_variation_errors(case, n, eps=1e-5):
+    """|d/de |Sigma(r + e phi)| - int H phi / graph_factor dA| / int |.| dA per phi.
+
+    Moving the graph radially by e phi moves it along its normal by
+    e phi / graph_factor, so the derivative of the area is the integral of
+    H times that normal speed.  The derivative is a central difference in
+    e, whose error (about 1e-10) is far below the spatial one.
+    """
+    b, r, variations = case(n)
+    g = GraphSurface(b, r).geometry
+    errors = []
+    for phi in variations:
+        speed = g.mean_curvature * phi / g.graph_factor * g.area_density
+        derivative = (GraphSurface(b, r + eps * phi).area()
+                      - GraphSurface(b, r - eps * phi).area()) / (2.0 * eps)
+        errors.append(abs(derivative - integrate(b.base, speed))
+                      / integrate(b.base, np.abs(speed)))
+    return errors
+
+
+@pytest.mark.parametrize("case, sizes, bound", [
+    # measured, largest over phi: 3.6e-3, 9.1e-4, 2.3e-4
+    (_first_variation_torus, (32, 64, 128), 4e-4),
+    # measured, largest over phi: 5.2e-5, 1.3e-5, 3.2e-6
+    (_first_variation_sphere, (65, 129, 257), 5e-6),
+], ids=["torus", "sphere"])
+def test_first_variation_of_area_second_order(case, sizes, bound):
+    # Each variation converges on its own: errors is (n, phi).
+    errors = np.array([_first_variation_errors(case, n) for n in sizes])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), (errors, orders)
+    assert np.all(errors[-1] <= bound), errors
