@@ -41,10 +41,6 @@ class AxisymmetricSphereGrid:
     weights: np.ndarray = field(repr=False)
 
     @property
-    def n_nodes(self):
-        return self.n_points
-
-    @property
     def spacing(self):
         return np.pi / (self.n_points - 1)
 
@@ -66,10 +62,6 @@ class FlatTorusGrid:
     weights: np.ndarray = field(repr=False)
 
     @property
-    def n_nodes(self):
-        return self.n * self.n
-
-    @property
     def spacing(self):
         return self.side / self.n
 
@@ -79,10 +71,6 @@ class PointGrid:
     """A single representative point; only constant fields are meaningful."""
 
     area: float
-
-    @property
-    def n_nodes(self):
-        return 1
 
     @property
     def weights(self):

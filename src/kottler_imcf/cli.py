@@ -33,10 +33,7 @@ from .errors import (
 from .flow import TRACE_COLUMNS, FlowControls, FlowTrace, run_flow
 from .functionals import (
     asymptotic_limit_targets,
-    compute_Q,
-    hawking_mass,
-    hk_gap,
-    minkowski_deficit,
+    evaluate_report,
     penrose_conjecture_deficit,
     reverse_penrose_deficit,
     surface_gravity_bound_deficit,
@@ -59,7 +56,7 @@ __all__ = [
 ]
 
 
-def _check(parse, test, message):
+def _require(parse, test, message):
     """A parser: `parse`, then ValueError(message) unless `test` holds."""
     def checked(text):
         value = parse(text)
@@ -70,26 +67,26 @@ def _check(parse, test, message):
 
 
 def _list(item):
-    return _check(lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip()),
-                  bool, "must list at least one value")
+    return _require(lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip()),
+                    bool, "must list at least one value")
 
 
 def _within(parse, low, high):
-    return _check(parse, lambda value: low <= value <= high, f"must lie in [{low:g}, {high:g}]")
+    return _require(parse, lambda value: low <= value <= high, f"must lie in [{low:g}, {high:g}]")
 
 
-_finite = _check(float, np.isfinite, "must be finite")
-_positive = _check(_finite, lambda value: value > 0.0, "must be positive")
-_nonnegative = _check(_finite, lambda value: value >= 0.0, "must be nonnegative")
-_sign = _check(int, lambda value: value in (-1, 0, 1), "must be -1, 0 or +1")
-_name = _check(str, bool, "must not be empty")
+_finite = _require(float, np.isfinite, "must be finite")
+_positive = _require(_finite, lambda value: value > 0.0, "must be positive")
+_nonnegative = _require(_finite, lambda value: value >= 0.0, "must be nonnegative")
+_sign = _require(int, lambda value: value in (-1, 0, 1), "must be -1, 0 or +1")
+_name = _require(str, bool, "must not be empty")
 # Integer bounds keep genus, modes and seed inside float and C-long range;
 # radii in [1e-50, 1e50] keep rho**2 and the Richardson ratio (r2/r1)**3 finite.
 _genus = _within(int, 0, 10**6)
 _mode = _within(int, -10**6, 10**6)
 _seed = _within(int, -10**9, 10**9)
-_radii = _check(_list(_within(_positive, 1e-50, 1e50)),
-                lambda radii: len(set(radii)) == len(radii), "radii must be distinct")
+_radii = _require(_list(_within(_positive, 1e-50, 1e50)),
+                  lambda radii: len(set(radii)) == len(radii), "radii must be distinct")
 
 
 def _resolution(text):
@@ -267,6 +264,8 @@ def build_initial_surface(config, background):
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One audit check: `passed` is its rule applied to value, bound and tolerance."""
+
     name: str
     value: float
     bound: float
@@ -285,96 +284,86 @@ class AuditResult:
         return all(c.passed for c in self.checks)
 
 
-def _abs_check(name, value, tol, tag):
-    return CheckResult(name, float(value), 0.0, tol, bool(abs(value) <= tol), tag)
+def _in_window(value, low, width):
+    high = low + width
+    slack = 1e-12 * max(1.0, high)
+    return low - slack <= value <= high + slack
 
 
-def _lower_check(name, value, tol, tag):
-    # value must not fall below -tol
-    return CheckResult(name, float(value), 0.0, tol, bool(value >= -tol), tag)
+# How each rule decides `passed` from (value, bound, tolerance); a NaN
+# value fails every rule.
+_RULES = {
+    "abs": lambda value, bound, tol: abs(value - bound) <= tol,
+    "lower": lambda value, bound, tol: value >= bound - tol,
+    "upper": lambda value, bound, tol: value <= bound + tol,
+    "above": lambda value, bound, tol: value > bound + tol,
+    "window": _in_window,
+}
+
+
+def _check(name, value, tag, rule, tolerance, bound=0.0):
+    value, bound, tolerance = float(value), float(bound), float(tolerance)
+    passed = _RULES[rule](value, bound, tolerance)
+    return CheckResult(name, value, bound, tolerance, passed, tag)
+
+
+def _radius_window(background):
+    """The two spherical horizon radii at this surface gravity, or None."""
+    if background.curvature_sign == 1 and background.surface_gravity >= np.sqrt(3.0):
+        return bg.radius_bounds(background.surface_gravity)
+    return None
 
 
 def _surface_checks(surface, tolerance_scale):
     """Checks evaluated on a single surface (no flow)."""
     background = surface.background
-    base = background.base
-    is_slice = surface.is_constant
-    tol_exact = 1e-10 * tolerance_scale
-    tol_pde = 1e-6 * tolerance_scale
-    checks = []
-    if is_slice:
-        q_target = asymptotic_limit_targets(base)[0]
+    report = evaluate_report(surface)
+    if not surface.is_constant:
+        tol = 1e-6 * tolerance_scale
+        return [
+            _check("minkowski_deficit", report.minkowski_deficit, "Minkowski inequality",
+                   "lower", tol),
+            _check("hk_gap", report.hk_gap, "Heintze-Karcher inequality", "lower", tol),
+        ]
+    tol = 1e-10 * tolerance_scale
+    q_target = asymptotic_limit_targets(background.base)[0]
+    checks = [
+        _check("q_slice_value", report.q_value - q_target,
+               "monotone functional equals its slice constant", "abs", tol),
+        _check("minkowski_deficit", report.minkowski_deficit,
+               "Minkowski inequality equality case on slices", "abs", tol),
+        _check("hk_gap", report.hk_gap, "Heintze-Karcher equality case on slices", "abs", tol),
+    ]
+    if background.curvature_sign == 1:
         checks.append(
-            _abs_check("q_slice_value", compute_Q(surface) - q_target, tol_exact,
-                       "monotone functional equals its slice constant")
-        )
-        checks.append(
-            _abs_check("minkowski_deficit", minkowski_deficit(surface), tol_exact,
-                       "Minkowski inequality equality case on slices")
-        )
-        checks.append(
-            _abs_check("hk_gap", hk_gap(surface), tol_exact,
-                       "Heintze-Karcher equality case on slices")
-        )
-        if background.curvature_sign == 1:
-            checks.append(
-                _abs_check("hawking_mass_slice",
-                           hawking_mass(surface) - background.mass, tol_exact,
-                           "Hawking mass recovers the mass parameter")
-            )
-    else:
-        checks.append(
-            _lower_check("minkowski_deficit", minkowski_deficit(surface), tol_pde,
-                         "Minkowski inequality")
-        )
-        checks.append(
-            _lower_check("hk_gap", hk_gap(surface), tol_pde,
-                         "Heintze-Karcher inequality")
+            _check("hawking_mass_slice", report.hawking_mass - background.mass,
+                   "Hawking mass recovers the mass parameter", "abs", tol)
         )
     return checks
 
 
 def _background_checks(background, tolerance_scale, seed=0):
-    base = background.base
     tol = 1e-12 * tolerance_scale
     checks = [
-        _abs_check(
-            "surface_gravity_bound",
-            surface_gravity_bound_deficit(background),
-            tol,
-            "Euler characteristic bound on surface gravity, equality on models",
-        ),
-        _abs_check(
-            "penrose_conjecture",
-            penrose_conjecture_deficit(background),
-            tol,
-            "conjectured mass lower bound by horizon area, equality on models",
-        ),
-        _abs_check(
-            "mass_upper_bound",
-            bg.mass_upper_bound(background) - background.mass,
-            tol,
-            "horizon-data mass upper bound, equality on models",
-        ),
+        _check("surface_gravity_bound", surface_gravity_bound_deficit(background),
+               "Euler characteristic bound on surface gravity, equality on models", "abs", tol),
+        _check("penrose_conjecture", penrose_conjecture_deficit(background),
+               "conjectured mass lower bound by horizon area, equality on models", "abs", tol),
+        _check("mass_upper_bound", bg.mass_upper_bound(background) - background.mass,
+               "horizon-data mass upper bound, equality on models", "abs", tol),
     ]
     if background.curvature_sign == -1 and background.mass >= 0.0:
         checks.append(
-            _abs_check(
-                "reverse_penrose",
-                reverse_penrose_deficit(background),
-                tol,
-                "mass upper bound by horizon area on hyperbolic bases",
-            )
+            _check("reverse_penrose", reverse_penrose_deficit(background),
+                   "mass upper bound by horizon area on hyperbolic bases", "abs", tol)
         )
-    if background.curvature_sign == 1 and background.surface_gravity >= np.sqrt(3.0):
-        lo, hi = bg.radius_bounds(background.surface_gravity)
-        lo_area, hi_area = base.area * lo**2, base.area * hi**2
-        slack = 1e-12 * max(1.0, hi_area)
-        inside = lo_area - slack <= background.horizon_area <= hi_area + slack
+    window = _radius_window(background)
+    if window is not None:
+        lo_area, hi_area = (background.base.area * rho**2 for rho in window)
         checks.append(
-            CheckResult("area_window", background.horizon_area, lo_area,
-                        hi_area - lo_area, bool(inside),
-                        "horizon area within the surface-gravity radius window")
+            _check("area_window", background.horizon_area,
+                   "horizon area within the surface-gravity radius window", "window",
+                   hi_area - lo_area, lo_area)
         )
     # Quasi-random exterior sample by a golden-ratio lattice; deterministic.
     golden = 0.5 * (np.sqrt(5.0) - 1.0)
@@ -382,62 +371,52 @@ def _background_checks(background, tolerance_scale, seed=0):
     rho = background.horizon_rho * (1.05 + 20.0 * frac)
     hess_res, lap_res = bg.static_residual(background, rho)
     checks.append(
-        _abs_check("static_residual", max(hess_res, lap_res), 1e-9 * tolerance_scale,
-                   "static vacuum equations hold on the background")
+        _check("static_residual", max(hess_res, lap_res),
+               "static vacuum equations hold on the background", "abs", 1e-9 * tolerance_scale)
     )
     return checks
 
 
-def _flow_checks(trace, config, background, tolerance_scale, ode_path):
-    base = background.base
-    checks = []
+def _flow_checks(trace, background, tolerance_scale, ode_path):
     t = trace.times
     area = trace.column("area")
     growth = np.max(np.abs(area / (np.exp(t) * area[0]) - 1.0))
     tol = (1e-10 if ode_path else 1e-4) * tolerance_scale
-    checks.append(_abs_check("area_growth", growth, tol, "exponential area growth"))
+    checks = [_check("area_growth", growth, "exponential area growth", "abs", tol)]
 
     q = trace.column("Q")
     q_scale = max(1.0, abs(q[0]))
     if ode_path:
         checks.append(
-            _abs_check("q_constant", np.max(np.abs(q - q[0])), 1e-10 * tolerance_scale,
-                       "monotone functional constant on slice flows")
+            _check("q_constant", np.max(np.abs(q - q[0])),
+                   "monotone functional constant on slice flows", "abs", 1e-10 * tolerance_scale)
         )
     else:
         worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
         checks.append(
-            CheckResult("q_monotone", worst_rise, 0.0, 1e-6 * q_scale * tolerance_scale,
-                        worst_rise <= 1e-6 * q_scale * tolerance_scale,
-                        "monotone functional non-increasing along the flow")
+            _check("q_monotone", worst_rise, "monotone functional non-increasing along the flow",
+                   "upper", 1e-6 * q_scale * tolerance_scale)
         )
-    q_target = asymptotic_limit_targets(base)[0]
-    checks.append(
-        _lower_check("q_limit", float(np.min(q)) - q_target, 1e-6 * tolerance_scale,
-                     "monotone functional stays above its limit")
-    )
-    min_h = trace.column("min_H")
-    checks.append(
-        CheckResult("mean_convex", float(np.min(min_h)), 0.0, 0.0,
-                    bool(np.min(min_h) > 0.0), "mean-convexity preserved")
-    )
+    q_target = asymptotic_limit_targets(background.base)[0]
     align = trace.column("min_align")
-    checks.append(
-        CheckResult("alignment_floor", float(np.min(align)), float(align[0] - 0.05), 0.0,
-                    bool(np.min(align) >= align[0] - 0.05),
-                    "star-shapedness preserved")
-    )
+    checks += [
+        _check("q_limit", float(np.min(q)) - q_target,
+               "monotone functional stays above its limit", "lower", 1e-6 * tolerance_scale),
+        _check("mean_convex", np.min(trace.column("min_H")), "mean-convexity preserved",
+               "above", 0.0),
+        _check("alignment_floor", np.min(align), "star-shapedness preserved", "lower", 0.0,
+               align[0] - 0.05),
+    ]
     if background.curvature_sign == 1:
         mh = trace.column("hawking_mass")
         worst_drop = float(np.min(np.diff(mh))) if len(mh) > 1 else 0.0
         checks.append(
-            CheckResult("hawking_monotone", worst_drop, 0.0, 1e-6 * tolerance_scale,
-                        worst_drop >= -1e-6 * tolerance_scale,
-                        "Hawking mass non-decreasing along the flow")
+            _check("hawking_monotone", worst_drop, "Hawking mass non-decreasing along the flow",
+                   "lower", 1e-6 * tolerance_scale)
         )
     checks.append(
-        CheckResult("flow_complete", 1.0 if trace.complete else 0.0, 1.0, 0.0,
-                    trace.complete, "flow reached its final time")
+        _check("flow_complete", float(trace.complete), "flow reached its final time", "lower",
+               0.0, 1.0)
     )
     return checks
 
@@ -470,8 +449,7 @@ def run_scenario(config, with_flow=True, tolerance_scale=1.0):
             )
             trace = run_flow(surface, config.t_end, config.sample_interval, controls)
             checks.extend(
-                _flow_checks(trace, config, background, tolerance_scale,
-                             surface.is_constant)
+                _flow_checks(trace, background, tolerance_scale, surface.is_constant)
             )
     result.checks = _select(checks, config.checks)
     return trace, result
@@ -539,17 +517,13 @@ def _load_config(args):
 
 
 def _report(result, quiet):
-    code = 0
     for c in result.checks:
-        if not c.passed:
-            code = 1
-        if quiet and c.passed:
-            continue
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status} {c.name}: value={c.value:.6e} tol={c.tolerance:.1e} ({c.tag})")
-    if not quiet or code:
-        print(f"scenario {result.scenario_id}: {'PASS' if code == 0 else 'FAIL'}")
-    return code
+        if not (quiet and c.passed):
+            status = "PASS" if c.passed else "FAIL"
+            print(f"{status} {c.name}: value={c.value:.6e} tol={c.tolerance:.1e} ({c.tag})")
+    if not quiet or not result.passed:
+        print(f"scenario {result.scenario_id}: {'PASS' if result.passed else 'FAIL'}")
+    return 0 if result.passed else 1
 
 
 def _write_outputs(args, trace, result):
@@ -575,9 +549,9 @@ def _cmd_background(args):
     print(f"horizon_area    {background.horizon_area:.17g}")
     print(f"surface_gravity {background.surface_gravity:.17g}")
     print(f"hk_constant     {background.hk_constant:.17g}")
-    if background.curvature_sign == 1 and background.surface_gravity >= np.sqrt(3.0):
-        lo, hi = bg.radius_bounds(background.surface_gravity)
-        print(f"radius_window   [{lo:.17g}, {hi:.17g}]")
+    window = _radius_window(background)
+    if window is not None:
+        print(f"radius_window   [{window[0]:.17g}, {window[1]:.17g}]")
     return 0
 
 
@@ -609,17 +583,12 @@ def _cmd_chmass(args):
         est = bg.ch_mass_integral(background, rho)
         print(f"{rho:>12.6g}  {est:>22.17g}  {abs(est - background.mass):>12.3e}")
     extrap = bg.richardson_mass(background, config.rho_eval)
-    err = abs(extrap - background.mass)
-    print(f"{'extrapolated':>12}  {extrap:>22.17g}  {err:>12.3e}")
-    tol = 1e-3 * max(1.0, abs(background.mass)) * args.tolerance_scale
-    if args.out is not None:
-        result = AuditResult(scenario_id=config.scenario_id)
-        result.checks = [
-            _abs_check("chmass_extrapolated", extrap - background.mass, tol,
-                       "boundary mass integral converges to the mass parameter")
-        ]
-        _write_outputs(args, None, result)
-    return 0 if err <= tol else 1
+    print(f"{'extrapolated':>12}  {extrap:>22.17g}  {abs(extrap - background.mass):>12.3e}")
+    check = _check("chmass_extrapolated", extrap - background.mass,
+                   "boundary mass integral converges to the mass parameter", "abs",
+                   1e-3 * max(1.0, abs(background.mass)) * args.tolerance_scale)
+    _write_outputs(args, None, AuditResult(config.scenario_id, [check]))
+    return 0 if check.passed else 1
 
 
 def main(argv=None):

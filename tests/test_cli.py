@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kottler_imcf.functionals
+import kottler_imcf.surfaces
 from kottler_imcf import ConfigError, FlowTrace, TRACE_COLUMNS
+from kottler_imcf.base import integrate
 from kottler_imcf.cli import (
     AuditResult,
     CheckResult,
@@ -24,6 +27,7 @@ from kottler_imcf.cli import (
     parse_trace_csv,
     run_scenario,
 )
+from kottler_imcf.cli import _RULES, _check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -310,6 +314,114 @@ def test_cli_tolerance_scale(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "\n[background]\nresolution = point\n")
     # an absurdly small tolerance scale forces rigidity checks to fail
     assert main(["audit", "--config", cfg, "--tolerance-scale", "1e-20"]) == 1
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_audit_integrates_each_surface_integral_once(monkeypatch, scenario):
+    # The surface checks read one evaluate_report: its five integrals.
+    calls = []
+
+    def counted(base, field):
+        calls.append(1)
+        return integrate(base, field)
+
+    for module in (kottler_imcf.functionals, kottler_imcf.surfaces):
+        monkeypatch.setattr(module, "integrate", counted)
+    with open(os.path.join(ROOT, "scenarios", scenario + ".cfg"), encoding="utf-8") as fh:
+        run_scenario(parse_config(fh.read()), with_flow=False)
+    assert len(calls) == 5
+
+
+# (rule, bound, tolerance, the edge value, the direction out of the pass set);
+# a window's slack is 1e-12 * max(1, bound + tolerance) on each edge.
+_RULE_EDGES = [
+    ("abs", 0.0, 0.5, 0.5, np.inf),
+    ("abs", 0.0, 0.5, -0.5, -np.inf),
+    ("abs", 1.0, 0.5, 1.5, np.inf),
+    ("lower", 1.0, 0.5, 0.5, -np.inf),
+    ("upper", 1.0, 0.5, 1.5, np.inf),
+    ("window", 2.0, 1.0, 2.0 - 1e-12 * 3.0, -np.inf),
+    ("window", 2.0, 1.0, 3.0 + 1e-12 * 3.0, np.inf),
+    ("window", 0.25, 0.25, 0.25 - 1e-12, -np.inf),
+    ("window", 0.25, 0.25, 0.5 + 1e-12, np.inf),
+]
+
+
+@pytest.mark.parametrize("rule, bound, tol, edge, outward", _RULE_EDGES)
+def test_check_rule_edge_passes_and_next_float_out_fails(rule, bound, tol, edge, outward):
+    check = _check("c", edge, "demo", rule, tol, bound)
+    assert check.passed is True
+    assert (check.value, check.bound, check.tolerance) == (edge, bound, tol)
+    assert _check("c", np.nextafter(edge, outward), "demo", rule, tol, bound).passed is False
+
+
+def test_check_above_rule_is_strict():
+    assert _check("c", 1.5, "demo", "above", 0.5, 1.0).passed is False
+    assert _check("c", np.nextafter(1.5, np.inf), "demo", "above", 0.5, 1.0).passed is True
+
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_check_nan_fails_every_rule(rule):
+    assert _check("c", np.nan, "demo", rule, 1.0).passed is False
+
+
+# At --tolerance-scale 1e-20 the shipped scenarios reach the failing side
+# that their goldens never show.  Per scenario: the audit's checks, then
+# the checks its flow adds, each as `name` (passes) or `-name` (fails).
+_TINY_SCALE_CHECKS = {
+    "slice-rigidity-hyperbolic": (
+        "surface_gravity_bound penrose_conjecture -mass_upper_bound reverse_penrose "
+        "-static_residual -q_slice_value -minkowski_deficit -hk_gap",
+        "-area_growth -q_constant -q_limit mean_convex alignment_floor flow_complete"),
+    "slice-rigidity-sphere": (
+        "surface_gravity_bound penrose_conjecture mass_upper_bound area_window "
+        "-static_residual -q_slice_value -minkowski_deficit -hk_gap -hawking_mass_slice",
+        "-area_growth -q_constant -q_limit mean_convex alignment_floor -hawking_monotone "
+        "flow_complete"),
+    "sphere-perturbed": (
+        "surface_gravity_bound penrose_conjecture mass_upper_bound area_window "
+        "-static_residual minkowski_deficit hk_gap",
+        "-area_growth q_monotone q_limit mean_convex alignment_floor hawking_monotone "
+        "flow_complete"),
+    "spherical-area-window": (
+        "surface_gravity_bound penrose_conjecture mass_upper_bound area_window "
+        "-static_residual -q_slice_value -minkowski_deficit -hk_gap hawking_mass_slice", ""),
+    "torus-perturbed": (
+        "surface_gravity_bound penrose_conjecture mass_upper_bound -static_residual "
+        "minkowski_deficit hk_gap",
+        "-area_growth q_monotone q_limit mean_convex alignment_floor flow_complete"),
+    "torus-uniqueness": (
+        "surface_gravity_bound penrose_conjecture mass_upper_bound -static_residual "
+        "q_slice_value minkowski_deficit hk_gap", ""),
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "flow"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_tiny_tolerance_scale_failing_checks(tmp_path, capsys, scenario, command):
+    config = os.path.join(ROOT, "scenarios", scenario + ".cfg")
+    argv = [command, "--config", config, "--out", str(tmp_path), "--tolerance-scale", "1e-20"]
+    assert main(argv) == 1
+    audit, flow = _TINY_SCALE_CHECKS[scenario]
+    marked = (audit + " " + flow if command == "flow" else audit).split()
+    expected = [(name.lstrip("-"), not name.startswith("-")) for name in marked]
+    payload = json.loads((tmp_path / (scenario + "_audit.json")).read_text())
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == expected
+    assert payload["passed"] is False
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == sum(not passed for _, passed in expected)
+    assert out.endswith(f"scenario {scenario}: FAIL\n")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_chmass_tiny_tolerance_scale_fails(tmp_path, capsys, scenario):
+    config = os.path.join(ROOT, "scenarios", scenario + ".cfg")
+    argv = ["chmass", "--config", config, "--out", str(tmp_path), "--tolerance-scale", "1e-20"]
+    assert main(argv) == 1
+    payload = json.loads((tmp_path / (scenario + "_audit.json")).read_text())
+    assert payload["passed"] is False
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        ("chmass_extrapolated", False)]
 
 
 def _scenario_with(scenario, section, key, value):
