@@ -591,6 +591,14 @@ def _cmd_chmass(args):
     return 0 if check.passed else 1
 
 
+def _tolerance_scale(text):
+    """--tolerance-scale, finite and positive like a config value; else exit 2."""
+    try:
+        return _positive(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kottler-imcf",
@@ -608,7 +616,7 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--scenario", default=None)
-        p.add_argument("--tolerance-scale", type=float, default=1.0,
+        p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
                        dest="tolerance_scale")
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(func=func)

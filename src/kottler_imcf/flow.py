@@ -158,11 +158,14 @@ def step_graph_pde(state, dt, h_floor=FlowControls.h_floor, cfl=FlowControls.cfl
     limit = cfl_limit(surface, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
+    # Each velocity is a fresh array, so it becomes the next radius field in place.
     r = surface.radius_field
     v1 = _velocity(surface, h_floor)
-    half = GraphSurface(surface.background, r + 0.5 * dt * v1)
+    v1 *= 0.5 * dt
+    half = GraphSurface(surface.background, np.add(r, v1, out=v1))
     v2 = _velocity(half, h_floor)
-    new_surface = GraphSurface(surface.background, r + dt * v2)
+    v2 *= dt
+    new_surface = GraphSurface(surface.background, np.add(r, v2, out=v2))
     _check_mean_convex(new_surface, h_floor)  # mean-convexity must survive the step
     return FlowState(state.time + dt, new_surface, state.step_count + 1)
 

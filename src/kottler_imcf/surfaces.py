@@ -127,42 +127,84 @@ def _sphere_geometry(background, grid, r):
 
 
 def _torus_geometry(background, grid, r):
+    # At 64x64 this kernel is bound by memory, not arithmetic: each fresh
+    # 32 KiB temporary is a heap allocation, and freeing it can let the heap
+    # trim, so that a later call faults the same pages back in.  So each
+    # expression makes one fresh array and finishes in place.  Two rules keep
+    # every bit: write only into arrays this call made (never into r, f or
+    # the views of e; the closures below read their arrays' final values),
+    # and keep each expression's operand order, since goldens and tests pin
+    # these bits exactly (f_r - r11 is -r11 + f_r, signed zeros included).
     h = grid.spacing
     f = background.v_squared(r)
     r_sq = r**2
-    f1 = 2.0 * r + 2.0 * background.mass / r_sq
+    two_r = 2.0 * r
+    f1 = 2.0 * background.mass / r_sq
+    np.add(two_r, f1, out=f1)
 
-    # Periodic extension by one node per side (e[1:-1, 1:-1] is r).  Keep each
-    # expression's operand order: goldens and tests pin these bits exactly.
+    # Periodic extension by one node per side (e[1:-1, 1:-1] is r).
     e = np.concatenate((r[-1:], r, r[:1]), axis=0)
     e = np.concatenate((e[:, -1:], e, e[:, :1]), axis=1)
-    r1 = (e[2:, 1:-1] - e[:-2, 1:-1]) / (2.0 * h)
-    r2 = (e[1:-1, 2:] - e[1:-1, :-2]) / (2.0 * h)
-    r11 = (e[2:, 1:-1] - 2.0 * r + e[:-2, 1:-1]) / h**2
-    r22 = (e[1:-1, 2:] - 2.0 * r + e[1:-1, :-2]) / h**2
-    r12 = (e[2:, 2:] - e[2:, :-2] - e[:-2, 2:] + e[:-2, :-2]) / (4.0 * h**2)
+    r1 = e[2:, 1:-1] - e[:-2, 1:-1]
+    r1 /= 2.0 * h
+    r2 = e[1:-1, 2:] - e[1:-1, :-2]
+    r2 /= 2.0 * h
+    r11 = e[2:, 1:-1] - two_r
+    r11 += e[:-2, 1:-1]
+    r11 /= h**2
+    r22 = e[1:-1, 2:] - two_r
+    r22 += e[1:-1, :-2]
+    r22 /= h**2
+    r12 = e[2:, 2:] - e[2:, :-2]
+    r12 -= e[:-2, 2:]
+    r12 += e[:-2, :-2]
+    r12 /= 4.0 * h**2
 
-    r1_sq = r1 * r1
-    r2_sq = r2 * r2
-    grad_sq = r1_sq + r2_sq
-    n_f = np.sqrt(f + grad_sq / r_sq)
+    # g11 and g22 start as r1^2 and r2^2, whose sum is |grad r|^2.
+    g11 = r1 * r1
+    g22 = r2 * r2
+    n_f = g11 + g22
+    n_f /= r_sq
+    np.add(f, n_f, out=n_f)
+    np.sqrt(n_f, out=n_f)
 
-    g11 = r1_sq / f + r_sq
-    g22 = r2_sq / f + r_sq
-    g12 = r1 * r2 / f
-    det = g11 * g22 - g12**2
-    i11 = g22 / det
-    i22 = g11 / det
-    i12 = -g12 / det
+    g11 /= f
+    g11 += r_sq
+    g22 /= f
+    g22 += r_sq
+    g12 = r1 * r2
+    g12 /= f
+    det = g11 * g22
+    det -= g12**2
+    i11 = np.divide(g22, det, out=g22)
+    i22 = np.divide(g11, det, out=g11)
+    i12 = np.negative(g12, out=g12)
+    i12 /= det
 
-    fac = 2.0 / r + 0.5 * f1 / f
+    fac = 2.0 / r
+    np.multiply(0.5, f1, out=f1)
+    f1 /= f
+    fac += f1
     f_r = f * r
     fac_r1 = fac * r1
-    h11 = (-r11 + f_r + fac_r1 * r1) / n_f
-    h22 = (-r22 + f_r + fac * r2 * r2) / n_f
-    h12 = (-r12 + fac_r1 * r2) / n_f
+    h11 = np.subtract(f_r, r11, out=r11)
+    h11 += np.multiply(fac_r1, r1, out=r1)
+    h11 /= n_f
+    h12 = np.multiply(fac_r1, r2, out=fac_r1)
+    h12 -= r12
+    h12 /= n_f
+    h22 = np.subtract(f_r, r22, out=r22)
+    fac *= r2
+    fac *= r2
+    h22 += fac
+    h22 /= n_f
 
-    mean_curv = i11 * h11 + i22 * h22 + 2.0 * i12 * h12
+    # f_r is spent: it holds the second and then the third term of H.
+    mean_curv = i11 * h11
+    mean_curv += np.multiply(i22, h22, out=f_r)
+    np.multiply(2.0, i12, out=f_r)
+    f_r *= h12
+    mean_curv += f_r
 
     def measure():
         v = np.sqrt(f)
@@ -198,6 +240,7 @@ class GraphSurface:
 
     background: KottlerBackground
     radius_field: np.ndarray
+    is_constant: bool = dataclass_field(init=False, repr=False, compare=False)
     _geometry: SurfaceGeometry | None = dataclass_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -207,18 +250,18 @@ class GraphSurface:
             r = np.full(shape, float(r.ravel()[0]))
         elif r.shape != shape:
             raise ValueError(f"radius field shape {r.shape} does not match grid {shape}")
-        if not np.all(np.isfinite(r)):
+        # min and max give every check: both propagate NaN, and an infinite
+        # node is the min or the max.
+        lo, hi = r.min(), r.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise FlowSingularError("non-finite radius field")
         # r == horizon_rho is allowed: the horizon slice is valid initial
         # data for the exact slice flow (where V = 0 but the radial speed
         # rho/2 stays finite).
-        if np.any(r < self.background.horizon_rho):
+        if lo < self.background.horizon_rho:
             raise ExteriorError("surface must not dip below the horizon")
         self.radius_field = r
-
-    @property
-    def is_constant(self):
-        return np.ptp(self.radius_field) == 0.0
+        self.is_constant = bool(hi - lo == 0.0)
 
     @property
     def geometry(self):

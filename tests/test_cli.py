@@ -316,6 +316,20 @@ def test_cli_tolerance_scale(tmp_path, capsys):
     assert main(["audit", "--config", cfg, "--tolerance-scale", "1e-20"]) == 1
 
 
+@pytest.mark.parametrize("scale,code", [("-1", 2), ("0", 2), ("nan", 2), ("inf", 2),
+                                        ("1e-20", 1)])
+def test_cli_tolerance_scale_finite_and_positive(capsys, scale, code):
+    # A scale that is not finite and positive is a usage error (argparse exits 2),
+    # not a run whose every check fails or passes; a tiny scale is still a run.
+    config = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
+    try:
+        status = main(["audit", "--config", config, "--tolerance-scale", scale])
+    except SystemExit as exit_:
+        status = exit_.code
+        assert "--tolerance-scale" in capsys.readouterr().err
+    assert status == code
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_audit_integrates_each_surface_integral_once(monkeypatch, scenario):
     # The surface checks read one evaluate_report: its five integrals.

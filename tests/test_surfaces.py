@@ -8,6 +8,8 @@ grid-representable points to 25 digits and frozen here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kottler_imcf import (
     ExteriorError,
@@ -441,3 +443,219 @@ def test_first_variation_of_area_second_order(case, sizes, bound):
     orders = np.log2(errors[:-1] / errors[1:])
     assert np.all((orders >= 1.8) & (orders <= 2.2)), (errors, orders)
     assert np.all(errors[-1] <= bound), errors
+
+
+# -- in-place kernels ----------------------------------------------------------
+#
+# Both kernels as they were before the torus kernel wrote into its own
+# temporaries, kept verbatim with one fresh array per operation: the
+# references the kernels must match bit for bit.
+
+
+def _out_of_place_torus_geometry(background, grid, r):
+    h = grid.spacing
+    f = background.v_squared(r)
+    r_sq = r**2
+    f1 = 2.0 * r + 2.0 * background.mass / r_sq
+
+    e = np.concatenate((r[-1:], r, r[:1]), axis=0)
+    e = np.concatenate((e[:, -1:], e, e[:, :1]), axis=1)
+    r1 = (e[2:, 1:-1] - e[:-2, 1:-1]) / (2.0 * h)
+    r2 = (e[1:-1, 2:] - e[1:-1, :-2]) / (2.0 * h)
+    r11 = (e[2:, 1:-1] - 2.0 * r + e[:-2, 1:-1]) / h**2
+    r22 = (e[1:-1, 2:] - 2.0 * r + e[1:-1, :-2]) / h**2
+    r12 = (e[2:, 2:] - e[2:, :-2] - e[:-2, 2:] + e[:-2, :-2]) / (4.0 * h**2)
+
+    r1_sq = r1 * r1
+    r2_sq = r2 * r2
+    grad_sq = r1_sq + r2_sq
+    n_f = np.sqrt(f + grad_sq / r_sq)
+
+    g11 = r1_sq / f + r_sq
+    g22 = r2_sq / f + r_sq
+    g12 = r1 * r2 / f
+    det = g11 * g22 - g12**2
+    i11 = g22 / det
+    i22 = g11 / det
+    i12 = -g12 / det
+
+    fac = 2.0 / r + 0.5 * f1 / f
+    f_r = f * r
+    fac_r1 = fac * r1
+    h11 = (-r11 + f_r + fac_r1 * r1) / n_f
+    h22 = (-r22 + f_r + fac * r2 * r2) / n_f
+    h12 = (-r12 + fac_r1 * r2) / n_f
+
+    mean_curv = i11 * h11 + i22 * h22 + 2.0 * i12 * h12
+    v = np.sqrt(f)
+    s11 = i11 * h11 + i12 * h12
+    s12 = i11 * h12 + i12 * h22
+    s21 = i12 * h11 + i22 * h12
+    s22 = i12 * h12 + i22 * h22
+    a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
+    return {
+        "potential": v,
+        "area_density": np.sqrt(det),
+        "mean_curvature": mean_curv,
+        "traceless_sq": np.maximum(a_sq - 0.5 * mean_curv**2, 0.0),
+        "alignment": v / n_f,
+        "graph_factor": n_f,
+    }
+
+
+def _out_of_place_sphere_geometry(background, grid, r):
+    f = background.v_squared(r)
+    r_sq = r**2
+    f1 = 2.0 * r + 2.0 * background.mass / r_sq
+
+    r_t, r_tt = _sphere_derivatives(r, grid.spacing)
+    grad_sq = r_t**2
+    n_f = np.sqrt(f + grad_sq / r_sq)
+
+    f_r = f * r
+    gamma_tt = grad_sq / f + r_sq
+    h_tt = (-r_tt + f_r + 2.0 * grad_sq / r + grad_sq * 0.5 * f1 / f) / n_f
+    k1 = h_tt / gamma_tt
+
+    k2 = np.empty_like(r)
+    interior = slice(1, -1)
+    k2[interior] = (-grid.interior_cot * r_t[interior] + f_r[interior]) / (
+        n_f[interior] * r_sq[interior]
+    )
+    for pole in (0, -1):
+        k2[pole] = (-r_tt[pole] + f_r[pole]) / (n_f[pole] * r[pole] ** 2)
+        k1[pole] = k2[pole]
+
+    v = np.sqrt(f)
+    return {
+        "potential": v,
+        "area_density": r * np.sqrt(gamma_tt),
+        "mean_curvature": k1 + k2,
+        "traceless_sq": 0.5 * (k1 - k2) ** 2,
+        "alignment": v / n_f,
+        "graph_factor": n_f,
+    }
+
+
+def _mode_torus(n, modes, amplitude=0.1):
+    b = make_background(0, 1, n, mass=0.5)
+    g = b.base.grid
+    phase = 2.0 * np.pi * (modes[0] * g.theta1 + modes[1] * g.theta2) / g.side
+    return GraphSurface(b, 3.0 + amplitude * np.sin(phase + 0.3))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("modes", [(1, 0), (0, 1), (1, 1)])
+def test_torus_geometry_matches_out_of_place_kernel_bitwise(n, modes):
+    s = _mode_torus(n, modes)
+    reference = _out_of_place_torus_geometry(s.background, s.background.base.grid,
+                                             s.radius_field)
+    for name in GEOMETRY_FIELDS:
+        assert np.array_equal(getattr(s.geometry, name), reference[name]), name
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_sphere_geometry_matches_out_of_place_kernel_bitwise(n):
+    b = make_background(1, 0, n, mass=1.0)
+    th = b.base.grid.theta
+    s = GraphSurface(b, 2.0 + 0.2 * np.cos(th) + 0.1 * np.cos(2.0 * th))
+    reference = _out_of_place_sphere_geometry(b, b.base.grid, s.radius_field)
+    for name in GEOMETRY_FIELDS:
+        assert np.array_equal(getattr(s.geometry, name), reference[name]), name
+
+
+def _read_only(surface):
+    r = surface.radius_field.copy()
+    r.flags.writeable = False
+    return GraphSurface(surface.background, r)
+
+
+@pytest.mark.parametrize("kind", ["torus", "sphere"])
+def test_geometry_writes_only_into_its_own_arrays(kind):
+    # A read-only radius field makes any write into the input raise; a
+    # second evaluation must leave the first surface's fields as they were,
+    # whether those were read before it or after it.
+    if kind == "torus":
+        first, other = _mode_torus(64, (1, 1)), _mode_torus(64, (1, 0), amplitude=0.2)
+    else:
+        first, other = _sphere_surface(129)[0], _sphere_surface(129, amplitude=0.3)[0]
+    read_first, read_later = _read_only(first), _read_only(first)
+    assert not read_first.radius_field.flags.writeable
+    before = {name: getattr(read_first.geometry, name).copy() for name in GEOMETRY_FIELDS}
+    later = read_later.geometry
+    second = _read_only(other).geometry
+    for name in GEOMETRY_FIELDS:
+        getattr(second, name)
+    fresh = GraphSurface(first.background, first.radius_field.copy()).geometry
+    for name in GEOMETRY_FIELDS:
+        assert np.array_equal(getattr(read_first.geometry, name), before[name]), name
+        assert np.array_equal(getattr(later, name), getattr(fresh, name)), name
+    assert np.array_equal(read_first.radius_field, first.radius_field)
+
+
+# -- one-pass validation of a radius field ---------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_node_rejected(bad):
+    # NaN is test_non_finite_radius_rejected; an infinite node is the max or the min.
+    b = make_background(1, 0, 65, mass=1.0)
+    r = np.full(65, 2.0)
+    r[7] = bad
+    with pytest.raises(FlowSingularError):
+        GraphSurface(b, r)
+
+
+def test_non_finite_check_comes_before_the_horizon_check():
+    b = make_background(1, 0, 65, mass=1.0)
+    r = np.full(65, 2.0)
+    r[3] = np.nan
+    r[40] = 0.5 * b.horizon_rho
+    with pytest.raises(FlowSingularError):
+        GraphSurface(b, r)
+
+
+def test_minimum_below_horizon_raises_exterior_and_equality_is_allowed():
+    b = make_background(0, 1, 16, mass=0.5)
+    r = np.full((16, 16), 2.0 * b.horizon_rho)
+    r[5, 9] = b.horizon_rho
+    assert not GraphSurface(b, r).is_constant
+    r[5, 9] = np.nextafter(b.horizon_rho, 0.0)
+    with pytest.raises(ExteriorError):
+        GraphSurface(b, r)
+
+
+def test_is_constant_one_ulp_apart():
+    b = make_background(1, 0, 65, mass=1.0)
+    assert GraphSurface(b, np.full(65, 2.5)).is_constant
+    assert GraphSurface(b, np.array([2.5])).is_constant
+    r = np.full(65, 2.5)
+    r[64] = np.nextafter(2.5, 3.0)
+    assert not GraphSurface(b, r).is_constant
+
+
+def _parent_validation(r, horizon_rho):
+    # The checks as first written, one full pass each.
+    if not np.all(np.isfinite(r)):
+        return FlowSingularError
+    if np.any(r < horizon_rho):
+        return ExteriorError
+    return bool(np.ptp(r) == 0.0)
+
+
+_SPHERE9 = make_background(1, 0, 9, mass=1.0)
+_NODE = st.one_of(
+    st.floats(),
+    st.sampled_from([_SPHERE9.horizon_rho, np.nextafter(_SPHERE9.horizon_rho, 0.0), 2.0]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hnp.arrays(np.float64, 9, elements=_NODE))
+def test_one_pass_validation_agrees_with_full_passes(r):
+    expected = _parent_validation(r, _SPHERE9.horizon_rho)
+    try:
+        outcome = GraphSurface(_SPHERE9, r).is_constant
+    except (FlowSingularError, ExteriorError) as err:
+        outcome = type(err)
+    assert outcome == expected
