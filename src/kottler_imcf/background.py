@@ -117,18 +117,6 @@ class KottlerBackground:
         if self.surface_gravity <= 0.0:
             raise HorizonError("degenerate horizon: surface gravity must be positive")
 
-    @classmethod
-    def from_mass(cls, base, mass):
-        return cls(base=base, mass=mass, horizon_rho=horizon_radius(base.curvature_sign, mass))
-
-    @classmethod
-    def from_horizon_radius(cls, base, horizon_rho):
-        return cls(
-            base=base,
-            mass=mass_from_radius(base.curvature_sign, horizon_rho),
-            horizon_rho=horizon_rho,
-        )
-
     @property
     def curvature_sign(self):
         return self.base.curvature_sign
@@ -303,6 +291,8 @@ def make_background(curvature_sign, genus, grid_resolution, mass=None, horizon_r
     base = make_base(curvature_sign, genus, grid_resolution, area=area)
     if (mass is None) == (horizon_rho is None):
         raise ValueError("give exactly one of mass, horizon_rho")
-    if mass is not None:
-        return KottlerBackground.from_mass(base, mass)
-    return KottlerBackground.from_horizon_radius(base, horizon_rho)
+    if mass is None:
+        mass = mass_from_radius(curvature_sign, horizon_rho)
+    else:
+        horizon_rho = horizon_radius(curvature_sign, mass)
+    return KottlerBackground(base, mass, horizon_rho)

@@ -173,7 +173,7 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
     if curvature_sign != 0 and area is not None and not np.isclose(area, w2):
         raise InvalidBaseError("area of a curved base is fixed by Gauss-Bonnet")
 
-    point = grid_resolution in ("point", None)
+    point = grid_resolution == "point"
     if not point:
         resolution = int(grid_resolution)
         if resolution < MIN_RESOLUTION:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -80,13 +81,21 @@ _positive = _require(_finite, lambda value: value > 0.0, "must be positive")
 _nonnegative = _require(_finite, lambda value: value >= 0.0, "must be nonnegative")
 _sign = _require(int, lambda value: value in (-1, 0, 1), "must be -1, 0 or +1")
 _name = _require(str, bool, "must not be empty")
-# Integer bounds keep genus, modes and seed inside float and C-long range;
-# radii in [1e-50, 1e50] keep rho**2 and the Richardson ratio (r2/r1)**3 finite.
+# Integer bounds keep genus and modes inside float and C-long range; radii
+# in [1e-50, 1e50] keep rho**2 and the Richardson ratio (r2/r1)**3 finite.
 _genus = _within(int, 0, 10**6)
 _mode = _within(int, -10**6, 10**6)
-_seed = _within(int, -10**9, 10**9)
-_radii = _require(_list(_within(_positive, 1e-50, 1e50)),
-                  lambda radii: len(set(radii)) == len(radii), "radii must be distinct")
+
+
+def _distinct(parse, what):
+    return _require(parse, lambda values: len(set(values)) == len(values),
+                    f"{what} must be distinct")
+
+
+_radii = _distinct(_list(_within(_positive, 1e-50, 1e50)), "radii")
+_checks = _require(_distinct(_list(str), "check names"),
+                   lambda names: "all" not in names or len(names) == 1,
+                   "'all' cannot be combined with other names")
 
 
 def _resolution(text):
@@ -124,10 +133,8 @@ class ScenarioConfig:
     cfl: float = _key("flow", _positive, FlowControls.cfl)
     h_floor: float = _key("flow", _finite, FlowControls.h_floor)
     star_floor: float = _key("flow", _finite, FlowControls.star_floor)
-    max_dt: float | None = _key("flow", _positive)
-    checks: tuple = _key("audit", _list(str), ("all",))
+    checks: tuple = _key("audit", _checks, ("all",))
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
-    seed: int = _key("audit", _seed, 0)
 
 
 _KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
@@ -342,7 +349,7 @@ def _surface_checks(surface, tolerance_scale):
     return checks
 
 
-def _background_checks(background, tolerance_scale, seed=0):
+def _background_checks(background, tolerance_scale):
     tol = 1e-12 * tolerance_scale
     checks = [
         _check("surface_gravity_bound", surface_gravity_bound_deficit(background),
@@ -367,7 +374,7 @@ def _background_checks(background, tolerance_scale, seed=0):
         )
     # Quasi-random exterior sample by a golden-ratio lattice; deterministic.
     golden = 0.5 * (np.sqrt(5.0) - 1.0)
-    frac = np.mod((np.arange(100) + 1 + seed) * golden, 1.0)
+    frac = np.mod((np.arange(100) + 1) * golden, 1.0)
     rho = background.horizon_rho * (1.05 + 20.0 * frac)
     hess_res, lap_res = bg.static_residual(background, rho)
     checks.append(
@@ -436,7 +443,7 @@ def run_scenario(config, with_flow=True, tolerance_scale=1.0):
     background = build_background(config)
     result = AuditResult(scenario_id=config.scenario_id)
     trace = None
-    checks = list(_background_checks(background, tolerance_scale, config.seed))
+    checks = list(_background_checks(background, tolerance_scale))
     if config.radius is not None:
         surface = build_initial_surface(config, background)
         checks.extend(_surface_checks(surface, tolerance_scale))
@@ -445,7 +452,6 @@ def run_scenario(config, with_flow=True, tolerance_scale=1.0):
                 cfl=config.cfl,
                 h_floor=config.h_floor,
                 star_floor=config.star_floor,
-                max_dt=config.max_dt,
             )
             trace = run_flow(surface, config.t_end, config.sample_interval, controls)
             checks.extend(
@@ -529,8 +535,6 @@ def _report(result, quiet):
 def _write_outputs(args, trace, result):
     if args.out is None:
         return
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, result.scenario_id)
     if trace is not None:
@@ -555,9 +559,9 @@ def _cmd_background(args):
     return 0
 
 
-def _cmd_flow(args):
+def _cmd_flow_or_audit(args):
     config = _load_config(args)
-    trace, result = run_scenario(config, with_flow=True,
+    trace, result = run_scenario(config, with_flow=args.command == "flow",
                                  tolerance_scale=args.tolerance_scale)
     _write_outputs(args, trace, result)
     code = _report(result, args.quiet)
@@ -567,20 +571,15 @@ def _cmd_flow(args):
     return code
 
 
-def _cmd_audit(args):
-    config = _load_config(args)
-    trace, result = run_scenario(config, with_flow=False,
-                                 tolerance_scale=args.tolerance_scale)
-    _write_outputs(args, trace, result)
-    return _report(result, args.quiet)
-
-
 def _cmd_chmass(args):
     config = _load_config(args)
     background = build_background(config)
+    try:
+        estimates = [bg.ch_mass_integral(background, rho) for rho in config.rho_eval]
+    except ExteriorError as err:
+        raise ConfigError(f"key 'rho_eval': {err}") from None
     print(f"{'rho_eval':>12}  {'mass_estimate':>22}  {'abs_error':>12}")
-    for rho in config.rho_eval:
-        est = bg.ch_mass_integral(background, rho)
+    for rho, est in zip(config.rho_eval, estimates):
         print(f"{rho:>12.6g}  {est:>22.17g}  {abs(est - background.mass):>12.3e}")
     extrap = bg.richardson_mass(background, config.rho_eval)
     print(f"{'extrapolated':>12}  {extrap:>22.17g}  {abs(extrap - background.mass):>12.3e}")
@@ -608,17 +607,18 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in (
         ("background", _cmd_background),
-        ("flow", _cmd_flow),
-        ("audit", _cmd_audit),
+        ("flow", _cmd_flow_or_audit),
+        ("audit", _cmd_flow_or_audit),
         ("chmass", _cmd_chmass),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
         p.add_argument("--scenario", default=None)
-        p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
-                       dest="tolerance_scale")
         p.add_argument("--quiet", action="store_true")
+        if name != "background":  # background writes no file and runs no check
+            p.add_argument("--out", default=None)
+            p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
+                           dest="tolerance_scale")
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:

@@ -71,7 +71,6 @@ class FlowControls:
     cfl: float = 0.2
     h_floor: float = 1e-6
     star_floor: float = 0.1
-    max_dt: float | None = None
 
 
 @dataclass
@@ -179,12 +178,12 @@ def run_flow(initial, t_end, sample_interval, controls=None):
     """
     if controls is None:
         controls = FlowControls()
-    # A non-finite or non-positive time, step fraction or step cap would
-    # never reach t_end; NaN fails every one of these comparisons.
+    # A non-finite or non-positive time or step fraction would never
+    # reach t_end; NaN fails every one of these comparisons.
     if not (0.0 < t_end < np.inf and 0.0 < sample_interval < np.inf):
         raise ValueError("t_end and sample_interval must be finite and positive")
-    if not controls.cfl > 0.0 or (controls.max_dt is not None and not controls.max_dt > 0.0):
-        raise ValueError("controls.cfl and controls.max_dt must be positive")
+    if not controls.cfl > 0.0:
+        raise ValueError("controls.cfl must be positive")
     if not star_shaped_check(initial, controls.star_floor):
         raise FlowSingularError(
             f"initial surface fails the star-shape floor {controls.star_floor}"
@@ -204,8 +203,6 @@ def run_flow(initial, t_end, sample_interval, controls=None):
                 state = step_slice_ode(state, next_sample - state.time)
             else:
                 dt = min(cfl_limit(state.surface, controls.cfl), next_sample - state.time)
-                if controls.max_dt is not None:
-                    dt = min(dt, controls.max_dt)
                 state = step_graph_pde(state, dt, controls.h_floor, controls.cfl)
             if state.time >= next_sample - 1e-12:
                 rows.append(_sample_row(state))

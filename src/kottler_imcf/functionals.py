@@ -114,14 +114,17 @@ def _minkowski_deficit(background, area, tmc, bulk):
     )
 
 
+def _kottler_mass(k, a):
+    """The Kottler mass (1/2)(k sqrt(a) + a^{3/2}) of normalized area a = |S| / w2."""
+    return 0.5 * (k * np.sqrt(a) + a**1.5)
+
+
 def _areal_minkowski_deficit(background, area, tmc):
     w2 = background.base.area
-    k = background.curvature_sign
-    a = area / w2
     horizon_term = background.areal_horizon_term / w2
     return (
         0.25 * tmc / w2
-        - 0.5 * (k * np.sqrt(a) + a**1.5)
+        - _kottler_mass(background.curvature_sign, area / w2)
         + horizon_term
     )
 
@@ -220,8 +223,7 @@ def reverse_penrose_deficit(background):
         raise ValueError("reverse Penrose bound applies to hyperbolic bases only")
     if background.mass < 0.0:
         raise ValueError("reverse Penrose bound requires nonnegative mass")
-    a = background.horizon_area / background.base.area
-    return 0.5 * (-np.sqrt(a) + a**1.5) - background.mass
+    return _kottler_mass(-1, background.horizon_area / background.base.area) - background.mass
 
 
 def penrose_conjecture_deficit(background):
@@ -230,10 +232,8 @@ def penrose_conjecture_deficit(background):
     deficit = m - (1/2)(k sqrt(a) + a^{3/2}) with a = |bdry| / w2; zero on
     Kottler horizons.
     """
-    w2 = background.base.area
-    a = background.horizon_area / w2
-    k = background.curvature_sign
-    return background.mass - 0.5 * (k * np.sqrt(a) + a**1.5)
+    a = background.horizon_area / background.base.area
+    return background.mass - _kottler_mass(background.curvature_sign, a)
 
 
 def asymptotic_limit_targets(base):

@@ -269,7 +269,7 @@ def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, s
     ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1"),
     ("curvature_sign = 1\nmass = 1.0\nresolution = point", "[flow]\nt_end = 1.0"),
     ("curvature_sign = 1\nmass = 1.0\nresolution = point", "amplitude = 0.0\n[flow]\nt_end = 1.0"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "[flow]\ncfl = 0.1\nmax_dt = 0.01"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "[flow]\ncfl = 0.1\nstar_floor = 0.2"),
 ], ids=["sphere-amplitude-mode", "sphere-mode", "torus-amplitude", "torus-zero-amplitude-mode2",
         "flow-t_end", "flow-zero-amplitude-t_end", "flow-controls"])
 def test_cli_surface_keys_without_radius_exit_two(tmp_path, capsys, background, surface):
@@ -543,6 +543,83 @@ def test_cli_flow_key_without_t_end_exit_two(tmp_path, capsys, flow):
     assert "no effect" in str(err.value)
     assert flow.partition(" ")[0] in str(err.value)
     assert main(["flow", "--config", _write(tmp_path, text)]) == 2
+
+
+@pytest.mark.parametrize("section, key, value", [("flow", "max_dt", "0.01"), ("audit", "seed", "0")])
+def test_removed_key_is_unknown_exit_two(tmp_path, capsys, section, key, value):
+    # `cfl` alone bounds dt, and the static residual radii are fixed: a valid
+    # value is rejected too, because no value of these keys takes effect.
+    text = _sphere_perturbed_with(section, key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"unknown key {key!r} in section [{section}]" in str(err.value)
+    assert main(["flow", "--config", _write(tmp_path, text)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--out", "out"), ("--tolerance-scale", "2")])
+def test_cli_background_rejects_flags_it_never_reads(tmp_path, monkeypatch, capsys, flag,
+                                                     value):
+    # Each value is one that `flow`, `audit` and `chmass` accept.
+    monkeypatch.chdir(tmp_path)
+    config = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
+    with pytest.raises(SystemExit) as exit_:
+        main(["background", "--config", config, flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["background", "flow", "audit", "chmass"])
+def test_cli_quiet_on_every_subcommand(capsys, command):
+    # Every subcommand takes --quiet; `background` and `chmass` print their
+    # tables as without it, and a passing audit prints nothing.
+    config = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
+    assert main([command, "--config", config, "--quiet"]) == 0
+    tables = {"background": "_background.txt", "chmass": "_chmass.txt"}
+    expected = _golden("torus-uniqueness" + tables[command]) if command in tables else b""
+    assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize("value, rule", [
+    ("hk_gap, hk_gap", "distinct"),
+    ("all, all", "distinct"),
+    ("all, hk_gapp", "'all'"),
+    ("hk_gap, all", "'all'"),
+])
+def test_cli_checks_repeated_or_mixed_with_all_exit_two(tmp_path, capsys, value, rule):
+    # Unchecked, a repeated name writes its check twice and `all` hides a typo.
+    text = _scenario_with("torus-uniqueness", "audit", "checks", value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "'checks'" in str(err.value) and rule in str(err.value)
+    out = tmp_path / "out"
+    assert main(["audit", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'checks'" in captured.err
+    assert not out.exists()
+
+
+def test_cli_checks_listed_once_each_keep_their_order(tmp_path, capsys):
+    text = _scenario_with("torus-uniqueness", "audit", "checks", "hk_gap, minkowski_deficit")
+    assert main(["audit", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "torus-uniqueness_audit.json").read_text())
+    assert [c["name"] for c in payload["checks"]] == ["hk_gap", "minkowski_deficit"]
+
+
+@pytest.mark.parametrize("radii", ["4.5, 10, 20", "10, 20, 4.5"])
+def test_cli_chmass_rho_eval_inside_five_horizon_radii_exit_two(tmp_path, capsys, radii):
+    # The horizon radius is 1 here, and below 5 horizon radii the boundary
+    # integral is preasymptotic: a config error before any row is printed.
+    text = _scenario_with("slice-rigidity-sphere", "audit", "rho_eval", radii)
+    out = tmp_path / "out"
+    assert main(["chmass", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: key 'rho_eval': ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["id = \n", "id = a\nid = b\n"], ids=["empty", "duplicate"])

@@ -229,10 +229,8 @@ def test_evaluate_report_runs_only_the_measure_group(monkeypatch):
     (1.0, 0.25, FlowControls(cfl=0.0)),
     (1.0, 0.25, FlowControls(cfl=-1.0)),
     (1.0, 0.25, FlowControls(cfl=np.nan)),
-    (1.0, 0.25, FlowControls(max_dt=0.0)),
-    (1.0, 0.25, FlowControls(max_dt=-1.0)),
 ], ids=["t_end-inf", "t_end-nan", "interval-inf", "interval-nan", "cfl-zero", "cfl-negative",
-        "cfl-nan", "max_dt-zero", "max_dt-negative"])
+        "cfl-nan"])
 def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval, controls):
     b = make_background(1, 0, 17, mass=1.0)
     surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
