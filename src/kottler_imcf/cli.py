@@ -18,7 +18,9 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     ExteriorError,
     FlowSingularError,
     HorizonError,
+    InvalidBaseError,
     KottlerError,
 )
 from .flow import TRACE_COLUMNS, FlowControls, FlowTrace, run_flow
@@ -40,7 +43,7 @@ from .functionals import (
     surface_gravity_bound_deficit,
 )
 from .surfaces import GraphSurface
-from .base import AxisymmetricSphereGrid, FlatTorusGrid, PointGrid
+from .base import MIN_RESOLUTION, AxisymmetricSphereGrid, FlatTorusGrid, PointGrid, make_base
 
 __all__ = [
     "ScenarioConfig",
@@ -85,6 +88,9 @@ _name = _require(str, bool, "must not be empty")
 # in [1e-50, 1e50] keep rho**2 and the Richardson ratio (r2/r1)**3 finite.
 _genus = _within(int, 0, 10**6)
 _mode = _within(int, -10**6, 10**6)
+_resolution = _require(lambda text: text if text == "point" else int(text),
+                       lambda value: value == "point" or value >= MIN_RESOLUTION,
+                       f"must be an integer >= {MIN_RESOLUTION} or 'point'")
 
 
 def _distinct(parse, what):
@@ -98,8 +104,14 @@ _checks = _require(_distinct(_list(str), "check names"),
                    "'all' cannot be combined with other names")
 
 
-def _resolution(text):
-    return text if text == "point" else int(text)
+def _check_names(text):
+    """`[audit] checks`: each name is `all` or a row of the check table."""
+    names = _checks(text)
+    known = {"all", *(spec.name for spec in _CHECKS)}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown check name(s) {', '.join(unknown)}")
+    return names
 
 
 def _key(section, parse, default=None, key=None):
@@ -133,7 +145,7 @@ class ScenarioConfig:
     cfl: float = _key("flow", _positive, FlowControls.cfl)
     h_floor: float = _key("flow", _finite, FlowControls.h_floor)
     star_floor: float = _key("flow", _finite, FlowControls.star_floor)
-    checks: tuple = _key("audit", _checks, ("all",))
+    checks: tuple = _key("audit", _check_names, ("all",))
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
 
 
@@ -190,6 +202,15 @@ def _validate(config, lines):
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
+    # The library guard on the point grid: first the genus, then a curved area.
+    for key, name, area in (("genus", "genus", None), ("area", "base_area", config.base_area)):
+        try:
+            make_base(config.curvature_sign, config.genus, "point", area=area)
+        except InvalidBaseError as err:
+            fail(f"key {key!r}: {err}", name)
+    if config.curvature_sign == -1 and config.resolution != "point":
+        fail(f"key 'resolution': hyperbolic bases support only the point grid, "
+             f"not {config.resolution}", "resolution")
     surface = ["amplitude"] if config.amplitude != 0.0 else []
     surface += [key for key in ("mode", "mode1", "mode2") if getattr(config, key) is not None]
     flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
@@ -259,11 +280,14 @@ def build_initial_surface(config, background):
     else:
         ignored = sorted({"amplitude", *modes}.difference(keys))
         where = f"on a {type(grid).__name__} background"
+        # Only a torus field can vanish everywhere: sin(0) when mode1 = mode2 = 0.
+        if not ignored and not np.any(unit := mode_field(grid, **modes)):
+            ignored, where = ["amplitude", *sorted(modes)], "when mode1 and mode2 are 0"
     if ignored:
         raise ConfigError(f"[surface] key(s) {', '.join(ignored)} have no effect {where}")
     if config.amplitude == 0.0:
         return GraphSurface(background, config.radius)
-    return GraphSurface(background, config.radius + config.amplitude * mode_field(grid, **modes))
+    return GraphSurface(background, config.radius + config.amplitude * unit)
 
 
 # -- audit checks -----------------------------------------------------------
@@ -321,144 +345,140 @@ def _radius_window(background):
     return None
 
 
-def _surface_checks(surface, tolerance_scale):
-    """Checks evaluated on a single surface (no flow)."""
-    background = surface.background
-    report = evaluate_report(surface)
-    if not surface.is_constant:
-        tol = 1e-6 * tolerance_scale
-        return [
-            _check("minkowski_deficit", report.minkowski_deficit, "Minkowski inequality",
-                   "lower", tol),
-            _check("hk_gap", report.hk_gap, "Heintze-Karcher inequality", "lower", tol),
-        ]
-    tol = 1e-10 * tolerance_scale
-    q_target = asymptotic_limit_targets(background.base)[0]
-    checks = [
-        _check("q_slice_value", report.q_value - q_target,
-               "monotone functional equals its slice constant", "abs", tol),
-        _check("minkowski_deficit", report.minkowski_deficit,
-               "Minkowski inequality equality case on slices", "abs", tol),
-        _check("hk_gap", report.hk_gap, "Heintze-Karcher equality case on slices", "abs", tol),
-    ]
-    if background.curvature_sign == 1:
-        checks.append(
-            _check("hawking_mass_slice", report.hawking_mass - background.mass,
-                   "Hawking mass recovers the mass parameter", "abs", tol)
-        )
+class _Run:
+    """What one run knows, for the checks to read: its background, initial
+    surface and its report, whether a flow runs and then its trace, and the
+    extrapolated mass of `chmass`.  Each shared quantity is computed once.
+    """
+
+    def __init__(self, background, scale, surface=None, flow=False, extrapolated=None):
+        self.background, self.k, self.scale = background, background.curvature_sign, scale
+        self.trace, self.extrapolated = None, extrapolated
+        self.audit, self.flow = extrapolated is None, flow  # `audit` and `flow`, not `chmass`
+        self.slice = surface is not None and surface.is_constant
+        self.graph = surface is not None and not surface.is_constant
+        self.report = None if surface is None else evaluate_report(surface)
+        self.q_inf = asymptotic_limit_targets(background.base)[0]
+        window = _radius_window(background)
+        self.window_areas = None if window is None else [
+            background.base.area * rho**2 for rho in window]
+
+    def column(self, name):
+        return self.trace.column(name)
+
+
+_audit, _slice, _graph, _flow = map(attrgetter, ("audit", "slice", "graph", "flow"))
+# The static residual's exterior radii over the horizon radius: a golden-ratio
+# lattice, deterministic.
+_EXTERIOR = 1.05 + 20.0 * np.mod((np.arange(100) + 1) * (0.5 * (np.sqrt(5.0) - 1.0)), 1.0)
+
+
+def _worst_step(values, reduce):
+    """`reduce` (np.max or np.min) of the changes between samples; 0 for one sample."""
+    return float(reduce(np.diff(values))) if len(values) > 1 else 0.0
+
+
+# One audit check, applied to a run where `when(run)` holds.  A number
+# `tolerance` is scaled by --tolerance-scale; a function of the run gives the
+# tolerance as used.  `value` is a function of the run, `bound` a number or one.
+_Spec = namedtuple("_Spec", "name when rule tolerance value tag bound", defaults=(0.0,))
+
+
+# Every check, in output order: background, surface, flow, then `chmass`.
+_CHECKS = (
+    _Spec("surface_gravity_bound", _audit, "abs", 1e-12,
+          lambda run: surface_gravity_bound_deficit(run.background),
+          "Euler characteristic bound on surface gravity, equality on models"),
+    _Spec("penrose_conjecture", _audit, "abs", 1e-12,
+          lambda run: penrose_conjecture_deficit(run.background),
+          "conjectured mass lower bound by horizon area, equality on models"),
+    _Spec("mass_upper_bound", _audit, "abs", 1e-12,
+          lambda run: bg.mass_upper_bound(run.background) - run.background.mass,
+          "horizon-data mass upper bound, equality on models"),
+    _Spec("reverse_penrose", lambda run: run.audit and run.k == -1 and run.background.mass >= 0,
+          "abs", 1e-12, lambda run: reverse_penrose_deficit(run.background),
+          "mass upper bound by horizon area on hyperbolic bases"),
+    _Spec("area_window", lambda run: run.audit and run.window_areas is not None, "window",
+          lambda run: run.window_areas[1] - run.window_areas[0],
+          lambda run: run.background.horizon_area,
+          "horizon area within the surface-gravity radius window",
+          lambda run: run.window_areas[0]),
+    _Spec("static_residual", _audit, "abs", 1e-9, lambda run: max(
+              bg.static_residual(run.background, run.background.horizon_rho * _EXTERIOR)),
+          "static vacuum equations hold on the background"),
+    _Spec("q_slice_value", _slice, "abs", 1e-10, lambda run: run.report.q_value - run.q_inf,
+          "monotone functional equals its slice constant"),
+    _Spec("minkowski_deficit", _slice, "abs", 1e-10, lambda run: run.report.minkowski_deficit,
+          "Minkowski inequality equality case on slices"),
+    _Spec("hk_gap", _slice, "abs", 1e-10, lambda run: run.report.hk_gap,
+          "Heintze-Karcher equality case on slices"),
+    _Spec("hawking_mass_slice", lambda run: run.slice and run.k == 1, "abs", 1e-10,
+          lambda run: run.report.hawking_mass - run.background.mass,
+          "Hawking mass recovers the mass parameter"),
+    _Spec("minkowski_deficit", _graph, "lower", 1e-6, lambda run: run.report.minkowski_deficit,
+          "Minkowski inequality"),
+    _Spec("hk_gap", _graph, "lower", 1e-6, lambda run: run.report.hk_gap,
+          "Heintze-Karcher inequality"),
+    _Spec("area_growth", _flow, "abs", lambda run: (1e-10 if run.slice else 1e-4) * run.scale,
+          lambda run: np.max(np.abs(
+              run.column("area") / (np.exp(run.trace.times) * run.column("area")[0]) - 1.0)),
+          "exponential area growth"),
+    _Spec("q_constant", lambda run: run.flow and run.slice, "abs", 1e-10,
+          lambda run: np.max(np.abs(run.column("Q") - run.column("Q")[0])),
+          "monotone functional constant on slice flows"),
+    _Spec("q_monotone", lambda run: run.flow and run.graph, "upper",
+          lambda run: 1e-6 * max(1.0, abs(run.column("Q")[0])) * run.scale,
+          lambda run: _worst_step(run.column("Q"), np.max),
+          "monotone functional non-increasing along the flow"),
+    _Spec("q_limit", _flow, "lower", 1e-6, lambda run: float(np.min(run.column("Q"))) - run.q_inf,
+          "monotone functional stays above its limit"),
+    _Spec("mean_convex", _flow, "above", 0.0, lambda run: np.min(run.column("min_H")),
+          "mean-convexity preserved"),
+    _Spec("alignment_floor", _flow, "lower", 0.0, lambda run: np.min(run.column("min_align")),
+          "star-shapedness preserved", lambda run: run.column("min_align")[0] - 0.05),
+    _Spec("hawking_monotone", lambda run: run.flow and run.k == 1, "lower", 1e-6,
+          lambda run: _worst_step(run.column("hawking_mass"), np.min),
+          "Hawking mass non-decreasing along the flow"),
+    _Spec("flow_complete", _flow, "lower", 0.0, lambda run: float(run.trace.complete),
+          "flow reached its final time", 1.0),
+    _Spec("chmass_extrapolated", lambda run: not run.audit, "abs",
+          lambda run: 1e-3 * max(1.0, abs(run.background.mass)) * run.scale,
+          lambda run: run.extrapolated - run.background.mass,
+          "boundary mass integral converges to the mass parameter"),
+)
+
+
+def _evaluate(run):
+    """The check of every row that applies to this run, in table order."""
+    checks = []
+    for name, when, rule, tolerance, value, tag, bound in _CHECKS:
+        if when(run):
+            tolerance = tolerance(run) if callable(tolerance) else tolerance * run.scale
+            bound = bound(run) if callable(bound) else bound
+            checks.append(_check(name, value(run), tag, rule, tolerance, bound))
     return checks
-
-
-def _background_checks(background, tolerance_scale):
-    tol = 1e-12 * tolerance_scale
-    checks = [
-        _check("surface_gravity_bound", surface_gravity_bound_deficit(background),
-               "Euler characteristic bound on surface gravity, equality on models", "abs", tol),
-        _check("penrose_conjecture", penrose_conjecture_deficit(background),
-               "conjectured mass lower bound by horizon area, equality on models", "abs", tol),
-        _check("mass_upper_bound", bg.mass_upper_bound(background) - background.mass,
-               "horizon-data mass upper bound, equality on models", "abs", tol),
-    ]
-    if background.curvature_sign == -1 and background.mass >= 0.0:
-        checks.append(
-            _check("reverse_penrose", reverse_penrose_deficit(background),
-                   "mass upper bound by horizon area on hyperbolic bases", "abs", tol)
-        )
-    window = _radius_window(background)
-    if window is not None:
-        lo_area, hi_area = (background.base.area * rho**2 for rho in window)
-        checks.append(
-            _check("area_window", background.horizon_area,
-                   "horizon area within the surface-gravity radius window", "window",
-                   hi_area - lo_area, lo_area)
-        )
-    # Quasi-random exterior sample by a golden-ratio lattice; deterministic.
-    golden = 0.5 * (np.sqrt(5.0) - 1.0)
-    frac = np.mod((np.arange(100) + 1) * golden, 1.0)
-    rho = background.horizon_rho * (1.05 + 20.0 * frac)
-    hess_res, lap_res = bg.static_residual(background, rho)
-    checks.append(
-        _check("static_residual", max(hess_res, lap_res),
-               "static vacuum equations hold on the background", "abs", 1e-9 * tolerance_scale)
-    )
-    return checks
-
-
-def _flow_checks(trace, background, tolerance_scale, ode_path):
-    t = trace.times
-    area = trace.column("area")
-    growth = np.max(np.abs(area / (np.exp(t) * area[0]) - 1.0))
-    tol = (1e-10 if ode_path else 1e-4) * tolerance_scale
-    checks = [_check("area_growth", growth, "exponential area growth", "abs", tol)]
-
-    q = trace.column("Q")
-    q_scale = max(1.0, abs(q[0]))
-    if ode_path:
-        checks.append(
-            _check("q_constant", np.max(np.abs(q - q[0])),
-                   "monotone functional constant on slice flows", "abs", 1e-10 * tolerance_scale)
-        )
-    else:
-        worst_rise = float(np.max(np.diff(q))) if len(q) > 1 else 0.0
-        checks.append(
-            _check("q_monotone", worst_rise, "monotone functional non-increasing along the flow",
-                   "upper", 1e-6 * q_scale * tolerance_scale)
-        )
-    q_target = asymptotic_limit_targets(background.base)[0]
-    align = trace.column("min_align")
-    checks += [
-        _check("q_limit", float(np.min(q)) - q_target,
-               "monotone functional stays above its limit", "lower", 1e-6 * tolerance_scale),
-        _check("mean_convex", np.min(trace.column("min_H")), "mean-convexity preserved",
-               "above", 0.0),
-        _check("alignment_floor", np.min(align), "star-shapedness preserved", "lower", 0.0,
-               align[0] - 0.05),
-    ]
-    if background.curvature_sign == 1:
-        mh = trace.column("hawking_mass")
-        worst_drop = float(np.min(np.diff(mh))) if len(mh) > 1 else 0.0
-        checks.append(
-            _check("hawking_monotone", worst_drop, "Hawking mass non-decreasing along the flow",
-                   "lower", 1e-6 * tolerance_scale)
-        )
-    checks.append(
-        _check("flow_complete", float(trace.complete), "flow reached its final time", "lower",
-               0.0, 1.0)
-    )
-    return checks
-
-
-def _select(checks, wanted):
-    if "all" in wanted:
-        return checks
-    by_name = {c.name: c for c in checks}
-    missing = [w for w in wanted if w not in by_name]
-    if missing:
-        raise ConfigError(f"requested checks not applicable here: {', '.join(missing)}")
-    return [by_name[w] for w in wanted]
 
 
 def run_scenario(config, with_flow=True, tolerance_scale=1.0):
-    """Build the scenario, optionally run its flow, and evaluate checks."""
+    """Build the scenario, optionally run its flow, and evaluate checks.
+
+    A requested check that does not apply here is a config error before any flow.
+    """
     background = build_background(config)
-    result = AuditResult(scenario_id=config.scenario_id)
-    trace = None
-    checks = list(_background_checks(background, tolerance_scale))
-    if config.radius is not None:
-        surface = build_initial_surface(config, background)
-        checks.extend(_surface_checks(surface, tolerance_scale))
-        if with_flow and config.t_end is not None:
-            controls = FlowControls(
-                cfl=config.cfl,
-                h_floor=config.h_floor,
-                star_floor=config.star_floor,
-            )
-            trace = run_flow(surface, config.t_end, config.sample_interval, controls)
-            checks.extend(
-                _flow_checks(trace, background, tolerance_scale, surface.is_constant)
-            )
-    result.checks = _select(checks, config.checks)
-    return trace, result
+    surface = None if config.radius is None else build_initial_surface(config, background)
+    run = _Run(background, tolerance_scale, surface,
+               flow=surface is not None and with_flow and config.t_end is not None)
+    applicable = [spec.name for spec in _CHECKS if spec.when(run)]
+    wanted = applicable if "all" in config.checks else config.checks
+    missing = [name for name in wanted if name not in applicable]
+    if missing:
+        raise ConfigError(f"requested checks not applicable here: {', '.join(missing)}")
+    if run.flow:
+        controls = FlowControls(cfl=config.cfl, h_floor=config.h_floor,
+                                star_floor=config.star_floor)
+        run.trace = run_flow(surface, config.t_end, config.sample_interval, controls)
+    by_name = {check.name: check for check in _evaluate(run)}
+    return run.trace, AuditResult(config.scenario_id, [by_name[name] for name in wanted])
 
 
 # -- serialization ----------------------------------------------------------
@@ -583,11 +603,10 @@ def _cmd_chmass(args):
         print(f"{rho:>12.6g}  {est:>22.17g}  {abs(est - background.mass):>12.3e}")
     extrap = bg.richardson_mass(background, config.rho_eval)
     print(f"{'extrapolated':>12}  {extrap:>22.17g}  {abs(extrap - background.mass):>12.3e}")
-    check = _check("chmass_extrapolated", extrap - background.mass,
-                   "boundary mass integral converges to the mass parameter", "abs",
-                   1e-3 * max(1.0, abs(background.mass)) * args.tolerance_scale)
-    _write_outputs(args, None, AuditResult(config.scenario_id, [check]))
-    return 0 if check.passed else 1
+    result = AuditResult(config.scenario_id,
+                         _evaluate(_Run(background, args.tolerance_scale, extrapolated=extrap)))
+    _write_outputs(args, None, result)
+    return 0 if result.passed else 1
 
 
 def _tolerance_scale(text):

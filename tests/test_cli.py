@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kottler_imcf.cli
 import kottler_imcf.functionals
 import kottler_imcf.surfaces
 from kottler_imcf import ConfigError, FlowTrace, TRACE_COLUMNS
@@ -170,8 +171,8 @@ def test_run_scenario_deterministic():
 
 
 def test_unknown_requested_check_rejected():
-    c = parse_config(MINIMAL + "\n[audit]\nchecks = nonexistent\n")
     with pytest.raises(ConfigError):
+        c = parse_config(MINIMAL + "\n[audit]\nchecks = nonexistent\n")
         run_scenario(c, with_flow=False)
 
 
@@ -254,8 +255,9 @@ def test_cli_flow_writes_outputs(tmp_path, capsys):
     ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode1 = 2"),
     ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode2 = 1"),
     ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode = 2"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode1 = 0\nmode2 = 0"),
 ], ids=["hyperbolic-point-amplitude", "torus-point-amplitude", "sphere-mode1", "sphere-mode2",
-        "torus-mode"])
+        "torus-mode", "torus-zero-modes"])
 def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, surface):
     cfg = _write(tmp_path, f"[background]\n{background}\n[surface]\nradius = 2.5\n{surface}\n")
     assert main(["audit", "--config", cfg]) == 2
@@ -607,6 +609,114 @@ def test_cli_checks_listed_once_each_keep_their_order(tmp_path, capsys):
     assert main(["audit", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "torus-uniqueness_audit.json").read_text())
     assert [c["name"] for c in payload["checks"]] == ["hk_gap", "minkowski_deficit"]
+
+
+def _line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+def _count_flows(monkeypatch):
+    calls, run_flow = [], kottler_imcf.cli.run_flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(kottler_imcf.cli, "run_flow", counted)
+    return calls
+
+
+def test_cli_unknown_check_name_exit_two_before_any_flow(tmp_path, monkeypatch, capsys):
+    # A name that no check has is a config error at its line, before the flow.
+    text = _scenario_with("torus-perturbed", "audit", "checks", "q_monotone, hk_gapp")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    line = _line_of(text, "checks = q_monotone, hk_gapp")
+    assert str(err.value) == f"line {line}: key 'checks': unknown check name(s) hk_gapp"
+    flows = _count_flows(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {err.value}\n"
+    assert flows == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, scenario, name", [
+    ("audit", "torus-perturbed", "q_monotone"),  # no flow under `audit`
+    ("flow", "slice-rigidity-sphere", "q_monotone"),  # a slice flow has q_constant instead
+    ("flow", "torus-perturbed", "chmass_extrapolated"),  # only `chmass` has this one
+])
+def test_cli_inapplicable_check_exit_two_before_any_flow(tmp_path, monkeypatch, capsys,
+                                                          command, scenario, name):
+    text = _scenario_with(scenario, "audit", "checks", name)
+    flows = _count_flows(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: requested checks not applicable here: {name}\n"
+    assert flows == [] and not out.exists()
+
+
+def test_cli_applicable_checks_still_run_the_flow(tmp_path, monkeypatch, capsys):
+    text = _scenario_with("torus-perturbed", "audit", "checks", "q_monotone, hk_gap")
+    flows = _count_flows(monkeypatch)
+    assert main(["flow", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "torus-perturbed_audit.json").read_text())
+    assert [c["name"] for c in payload["checks"]] == ["q_monotone", "hk_gap"]
+    assert flows == [1]
+
+
+@pytest.mark.parametrize("command, scenario, key, value, message", [
+    ("background", "slice-rigidity-hyperbolic", "genus", "1", "incompatible"),
+    ("audit", "slice-rigidity-sphere", "genus", "2", "incompatible"),
+    ("flow", "torus-perturbed", "genus", "0", "incompatible"),
+    ("background", "slice-rigidity-sphere", "resolution", "4", ">= 8"),
+    ("flow", "sphere-perturbed", "resolution", "7", ">= 8"),
+    ("audit", "slice-rigidity-hyperbolic", "resolution", "16", "only the point grid"),
+    ("chmass", "slice-rigidity-hyperbolic", "resolution", "8", "only the point grid"),
+    ("background", "slice-rigidity-sphere", "area", "5.0", "Gauss-Bonnet"),
+    ("chmass", "slice-rigidity-hyperbolic", "area", "1.0", "Gauss-Bonnet"),
+])
+def test_cli_base_rule_is_a_config_error_naming_the_key(tmp_path, capsys, command, scenario,
+                                                       key, value, message):
+    # Each was rejected only by the base constructor, as a bare "error: ..."
+    # that named neither the key nor its line.
+    text = _scenario_with(scenario, "background", key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert message in str(err.value)
+    assert main([command, "--config", _write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = _line_of(text, f"{key} = {value}")
+    assert captured.err.startswith(f"config error: line {line}: key '{key}': ")
+
+
+def test_hyperbolic_default_resolution_names_the_key():
+    text = "[background]\ncurvature_sign = -1\nmass = 1.0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == \
+        "key 'resolution': hyperbolic bases support only the point grid, not 64"
+
+
+def test_base_rules_accept_their_edges():
+    # The least grid, a torus area, and a curved area equal to Gauss-Bonnet's.
+    parse_config("[background]\ncurvature_sign = 1\nmass = 1.0\nresolution = 8\n")
+    parse_config("[background]\ncurvature_sign = 0\nmass = 0.5\narea = 5.0\n")
+    config = parse_config("[background]\ncurvature_sign = -1\ngenus = 3\nmass = 1.0\n"
+                          f"area = {8.0 * np.pi!r}\nresolution = point\n")
+    assert build_background(config).base.area == 8.0 * np.pi
+
+
+def test_cli_sphere_mode_zero_is_a_slice(tmp_path, capsys):
+    # cos(0) = 1: `amplitude` shifts the radius, so the key takes effect.
+    text = _scenario_with("sphere-perturbed", "surface", "mode", "0")
+    assert main(["audit", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "sphere-perturbed_audit.json").read_text())
+    assert "q_slice_value" in [c["name"] for c in payload["checks"]]
 
 
 @pytest.mark.parametrize("radii", ["4.5, 10, 20", "10, 20, 4.5"])
