@@ -50,6 +50,18 @@ class AxisymmetricSphereGrid:
         inner = self.theta[1:-1]
         return np.cos(inner) / np.sin(inner)
 
+    @cached_property
+    def cot_full(self):
+        """interior_cot padded with 0 at the two poles."""
+        return np.concatenate(([0.0], self.interior_cot, [0.0]))
+
+    @cached_property
+    def ext_index(self):
+        """Gather index of the reflective (even) extension across both poles:
+        r[ext_index] is r with r[1] before it and r[-2] after it."""
+        n = self.n_points
+        return np.concatenate(([1], np.arange(n), [n - 2]))
+
 
 @dataclass(frozen=True)
 class FlatTorusGrid:

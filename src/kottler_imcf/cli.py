@@ -133,7 +133,8 @@ class ScenarioConfig:
     genus: int = _key("background", _genus)  # default set by the curvature sign
     mass: float | None = _key("background", _finite)
     horizon_radius: float | None = _key("background", _positive)
-    resolution: object = _key("background", _resolution, 64)  # int or "point"
+    # int or "point"; default set by the curvature sign: "point" for -1, else 64
+    resolution: object = _key("background", _resolution)
     base_area: float | None = _key("background", _positive, key="area")
     radius: float | None = _key("surface", _positive)
     amplitude: float = _key("surface", _nonnegative, 0.0)
@@ -187,6 +188,7 @@ def parse_config(text):
     if "curvature_sign" not in values:
         raise ConfigError("missing required key 'curvature_sign' in [background]")
     values.setdefault("genus", {1: 0, 0: 1, -1: 2}[values["curvature_sign"]])
+    values.setdefault("resolution", "point" if values["curvature_sign"] == -1 else 64)
     if ("mass" in values) == ("horizon_radius" in values):
         raise ConfigError(
             "give exactly one of 'mass', 'horizon_radius' in [background]",
@@ -250,6 +252,16 @@ def build_background(config):
     )
 
 
+def _torus_mode_field(grid, mode1=1, mode2=0):
+    # On node (j, k) the field is sin(2 pi (mode1 j + mode2 k) / n): 0 on
+    # every node iff n divides both 2*mode1 and 2*mode2.  In floating point
+    # the Nyquist case sin(pi j) leaves round-off, so the rule is decided on
+    # the integers, and such a field is None.
+    if (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0:
+        return None
+    return np.sin(2.0 * np.pi * (mode1 * grid.theta1 + mode2 * grid.theta2) / grid.side)
+
+
 # Per grid kind: the [surface] keys besides `radius` that it reads, and
 # the unit mode field those keys define (mode keys default as in the
 # signatures).  The point grid carries constant graphs only.
@@ -259,12 +271,7 @@ _MODE_FIELDS = {
         ("amplitude", "mode"),
         lambda grid, mode=1: np.cos(mode * grid.theta),
     ),
-    FlatTorusGrid: (
-        ("amplitude", "mode1", "mode2"),
-        lambda grid, mode1=1, mode2=0: np.sin(
-            2.0 * np.pi * (mode1 * grid.theta1 + mode2 * grid.theta2) / grid.side
-        ),
-    ),
+    FlatTorusGrid: (("amplitude", "mode1", "mode2"), _torus_mode_field),
 }
 
 
@@ -280,9 +287,10 @@ def build_initial_surface(config, background):
     else:
         ignored = sorted({"amplitude", *modes}.difference(keys))
         where = f"on a {type(grid).__name__} background"
-        # Only a torus field can vanish everywhere: sin(0) when mode1 = mode2 = 0.
-        if not ignored and not np.any(unit := mode_field(grid, **modes)):
-            ignored, where = ["amplitude", *sorted(modes)], "when mode1 and mode2 are 0"
+        # Only a torus field can vanish on every node.
+        if not ignored and (unit := mode_field(grid, **modes)) is None:
+            ignored = ["amplitude", *sorted(modes)]
+            where = f"when resolution {grid.n} divides both 2*mode1 and 2*mode2"
     if ignored:
         raise ConfigError(f"[surface] key(s) {', '.join(ignored)} have no effect {where}")
     if config.amplitude == 0.0:

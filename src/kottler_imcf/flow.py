@@ -125,7 +125,7 @@ def cfl_limit(surface, cfl=FlowControls.cfl):
     g = surface.geometry
     spacing = surface.background.base.grid.spacing
     local = (spacing * surface.radius_field) ** 2 * g.mean_curvature**2 / g.graph_factor**2
-    return cfl * float(np.min(local))
+    return cfl * float(local.min())
 
 
 def step_slice_ode(state, dt):
@@ -140,7 +140,7 @@ def step_slice_ode(state, dt):
 
 
 def _check_mean_convex(surface, h_floor):
-    min_h = np.min(surface.geometry.mean_curvature)
+    min_h = surface.geometry.mean_curvature.min()
     if min_h <= h_floor:
         raise FlowSingularError(f"min H = {min_h:.3e} at or below floor {h_floor}")
 

@@ -10,6 +10,7 @@ reproduce the closed forms with no discretization error.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -77,22 +78,23 @@ class SurfaceGeometry:
         return self._shape_fields[1]
 
 
-def _sphere_derivatives(r, spacing):
-    # Reflective (even) extension across both poles: Neumann r'(0)=r'(pi)=0.
-    ext = np.concatenate(([r[1]], r, [r[-2]]))
-    d1 = (ext[2:] - ext[:-2]) / (2.0 * spacing)
-    d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / spacing**2
-    d1[0] = 0.0
-    d1[-1] = 0.0
-    return d1, d2
-
-
 def _sphere_geometry(background, grid, r):
+    # At 128 nodes this kernel is bound by per-call cost, not arithmetic, so
+    # it makes as few numpy calls as it can.  Each expression keeps its
+    # operand order, since goldens and tests pin these bits exactly
+    # (c - a*b is -a*b + c, signed zeros included).
+    h = grid.spacing
     f = background.v_squared(r)
     r_sq = r**2
-    f1 = 2.0 * r + 2.0 * background.mass / r_sq
+    two_r = 2.0 * r
+    f1 = two_r + 2.0 * background.mass / r_sq
 
-    r_t, r_tt = _sphere_derivatives(r, grid.spacing)
+    # Reflective (even) extension across both poles in one gather, so that
+    # the Neumann condition r'(0) = r'(pi) = 0 holds: r_t at a pole is
+    # r[1] - r[1] (or r[-2] - r[-2]), exactly 0 for a finite field.
+    ext = r[grid.ext_index]
+    r_t = (ext[2:] - ext[:-2]) / (2.0 * h)
+    r_tt = (ext[2:] - two_r + ext[:-2]) / h**2
     grad_sq = r_t**2
     n_f = np.sqrt(f + grad_sq / r_sq)
 
@@ -101,17 +103,14 @@ def _sphere_geometry(background, grid, r):
     h_tt = (-r_tt + f_r + 2.0 * grad_sq / r + grad_sq * 0.5 * f1 / f) / n_f
     k1 = h_tt / gamma_tt
 
-    # Azimuthal principal curvature; the cot(theta) term is regularized at
-    # the poles by its L'Hopital limit cot(theta) r_t -> r_tt.  At the poles
-    # r[pole] ** 2 stays a scalar power: numpy's scalar square can differ
-    # from the array square in the last bit, and the goldens pin these bits.
-    k2 = np.empty_like(r)
-    interior = slice(1, -1)
-    k2[interior] = (-grid.interior_cot * r_t[interior] + f_r[interior]) / (
-        n_f[interior] * r_sq[interior]
-    )
+    # Azimuthal principal curvature on every node, then at the poles with the
+    # cot(theta) term replaced by its L'Hopital limit cot(theta) r_t -> r_tt.
+    # There r[pole] ** 2 stays a scalar power: numpy's scalar square can
+    # differ from the array square in the last bit, and the goldens pin these
+    # bits.
+    k2 = (f_r - grid.cot_full * r_t) / (n_f * r_sq)
     for pole in (0, -1):
-        k2[pole] = (-r_tt[pole] + f_r[pole]) / (n_f[pole] * r[pole] ** 2)
+        k2[pole] = (f_r[pole] - r_tt[pole]) / (n_f[pole] * r[pole] ** 2)
         k1[pole] = k2[pole]
 
     def measure():
@@ -253,7 +252,7 @@ class GraphSurface:
         # min and max give every check: both propagate NaN, and an infinite
         # node is the min or the max.
         lo, hi = r.min(), r.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FlowSingularError("non-finite radius field")
         # r == horizon_rho is allowed: the horizon slice is valid initial
         # data for the exact slice flow (where V = 0 but the radial speed
@@ -285,7 +284,7 @@ def compute_geometry(surface):
         geom = _torus_geometry(surface.background, grid, r)
     else:
         raise TypeError(f"unsupported grid kind {type(grid).__name__}")
-    if not np.all(np.isfinite(geom.mean_curvature)):
+    if not np.isfinite(geom.mean_curvature).all():
         raise FlowSingularError("non-finite mean curvature")
     surface._geometry = geom
     return surface

@@ -110,6 +110,7 @@ def test_criterion_2_q_monotone(capsys, torus_flow):
              f"max rise = {rises:.2e}, Q {q[0]:.4f} -> {q[-1]:.4f}, {wall:.1f} s")
 
 
+@pytest.mark.byte_pin
 def test_torus_flow_trace_digest(torus_flow):
     # SHA-256 of the acceptance torus trace at 17 significant digits, one row
     # a line: any change to a bit of the torus kernel's output shows here.
@@ -230,6 +231,7 @@ def test_criterion_9_static_residual(capsys):
              f"worst = {worst:.2e}, detector = {detector:.2e}")
 
 
+@pytest.mark.byte_pin
 def test_criterion_10_determinism(capsys, tmp_path):
     from kottler_imcf.cli import emit_audit_json, emit_trace_csv
 

@@ -121,6 +121,7 @@ def test_torus_quadrature_spectral_for_smooth_fields():
     assert abs(integrate(base, f) - exact) < 1e-12
 
 
+@pytest.mark.byte_pin
 def test_sphere_weights_match_scipy_simpson():
     # scipy's composite Simpson rule (>= 1.11) on the nodal basis is the
     # oracle; the library reproduces it bit for bit without importing scipy.

@@ -160,6 +160,7 @@ def test_audit_json_failing_check(tmp_path):
     assert payload["checks"][0]["name"] == "c"
 
 
+@pytest.mark.byte_pin
 def test_run_scenario_deterministic():
     c = parse_config(MINIMAL + "\n[flow]\nt_end = 1.0\n[background]\nresolution = 16\n")
     # note: section keys may be split across repeated headers
@@ -192,6 +193,7 @@ def _golden(name):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.byte_pin
 def test_cli_background_and_chmass_goldens(tmp_path, capsys, scenario):
     # The stdout of `background` and `chmass` and the audit JSON of
     # `chmass --out`, byte for byte.
@@ -575,6 +577,7 @@ def test_cli_background_rejects_flags_it_never_reads(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("command", ["background", "flow", "audit", "chmass"])
+@pytest.mark.byte_pin
 def test_cli_quiet_on_every_subcommand(capsys, command):
     # Every subcommand takes --quiet; `background` and `chmass` print their
     # tables as without it, and a passing audit prints nothing.
@@ -694,12 +697,47 @@ def test_cli_base_rule_is_a_config_error_naming_the_key(tmp_path, capsys, comman
     assert captured.err.startswith(f"config error: line {line}: key '{key}': ")
 
 
-def test_hyperbolic_default_resolution_names_the_key():
+def test_hyperbolic_default_resolution_is_point(tmp_path):
+    # `resolution` defaults by the curvature sign, as `genus` does: a
+    # hyperbolic base takes only the point grid, so the key can be omitted.
     text = "[background]\ncurvature_sign = -1\nmass = 1.0\n"
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert str(err.value) == \
-        "key 'resolution': hyperbolic bases support only the point grid, not 64"
+    assert parse_config(text).resolution == "point"
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 0
+    for sign, mass in ((1, 1.0), (0, 0.5)):
+        text = f"[background]\ncurvature_sign = {sign}\nmass = {mass}\n"
+        assert parse_config(text).resolution == 64
+    with pytest.raises(ConfigError, match="only the point grid, not 64"):
+        parse_config("[background]\ncurvature_sign = -1\nmass = 1.0\nresolution = 64\n")
+
+
+def _torus_with_modes(mode1, mode2):
+    text = _scenario_with("torus-perturbed", "surface", "mode1", str(mode1))
+    return text.replace("mode2 = 0", f"mode2 = {mode2}")
+
+
+@pytest.mark.parametrize("mode1, mode2", [(16, 0), (32, 0), (0, 16), (16, 16)])
+def test_cli_torus_modes_that_vanish_on_the_grid_exit_two(tmp_path, capsys, mode1, mode2):
+    # At resolution 32, sin(2 pi (mode1 j + mode2 k) / 32) is 0 on every node
+    # when 32 divides 2*mode1 and 2*mode2; at mode 16 floating point leaves a
+    # field of about 1e-15, which must not be audited as a non-slice.
+    text = _torus_with_modes(mode1, mode2)
+    assert main(["audit", "--config", _write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: [surface] key(s) amplitude, mode1, mode2 have no effect "
+        "when resolution 32 divides both 2*mode1 and 2*mode2")
+
+
+@pytest.mark.parametrize("mode1, mode2, code", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (15, 0, 3)])
+def test_cli_torus_modes_that_vary_on_the_grid_still_run(tmp_path, mode1, mode2, code):
+    # Mode 15 at resolution 32 varies on the grid, so it is no config error;
+    # its surface is not mean-convex, so the audit aborts (exit 3).
+    text = _torus_with_modes(mode1, mode2)
+    config = parse_config(text)
+    surface = build_initial_surface(config, build_background(config))
+    assert np.ptp(surface.radius_field) > config.amplitude
+    assert main(["audit", "--config", _write(tmp_path, text)]) == code
 
 
 def test_base_rules_accept_their_edges():

@@ -86,6 +86,27 @@ def test_cfl_violation_rejected():
         step_graph_pde(state, 10.0 * limit)
 
 
+def _edge_surface(kind):
+    if kind == "torus-16":
+        b = make_background(0, 1, 16, mass=0.5)
+        g = b.base.grid
+        return GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side))
+    b = make_background(1, 0, 33, mass=1.0)
+    return GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
+
+
+@pytest.mark.parametrize("kind", ["torus-16", "sphere-33"])
+def test_cfl_guard_at_its_edge(kind):
+    # The guard admits the stability limit itself and nothing a relative
+    # 1e-9 above it, so a guard that admitted a multiple of the limit fails.
+    s = _edge_surface(kind)
+    limit = cfl_limit(s)
+    state = FlowState(0.0, s, 0)
+    assert step_graph_pde(state, limit).time == limit
+    with pytest.raises(CFLError):
+        step_graph_pde(state, limit * (1.0 + 1e-9))
+
+
 def test_h_floor_abort():
     b = make_background(1, 0, 33, mass=1.0)
     state = FlowState(0.0, GraphSurface(b, 2.0), 0)
@@ -123,6 +144,7 @@ def test_run_flow_argument_validation():
         run_flow(s, 1.0, 0.0)
 
 
+@pytest.mark.byte_pin
 def test_run_flow_deterministic():
     def one():
         b = make_background(0, 1, 16, mass=0.5)

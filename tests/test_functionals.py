@@ -7,7 +7,9 @@ from scipy.integrate import quad
 import kottler_imcf.functionals
 import kottler_imcf.surfaces
 from kottler_imcf import (
+    FlowState,
     GraphSurface,
+    TRACE_COLUMNS,
     areal_minkowski_deficit,
     asymptotic_limit_targets,
     bulk_integral,
@@ -24,6 +26,7 @@ from kottler_imcf import (
     surface_gravity_bound_deficit,
     total_mean_curvature,
 )
+from kottler_imcf.flow import _sample_row
 
 BACKGROUNDS = [
     (1, 0, 1.0),
@@ -55,6 +58,50 @@ def test_slice_identity_suite(k, genus, mass, factor):
 def test_hawking_mass_on_slices(factor):
     s = _slice(1, 0, 1.0, factor)
     assert abs(hawking_mass(s) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("k,genus,mass,area,resolution", [
+    (1, 0, 1.0, None, "point"),
+    (1, 0, 0.3, None, 33),
+    (0, 1, 0.5, None, "point"),
+    (0, 1, 0.5, None, 16),
+    (0, 1, 2.0, 2.5, "point"),
+    (0, 1, 0.5, 2.5, 16),
+    (-1, 2, 1.0, None, "point"),
+    (-1, 2, -0.1, None, "point"),
+    (-1, 3, 2.0, None, "point"),
+    (-1, 3, -0.1, None, "point"),
+])
+@pytest.mark.parametrize("factor", [1.2, 2.0, 3.0])
+def test_hawking_mass_on_every_kottler_slice(k, genus, mass, area, resolution, factor):
+    # m_H = (w2/4pi)^(3/2) m on every slice, whatever k, genus and w2; the
+    # genus enters through 1 - genus, which only a non-sphere slice tests.
+    # The tolerance is relative to the value, which (w2/4pi)^(3/2) scales.
+    b = make_background(k, genus, resolution, mass=mass, area=area)
+    s = GraphSurface(b, factor * b.horizon_rho)
+    expected = (b.base.area / (4.0 * np.pi)) ** 1.5 * mass
+    assert abs(hawking_mass(s) - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus"])
+def test_sample_row_extremes_are_node_wise(kind):
+    # min_H, max_H and min_align are the node-wise extremes of the sampled
+    # geometry (not, say, a mean), and the alignment V/n_f never exceeds 1.
+    if kind == "sphere":
+        b = make_background(1, 0, 65, mass=1.0)
+        th = b.base.grid.theta
+        s = GraphSurface(b, 2.0 + 0.2 * np.cos(th) + 0.1 * np.cos(2.0 * th))
+    else:
+        b = make_background(0, 1, 32, mass=0.5)
+        g = b.base.grid
+        s = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * (g.theta1 + g.theta2) / g.side))
+    row = dict(zip(TRACE_COLUMNS, _sample_row(FlowState(0.0, s, 0))))
+    g = s.geometry
+    assert row["min_H"] == g.mean_curvature.min()
+    assert row["max_H"] == g.mean_curvature.max()
+    assert row["min_align"] == g.alignment.min()
+    assert np.all(g.alignment <= 1.0)
+    assert row["min_align"] < np.mean(g.alignment)
 
 
 def test_hawking_mass_round_unit_sphere():
