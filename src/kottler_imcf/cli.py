@@ -34,7 +34,7 @@ from .errors import (
     InvalidBaseError,
     KottlerError,
 )
-from .flow import TRACE_COLUMNS, FlowControls, FlowTrace, run_flow
+from .flow import TRACE_COLUMNS, FlowTrace, run_flow
 from .functionals import (
     asymptotic_limit_targets,
     evaluate_report,
@@ -99,19 +99,6 @@ def _distinct(parse, what):
 
 
 _radii = _distinct(_list(_within(_positive, 1e-50, 1e50)), "radii")
-_checks = _require(_distinct(_list(str), "check names"),
-                   lambda names: "all" not in names or len(names) == 1,
-                   "'all' cannot be combined with other names")
-
-
-def _check_names(text):
-    """`[audit] checks`: each name is `all` or a row of the check table."""
-    names = _checks(text)
-    known = {"all", *(spec.name for spec in _CHECKS)}
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ValueError(f"unknown check name(s) {', '.join(unknown)}")
-    return names
 
 
 def _key(section, parse, default=None, key=None):
@@ -143,10 +130,6 @@ class ScenarioConfig:
     mode2: int | None = _key("surface", _mode)
     t_end: float | None = _key("flow", _positive)
     sample_interval: float = _key("flow", _positive, 0.25)
-    cfl: float = _key("flow", _positive, FlowControls.cfl)
-    h_floor: float = _key("flow", _finite, FlowControls.h_floor)
-    star_floor: float = _key("flow", _finite, FlowControls.star_floor)
-    checks: tuple = _key("audit", _check_names, ("all",))
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
 
 
@@ -199,6 +182,11 @@ def parse_config(text):
     return config
 
 
+# Far above any shipped flow (at most 48 rows), and low enough that a flow
+# always ends: 10,000 rows of a slice flow take about 1.7 s on a 2-core VM.
+_MAX_SAMPLE_ROWS = 100_000
+
+
 def _validate(config, lines):
     """The rules that involve more than one key."""
     def fail(message, key):
@@ -221,12 +209,15 @@ def _validate(config, lines):
             fail(f"[{section}] key(s) {', '.join(given)} need a radius", given[0])
     if config.t_end is None and flow:
         fail(f"[flow] key(s) {', '.join(flow)} have no effect without t_end", flow[0])
+    rows = 0.0 if config.t_end is None else config.t_end / config.sample_interval
+    if rows > _MAX_SAMPLE_ROWS:
+        at = "sample_interval" if "sample_interval" in lines else "t_end"
+        fail(f"key 'sample_interval': t_end / sample_interval = {rows:.3g} sample rows, "
+             f"above {_MAX_SAMPLE_ROWS}", at)
     try:
-        if config.horizon_radius is None:
-            rho_m = bg.horizon_radius(config.curvature_sign, config.mass)
-        else:
-            rho_m = config.horizon_radius
-            bg.mass_from_radius(config.curvature_sign, rho_m)
+        rho_m = bg.make_background(config.curvature_sign, config.genus, "point", mass=config.mass,
+                                   horizon_rho=config.horizon_radius,
+                                   area=config.base_area).horizon_rho
     except HorizonError as err:
         key = "mass" if config.mass is not None else "horizon_radius"
         fail(f"key {key!r}: {err}", key)
@@ -468,25 +459,14 @@ def _evaluate(run):
 
 
 def run_scenario(config, with_flow=True, tolerance_scale=1.0):
-    """Build the scenario, optionally run its flow, and evaluate checks.
-
-    A requested check that does not apply here is a config error before any flow.
-    """
+    """Build the scenario, optionally run its flow, and evaluate every check that applies."""
     background = build_background(config)
     surface = None if config.radius is None else build_initial_surface(config, background)
     run = _Run(background, tolerance_scale, surface,
                flow=surface is not None and with_flow and config.t_end is not None)
-    applicable = [spec.name for spec in _CHECKS if spec.when(run)]
-    wanted = applicable if "all" in config.checks else config.checks
-    missing = [name for name in wanted if name not in applicable]
-    if missing:
-        raise ConfigError(f"requested checks not applicable here: {', '.join(missing)}")
     if run.flow:
-        controls = FlowControls(cfl=config.cfl, h_floor=config.h_floor,
-                                star_floor=config.star_floor)
-        run.trace = run_flow(surface, config.t_end, config.sample_interval, controls)
-    by_name = {check.name: check for check in _evaluate(run)}
-    return run.trace, AuditResult(config.scenario_id, [by_name[name] for name in wanted])
+        run.trace = run_flow(surface, config.t_end, config.sample_interval)
+    return run.trace, AuditResult(config.scenario_id, _evaluate(run))
 
 
 # -- serialization ----------------------------------------------------------

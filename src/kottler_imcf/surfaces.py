@@ -225,7 +225,8 @@ def _torus_geometry(background, grid, r):
 
 
 def _slice_geometry(background, r):
-    v = np.sqrt(background.v_squared(r))
+    # On the horizon slice V^2 can round below 0; its potential is 0.
+    v = np.sqrt(np.maximum(background.v_squared(r), 0.0))
     return SurfaceGeometry(
         mean_curvature=2.0 * v / r,
         graph_factor=v,

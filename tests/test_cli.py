@@ -49,9 +49,7 @@ def test_parse_defaults():
     assert c.scenario_id == "t"
     assert c.genus == 1
     assert c.resolution == 64
-    assert c.cfl == 0.2
     assert c.sample_interval == 0.25
-    assert c.checks == ("all",)
     assert c.rho_eval == (10.0, 20.0, 40.0, 80.0)
 
 
@@ -87,6 +85,20 @@ def test_both_mass_and_radius_rejected():
 def test_neither_mass_nor_radius_rejected():
     with pytest.raises(ConfigError):
         parse_config("[background]\ncurvature_sign = 0\n")
+
+
+@pytest.mark.parametrize("background", [
+    "curvature_sign = 1\nmass = 1.0", "curvature_sign = 0\nhorizon_radius = 1.7",
+    "curvature_sign = -1\nmass = -0.1",
+])
+def test_radius_rule_uses_the_background_horizon(background):
+    # The config rule and the built background share one horizon radius, to
+    # the bit: the next float above it is a valid radius, the radius itself is not.
+    head = f"[background]\n{background}\nresolution = point\n[surface]\n"
+    rho = build_background(parse_config(head)).horizon_rho
+    assert parse_config(head + f"radius = {float(np.nextafter(rho, np.inf))!r}\n").radius > rho
+    with pytest.raises(ConfigError, match="must exceed horizon radius"):
+        parse_config(head + f"radius = {rho!r}\n")
 
 
 def test_amplitude_exterior_guarantee():
@@ -273,7 +285,7 @@ def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, s
     ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1"),
     ("curvature_sign = 1\nmass = 1.0\nresolution = point", "[flow]\nt_end = 1.0"),
     ("curvature_sign = 1\nmass = 1.0\nresolution = point", "amplitude = 0.0\n[flow]\nt_end = 1.0"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "[flow]\ncfl = 0.1\nstar_floor = 0.2"),
+    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "[flow]\nsample_interval = 0.5"),
 ], ids=["sphere-amplitude-mode", "sphere-mode", "torus-amplitude", "torus-zero-amplitude-mode2",
         "flow-t_end", "flow-zero-amplitude-t_end", "flow-controls"])
 def test_cli_surface_keys_without_radius_exit_two(tmp_path, capsys, background, surface):
@@ -443,10 +455,13 @@ def test_cli_chmass_tiny_tolerance_scale_fails(tmp_path, capsys, scenario):
 
 
 def _scenario_with(scenario, section, key, value):
-    # A shipped scenario with one key set (replaced if present).
+    # A shipped scenario with one key set (replaced if present), its
+    # section added at the end if the file lacks it.
     with open(os.path.join(ROOT, "scenarios", scenario + ".cfg"), encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines()
                  if line.partition("=")[0].strip() != key]
+    if f"[{section}]" not in lines:
+        lines += ["", f"[{section}]"]
     at = lines.index(f"[{section}]") + 1
     return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
 
@@ -460,12 +475,13 @@ def _sphere_perturbed_with(section, key, value):
     ("max_dt", "0"), ("max_dt", "-1"), ("max_dt", "nan"),
     ("t_end", "inf"), ("t_end", "nan"), ("t_end", "-1"), ("sample_interval", "0"),
     ("sample_interval", "nan"), ("sample_interval", "inf"),
-    ("h_floor", "nan"), ("star_floor", "nan"),
+    ("h_floor", "nan"), ("star_floor", "nan"), ("sample_interval", "1e-300"),
 ])
 def test_cli_flow_value_that_never_finishes_exit_two(tmp_path, key, value):
-    # Each is a config error.  Unchecked, some of these loop forever, some
-    # abort with exit 3 and some pass with exit 0; the timeout turns a hang
-    # into a failure.
+    # Each is a config error: `max_dt`, `cfl`, `h_floor` and `star_floor`
+    # are unknown keys, and 1e-300 asks for 2e300 sample rows.  Unchecked,
+    # some of these loop forever, some abort with exit 3 and some pass with
+    # exit 0; the timeout turns a hang into a failure.
     cfg = _write(tmp_path, _sphere_perturbed_with("flow", key, value))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
@@ -476,6 +492,17 @@ def test_cli_flow_value_that_never_finishes_exit_two(tmp_path, key, value):
     )
     assert out.returncode == 2, out.stderr
     assert key in out.stderr
+
+
+def test_sample_rows_bound_names_sample_interval():
+    # At most 100,000 sample rows; the error is at the line of
+    # `sample_interval`, or of `t_end` when the interval is the default 0.25.
+    head = "[background]\ncurvature_sign = 1\nmass = 1.0\n[surface]\nradius = 2.0\n[flow]\n"
+    assert parse_config(head + "t_end = 1.0\nsample_interval = 1e-5\n").sample_interval == 1e-5
+    for flow, line in (("t_end = 1.0\nsample_interval = 9.99e-6", 8), ("t_end = 1e5", 7)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(head + flow + "\n")
+        assert str(err.value).startswith(f"line {line}: key 'sample_interval': ")
 
 
 @pytest.mark.parametrize("key", ["mass", "horizon_radius"])
@@ -537,8 +564,7 @@ def test_cli_out_of_range_value_exit_two(tmp_path, capsys, command, scenario, se
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flow", ["cfl = 0.1", "sample_interval = 0.5\nh_floor = 1e-3"],
-                         ids=["cfl", "sampling"])
+@pytest.mark.parametrize("flow", ["sample_interval = 0.5"], ids=["sampling"])
 def test_cli_flow_key_without_t_end_exit_two(tmp_path, capsys, flow):
     text = "[background]\ncurvature_sign = 1\nmass = 1.0\nresolution = point\n" \
         f"[surface]\nradius = 2.0\n[flow]\n{flow}\n"
@@ -549,10 +575,14 @@ def test_cli_flow_key_without_t_end_exit_two(tmp_path, capsys, flow):
     assert main(["flow", "--config", _write(tmp_path, text)]) == 2
 
 
-@pytest.mark.parametrize("section, key, value", [("flow", "max_dt", "0.01"), ("audit", "seed", "0")])
+@pytest.mark.parametrize("section, key, value", [
+    ("flow", "max_dt", "0.01"), ("audit", "seed", "0"), ("flow", "cfl", "0.1"),
+    ("flow", "h_floor", "1e-3"), ("flow", "star_floor", "0.2"), ("audit", "checks", "all"),
+])
 def test_removed_key_is_unknown_exit_two(tmp_path, capsys, section, key, value):
-    # `cfl` alone bounds dt, and the static residual radii are fixed: a valid
-    # value is rejected too, because no value of these keys takes effect.
+    # The flow runs with the library's flow controls and every check that
+    # applies: a valid value is rejected too, because no value of these
+    # keys takes effect.
     text = _sphere_perturbed_with(section, key, value)
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -588,32 +618,6 @@ def test_cli_quiet_on_every_subcommand(capsys, command):
     assert capsys.readouterr().out.encode() == expected
 
 
-@pytest.mark.parametrize("value, rule", [
-    ("hk_gap, hk_gap", "distinct"),
-    ("all, all", "distinct"),
-    ("all, hk_gapp", "'all'"),
-    ("hk_gap, all", "'all'"),
-])
-def test_cli_checks_repeated_or_mixed_with_all_exit_two(tmp_path, capsys, value, rule):
-    # Unchecked, a repeated name writes its check twice and `all` hides a typo.
-    text = _scenario_with("torus-uniqueness", "audit", "checks", value)
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert "'checks'" in str(err.value) and rule in str(err.value)
-    out = tmp_path / "out"
-    assert main(["audit", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "'checks'" in captured.err
-    assert not out.exists()
-
-
-def test_cli_checks_listed_once_each_keep_their_order(tmp_path, capsys):
-    text = _scenario_with("torus-uniqueness", "audit", "checks", "hk_gap, minkowski_deficit")
-    assert main(["audit", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "torus-uniqueness_audit.json").read_text())
-    assert [c["name"] for c in payload["checks"]] == ["hk_gap", "minkowski_deficit"]
-
-
 def _line_of(text, line):
     return text.splitlines().index(line) + 1
 
@@ -630,12 +634,13 @@ def _count_flows(monkeypatch):
 
 
 def test_cli_unknown_check_name_exit_two_before_any_flow(tmp_path, monkeypatch, capsys):
-    # A name that no check has is a config error at its line, before the flow.
+    # Every check that applies runs, so a config that names checks is a
+    # config error at its line, before the flow.
     text = _scenario_with("torus-perturbed", "audit", "checks", "q_monotone, hk_gapp")
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     line = _line_of(text, "checks = q_monotone, hk_gapp")
-    assert str(err.value) == f"line {line}: key 'checks': unknown check name(s) hk_gapp"
+    assert str(err.value) == f"line {line}: unknown key 'checks' in section [audit]"
     flows = _count_flows(monkeypatch)
     out = tmp_path / "out"
     assert main(["flow", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
@@ -643,32 +648,6 @@ def test_cli_unknown_check_name_exit_two_before_any_flow(tmp_path, monkeypatch, 
     assert captured.out == ""
     assert captured.err == f"config error: {err.value}\n"
     assert flows == [] and not out.exists()
-
-
-@pytest.mark.parametrize("command, scenario, name", [
-    ("audit", "torus-perturbed", "q_monotone"),  # no flow under `audit`
-    ("flow", "slice-rigidity-sphere", "q_monotone"),  # a slice flow has q_constant instead
-    ("flow", "torus-perturbed", "chmass_extrapolated"),  # only `chmass` has this one
-])
-def test_cli_inapplicable_check_exit_two_before_any_flow(tmp_path, monkeypatch, capsys,
-                                                          command, scenario, name):
-    text = _scenario_with(scenario, "audit", "checks", name)
-    flows = _count_flows(monkeypatch)
-    out = tmp_path / "out"
-    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: requested checks not applicable here: {name}\n"
-    assert flows == [] and not out.exists()
-
-
-def test_cli_applicable_checks_still_run_the_flow(tmp_path, monkeypatch, capsys):
-    text = _scenario_with("torus-perturbed", "audit", "checks", "q_monotone, hk_gap")
-    flows = _count_flows(monkeypatch)
-    assert main(["flow", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "torus-perturbed_audit.json").read_text())
-    assert [c["name"] for c in payload["checks"]] == ["q_monotone", "hk_gap"]
-    assert flows == [1]
 
 
 @pytest.mark.parametrize("command, scenario, key, value, message", [

@@ -8,7 +8,7 @@ from kottler_imcf.cli import _CHECKS, ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Keys that no longer exist; the parser rejects them as unknown.
-REMOVED_KEYS = {"max_dt", "seed"}
+REMOVED_KEYS = {"max_dt", "seed", "cfl", "h_floor", "star_floor", "checks"}
 
 
 def _readme_section(title):

@@ -127,6 +127,20 @@ def test_run_flow_slice_trace():
     assert np.max(np.abs(q - q[0])) < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, genus", [(1, 0), (0, 1), (-1, 2)])
+def test_horizon_slice_has_geometry_and_flows_for_every_mass(k, genus):
+    # V^2 at the horizon radius rounds to a few ulp either side of 0; a
+    # negative value must not become a NaN potential.  The masses reach
+    # below 0 where the curvature sign allows it.
+    for mass in np.linspace(-0.19 if k == -1 else 0.01, 5.0, 500):
+        b = make_background(k, genus, "point", mass=mass)
+        s = GraphSurface(b, b.horizon_rho)
+        assert np.all(s.geometry.mean_curvature >= 0.0)
+        trace = run_flow(s, 1.0, 0.5)
+        assert trace.complete and trace.n_samples == 3, (k, mass, trace.abort_reason)
+
+
 def test_run_flow_star_floor_rejection():
     b = make_background(1, 0, 129, mass=1.0)
     th = b.base.grid.theta

@@ -85,8 +85,11 @@ def test_hawking_mass_on_every_kottler_slice(k, genus, mass, area, resolution, f
 
 @pytest.mark.parametrize("kind", ["sphere", "torus"])
 def test_sample_row_extremes_are_node_wise(kind):
-    # min_H, max_H and min_align are the node-wise extremes of the sampled
-    # geometry (not, say, a mean), and the alignment V/n_f never exceeds 1.
+    # Each trace column equals its definition on the sampled surface, bit
+    # for bit: min_H, max_H and min_align are the node-wise extremes of the
+    # geometry (not, say, a mean), the alignment V/n_f never exceeds 1, and
+    # the other columns are the state time, the integrals and the report's
+    # functionals.  The columns all differ, so a swapped pair fails too.
     if kind == "sphere":
         b = make_background(1, 0, 65, mass=1.0)
         th = b.base.grid.theta
@@ -95,8 +98,19 @@ def test_sample_row_extremes_are_node_wise(kind):
         b = make_background(0, 1, 32, mass=0.5)
         g = b.base.grid
         s = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * (g.theta1 + g.theta2) / g.side))
-    row = dict(zip(TRACE_COLUMNS, _sample_row(FlowState(0.0, s, 0))))
+    values = _sample_row(FlowState(0.375, s, 0))
+    row = dict(zip(TRACE_COLUMNS, values))
+    assert len(values) == len(set(values)) == len(TRACE_COLUMNS)
     g = s.geometry
+    report = evaluate_report(s)
+    assert row["t"] == 0.375
+    assert row["area"] == integrate(b.base, g.area_density)
+    assert row["int_A0sq"] == integrate(b.base, g.traceless_sq * g.area_density)
+    assert row["int_VH"] == report.total_mean_curvature
+    assert row["int_OmegaV"] == report.bulk_integral
+    assert row["Q"] == report.q_value
+    assert row["P"] == report.p_value
+    assert row["hawking_mass"] == report.hawking_mass
     assert row["min_H"] == g.mean_curvature.min()
     assert row["max_H"] == g.mean_curvature.max()
     assert row["min_align"] == g.alignment.min()
