@@ -11,6 +11,7 @@ reproduce the closed forms with no discretization error.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -47,6 +48,16 @@ class SurfaceGeometry:
     same potential.  The shape closure is made only when the measure
     group runs, so a flow stage, which reads neither group, makes one
     closure per geometry.
+
+    On the torus the intermediates live in a workspace that the next
+    evaluation reuses: one page-aligned buffer per thread and grid size n,
+    split into 19 slots, each starting on its own 4 KiB page plus a
+    stagger of 72 doubles per slot, so that no two slots share an offset
+    within a page.  Each evaluation takes ownership with a fresh token.
+    The two groups read the slots while the token is still theirs on the
+    calling thread; after a later evaluation, or from another thread, they
+    rerun the kernel into private slots, which gives the same bits.  Every
+    field is a new array: none shares memory with the workspace.
     """
 
     mean_curvature: np.ndarray
@@ -125,43 +136,90 @@ def _sphere_geometry(background, grid, r):
     return SurfaceGeometry(mean_curvature=k1 + k2, graph_factor=n_f, measure=measure)
 
 
-def _torus_geometry(background, grid, r):
-    # At 64x64 this kernel is bound by memory, not arithmetic: each fresh
-    # 32 KiB temporary is a heap allocation, and freeing it can let the heap
-    # trim, so that a later call faults the same pages back in.  So each
-    # expression makes one fresh array and finishes in place.  Two rules keep
-    # every bit: write only into arrays this call made (never into r, f or
-    # the views of e; the closures below read their arrays' final values),
-    # and keep each expression's operand order, since goldens and tests pin
-    # these bits exactly (f_r - r11 is -r11 + f_r, signed zeros included).
+# Each slot of the torus workspace starts on a page boundary plus k times the
+# stagger (mod a page): 576 B is 9 cache lines and 9 is prime to the 64 lines
+# of a page, so up to 64 slots sit at distinct offsets within their pages.
+_PAGE = 4096
+_STAGGER = 72 * 8
+
+
+def _torus_workspace(n):
+    """The torus kernel's 19 float64 slots, split from one page-aligned buffer."""
+    shapes = [(n, n)] * 8 + [(n + 2, n)] * 3 + [(n, n)] * 8
+    sizes = [8 * math.prod(shape) for shape in shapes]
+    starts, end = [], 0  # end: the first page boundary after the last slot
+    for k, size in enumerate(sizes):
+        starts.append(end + k * _STAGGER % _PAGE)
+        end = -(-(starts[-1] + size) // _PAGE) * _PAGE
+    buffer = np.empty(end + _PAGE, dtype=np.uint8)
+    skip = -buffer.ctypes.data % _PAGE
+    return [buffer[skip + start:skip + start + size].view(np.float64).reshape(shape)
+            for start, size, shape in zip(starts, sizes, shapes)]
+
+
+class _ThreadWorkspaces(threading.local):
+    def __init__(self):
+        self.torus = {}  # n -> the torus kernel's slots on this thread
+        self.owner = {}  # n -> the token of the evaluation those slots hold
+
+
+_workspaces = _ThreadWorkspaces()
+
+
+def _torus_kernel(background, grid, r, slots):
+    # At 64x64 this kernel is bound by memory, not arithmetic: a fresh 32 KiB
+    # array is a heap allocation, and freeing it can let the heap trim, so
+    # that a later call faults the same pages back in.  So every intermediate
+    # goes into the 19 slots of a workspace (_torus_workspace: one buffer,
+    # each slot on its own 4 KiB page plus a stagger of 72 doubles per slot),
+    # and only the two returned arrays, H and the graph factor, are new; they
+    # share no memory with the slots.  The first eight slots end holding V^2,
+    # det(gamma), gamma^{-1} (i11, i22, i12) and h (h11, h12, h22), which the
+    # deferred groups read while their evaluation still owns the workspace
+    # (_torus_geometry); the rest are scratch.  Each expression keeps its
+    # operand order, since goldens and tests pin these bits exactly (f_r -
+    # r11 is -r11 + f_r, signed zeros included), and nothing is written into r.
+    (f, det, g22, g11, g12, r11, fac_r1, r22, c, right, left,
+     r_sq, two_r, f1, r1, r2, r12, fac, f_r) = slots
     h = grid.spacing
-    f = background.v_squared(r)
-    r_sq = r**2
-    two_r = 2.0 * r
-    f1 = 2.0 * background.mass / r_sq
+    # V^2 = k + r^2 - 2m/r: KottlerBackground.v_squared in its operand order
+    # (the bitwise reference tests compare the potential with it).
+    np.square(r, out=r_sq)
+    np.add(background.curvature_sign, r_sq, out=f)
+    f -= np.divide(2.0 * background.mass, r, out=f1)
+    np.multiply(2.0, r, out=two_r)
+    np.divide(2.0 * background.mass, r_sq, out=f1)
     np.add(two_r, f1, out=f1)
 
-    # Periodic extension by one node per side (e[1:-1, 1:-1] is r).
-    e = np.concatenate((r[-1:], r, r[:1]), axis=0)
-    e = np.concatenate((e[:, -1:], e, e[:, :1]), axis=1)
-    r1 = e[2:, 1:-1] - e[:-2, 1:-1]
+    # Periodic neighbours: c, right and left hold r, r[:, j+1] and r[:, j-1],
+    # each with one more row on either side (row 0 is row n, row n+1 is row
+    # 1), so that every stencil term is one contiguous block.
+    c[1:-1] = r
+    right[1:-1, :-1] = r[:, 1:]
+    right[1:-1, -1] = r[:, 0]
+    left[1:-1, 1:] = r[:, :-1]
+    left[1:-1, 0] = r[:, -1]
+    for ext in (c, right, left):
+        ext[0] = ext[-2]
+        ext[-1] = ext[1]
+    np.subtract(c[2:], c[:-2], out=r1)
     r1 /= 2.0 * h
-    r2 = e[1:-1, 2:] - e[1:-1, :-2]
+    np.subtract(right[1:-1], left[1:-1], out=r2)
     r2 /= 2.0 * h
-    r11 = e[2:, 1:-1] - two_r
-    r11 += e[:-2, 1:-1]
+    np.subtract(c[2:], two_r, out=r11)
+    r11 += c[:-2]
     r11 /= h**2
-    r22 = e[1:-1, 2:] - two_r
-    r22 += e[1:-1, :-2]
+    np.subtract(right[1:-1], two_r, out=r22)
+    r22 += left[1:-1]
     r22 /= h**2
-    r12 = e[2:, 2:] - e[2:, :-2]
-    r12 -= e[:-2, 2:]
-    r12 += e[:-2, :-2]
+    np.subtract(right[2:], left[2:], out=r12)
+    r12 -= right[:-2]
+    r12 += left[:-2]
     r12 /= 4.0 * h**2
 
     # g11 and g22 start as r1^2 and r2^2, whose sum is |grad r|^2.
-    g11 = r1 * r1
-    g22 = r2 * r2
+    np.multiply(r1, r1, out=g11)
+    np.multiply(r2, r2, out=g22)
     n_f = g11 + g22
     n_f /= r_sq
     np.add(f, n_f, out=n_f)
@@ -171,21 +229,21 @@ def _torus_geometry(background, grid, r):
     g11 += r_sq
     g22 /= f
     g22 += r_sq
-    g12 = r1 * r2
+    np.multiply(r1, r2, out=g12)
     g12 /= f
-    det = g11 * g22
-    det -= g12**2
+    np.multiply(g11, g22, out=det)
+    det -= np.square(g12, out=fac)
     i11 = np.divide(g22, det, out=g22)
     i22 = np.divide(g11, det, out=g11)
     i12 = np.negative(g12, out=g12)
     i12 /= det
 
-    fac = 2.0 / r
+    np.divide(2.0, r, out=fac)
     np.multiply(0.5, f1, out=f1)
     f1 /= f
     fac += f1
-    f_r = f * r
-    fac_r1 = fac * r1
+    np.multiply(f, r, out=f_r)
+    np.multiply(fac, r1, out=fac_r1)
     h11 = np.subtract(f_r, r11, out=r11)
     h11 += np.multiply(fac_r1, r1, out=r1)
     h11 /= n_f
@@ -204,13 +262,38 @@ def _torus_geometry(background, grid, r):
     np.multiply(2.0, i12, out=f_r)
     f_r *= h12
     mean_curv += f_r
+    return mean_curv, n_f
+
+
+def _torus_geometry(background, grid, r):
+    # Ownership: the kernel writes into this thread's workspace for n, which
+    # holds one evaluation at a time, and a fresh token marks whose.  The
+    # deferred groups read the slots while the calling thread's token for n
+    # is still theirs.  Otherwise (a later evaluation on this thread, or a
+    # read from another thread) they rerun the kernel into private slots,
+    # which gives the same bits.  Every array they return is new.
+    n = grid.n
+    slots = _workspaces.torus.get(n)
+    if slots is None:
+        slots = _workspaces.torus[n] = _torus_workspace(n)
+    token = _workspaces.owner[n] = object()
+    mean_curv, n_f = _torus_kernel(background, grid, r, slots)
+
+    def held():
+        if _workspaces.owner.get(n) is token:
+            return slots
+        private = _torus_workspace(n)
+        _torus_kernel(background, grid, r, private)
+        return private
 
     def measure():
+        f, det = held()[:2]
         v = np.sqrt(f)
 
         def shape():
             # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not
             # symmetric as a matrix, so the cross terms pair S12 with S21).
+            i11, i22, i12, h11, h12, h22 = held()[2:8]
             s11 = i11 * h11 + i12 * h12
             s12 = i11 * h12 + i12 * h22
             s21 = i12 * h11 + i22 * h12
@@ -255,11 +338,15 @@ class GraphSurface:
         lo, hi = r.min(), r.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FlowSingularError("non-finite radius field")
-        # r == horizon_rho is allowed: the horizon slice is valid initial
-        # data for the exact slice flow (where V = 0 but the radial speed
-        # rho/2 stays finite).
-        if lo < self.background.horizon_rho:
-            raise ExteriorError("surface must not dip below the horizon")
+        # r == horizon_rho is allowed for a constant field only: the horizon
+        # slice is valid initial data for the exact slice flow (where V = 0
+        # but the radial speed rho/2 stays finite), while the graph kernels
+        # divide by V^2, which at a horizon node rounds to either side of 0.
+        if lo <= self.background.horizon_rho:
+            if lo < self.background.horizon_rho:
+                raise ExteriorError("surface must not dip below the horizon")
+            if hi > lo:
+                raise ExteriorError("a non-constant surface must not touch the horizon")
         self.radius_field = r
         self.is_constant = bool(hi - lo == 0.0)
 

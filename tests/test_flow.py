@@ -246,6 +246,27 @@ def test_torus_flow_runs_deferred_geometry_once_per_sample_row(monkeypatch):
     assert (trace.n_samples, counts) == (7, {"measure": 7, "shape": 7})
 
 
+def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
+    # Every deferred read of a shipped torus scenario comes while the
+    # workspace still holds its evaluation, so the kernel runs once per
+    # geometry: no read takes the recompute path.
+    counts = {"geometries": 0, "kernels": 0}
+    geometry, kernel = kottler_imcf.surfaces._torus_geometry, kottler_imcf.surfaces._torus_kernel
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kottler_imcf.surfaces, "_torus_geometry", counted("geometries", geometry))
+    monkeypatch.setattr(kottler_imcf.surfaces, "_torus_kernel", counted("kernels", kernel))
+    with open(os.path.join(SCENARIO_DIR, "torus-perturbed.cfg"), encoding="utf-8") as fh:
+        trace, result = run_scenario(parse_config(fh.read()))
+    assert trace.complete and result.passed
+    assert counts == {"geometries": 4065, "kernels": 4065}
+
+
 def test_evaluate_report_runs_only_the_measure_group(monkeypatch):
     # The functionals read the potential and the area density, never the
     # traceless part or the alignment, so an audit skips the shape operator.
@@ -375,9 +396,11 @@ def _torus64_state():
     return FlowState(0.0, surface, 0)
 
 
-# Measured 628,296 B and 1,024,688 B with numpy 2.4; the bounds leave 5%.
-GEOMETRY_PEAK_BOUND = 660_000
-STEP_PEAK_BOUND = 1_080_000
+# Measured 72,202 B and 205,554 B with numpy 2.4; the bounds leave 5%.  That
+# is the two returned 32 KiB arrays of a geometry evaluation, and of a step
+# its two velocities and the two geometries they make, each 4 x 32 KiB.
+GEOMETRY_PEAK_BOUND = 76_000
+STEP_PEAK_BOUND = 216_000
 
 
 def _traced_peak(fn):
@@ -393,10 +416,13 @@ def test_torus64_allocation_peaks():
     # A repeatable gauge of the torus kernel's temporaries: bytes allocated at
     # the peak of one geometry evaluation and of one RK2 step (tracemalloc
     # counts numpy's buffers).  Written out of place, one fresh array per
-    # operation, they peaked at 956,616 B and 1,418,304 B.
+    # operation, they peaked at 956,616 B and 1,418,304 B; in place but with
+    # fresh intermediates, at 628,296 B and 1,024,688 B.
     state = _torus64_state()
     surface = state.surface
-    dt = cfl_limit(surface)  # the flow's own first evaluation, outside the gauge
+    # The flow's own first evaluation, which also makes this thread's
+    # workspace, stays outside the gauge.
+    dt = cfl_limit(surface)
     geometry_peak = _traced_peak(
         lambda: GraphSurface(surface.background, surface.radius_field).geometry)
     step_peak = _traced_peak(lambda: step_graph_pde(state, dt))

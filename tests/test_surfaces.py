@@ -6,11 +6,15 @@ of the warped metric, embedding derivatives, unit normal), evaluated at
 grid-representable points to 25 digits and frozen here.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kottler_imcf.surfaces
 from kottler_imcf import (
     ExteriorError,
     FlowSingularError,
@@ -608,6 +612,94 @@ def test_geometry_writes_only_into_its_own_arrays(kind):
     assert np.array_equal(read_first.radius_field, first.radius_field)
 
 
+# -- the torus kernel's per-thread workspace --------------------------------------
+
+
+def _noise_torus(n, seed):
+    b = make_background(0, 1, n, mass=0.5)
+    r = 3.0 + 1e-2 * np.random.default_rng(seed).standard_normal((n, n))
+    return GraphSurface(b, r)
+
+
+def _assert_roll_reference_bits(surface, geometry):
+    reference = _roll_torus_geometry(surface.background, surface.background.base.grid,
+                                     surface.radius_field)
+    for name in GEOMETRY_FIELDS:
+        assert np.array_equal(getattr(geometry, name), reference[name]), name
+
+
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_torus_workspace_slots_are_disjoint_and_staggered_within_a_page(n):
+    slots = kottler_imcf.surfaces._torus_workspace(n)
+    offsets = [slot.ctypes.data % 4096 for slot in slots]
+    assert offsets == [k * 72 * 8 % 4096 for k in range(len(slots))]
+    for i, a in enumerate(slots):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        for b in slots[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_torus_geometries_share_no_memory_with_each_other_or_the_workspace():
+    first, second = _noise_torus(64, 1), _noise_torus(64, 2)
+    geometries = (first.geometry, second.geometry)
+    fields = [[getattr(g, name) for name in GEOMETRY_FIELDS] for g in geometries]
+    workspace = kottler_imcf.surfaces._workspaces.torus[64]
+    for a in fields[0]:
+        for b in fields[1]:
+            assert not np.shares_memory(a, b)
+    for a in fields[0] + fields[1]:
+        for slot in workspace:
+            assert not np.shares_memory(a, slot)
+    _assert_roll_reference_bits(first, geometries[0])
+    _assert_roll_reference_bits(second, geometries[1])
+
+
+def test_deferred_groups_read_after_later_evaluations_recompute_the_same_bits(monkeypatch):
+    runs = []
+    kernel = kottler_imcf.surfaces._torus_kernel
+
+    def counted(*args):
+        runs.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(kottler_imcf.surfaces, "_torus_kernel", counted)
+    surface = _noise_torus(33, 7)
+    geometry = surface.geometry
+    for seed in (8, 9, 10):
+        _noise_torus(33, seed).geometry
+    assert len(runs) == 4
+    _assert_roll_reference_bits(surface, geometry)
+    # The reads reran the kernel on this surface's radius field.
+    assert len(runs) > 4 and all(r is surface.radius_field for r in runs[4:])
+
+
+def test_threads_evaluating_torus_fields_give_the_serial_bits():
+    # Each thread evaluates into its own workspace.  A thread reads the
+    # fields of its even-numbered geometries as it goes; the odd ones are
+    # read afterwards on the main thread, which holds no token of theirs.
+    def evaluate(first_seed):
+        pairs = []
+        for i in range(20):
+            surface = _noise_torus(33, first_seed + i)
+            geometry = surface.geometry
+            if i % 2 == 0:
+                for name in GEOMETRY_FIELDS:
+                    getattr(geometry, name)
+            pairs.append((surface, geometry))
+        return pairs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(evaluate, (100, 200), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for pairs in results:
+        for surface, geometry in pairs:
+            _assert_roll_reference_bits(surface, geometry)
+
+
 # -- one-pass validation of a radius field ---------------------------------------
 
 
@@ -630,14 +722,30 @@ def test_non_finite_check_comes_before_the_horizon_check():
         GraphSurface(b, r)
 
 
-def test_minimum_below_horizon_raises_exterior_and_equality_is_allowed():
+def test_minimum_below_or_touching_horizon_raises_exterior():
+    # Only the constant horizon slice may touch the horizon
+    # (test_horizon_slice_allowed_but_interior_rejected).
     b = make_background(0, 1, 16, mass=0.5)
     r = np.full((16, 16), 2.0 * b.horizon_rho)
-    r[5, 9] = b.horizon_rho
+    for node in (b.horizon_rho, np.nextafter(b.horizon_rho, 0.0)):
+        r[5, 9] = node
+        with pytest.raises(ExteriorError):
+            GraphSurface(b, r)
+    r[5, 9] = np.nextafter(b.horizon_rho, np.inf)
     assert not GraphSurface(b, r).is_constant
-    r[5, 9] = np.nextafter(b.horizon_rho, 0.0)
-    with pytest.raises(ExteriorError):
-        GraphSurface(b, r)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, genus, n", [(0, 1, 16), (1, 0, 33)])
+def test_non_constant_graph_touching_the_horizon_raises_exterior_for_every_mass(k, genus, n):
+    # V^2 at the horizon radius rounds to a few ulp either side of 0, so a
+    # touching graph had a geometry for some masses and a NaN for others.
+    for mass in np.linspace(0.01, 5.0, 200):
+        b = make_background(k, genus, n, mass=mass)
+        r = np.full(b.base.grid.weights.shape, 2.0 * b.horizon_rho)
+        r.flat[3] = b.horizon_rho
+        with pytest.raises(ExteriorError):
+            GraphSurface(b, r)
 
 
 def test_is_constant_one_ulp_apart():
@@ -649,13 +757,14 @@ def test_is_constant_one_ulp_apart():
     assert not GraphSurface(b, r).is_constant
 
 
-def _parent_validation(r, horizon_rho):
-    # The checks as first written, one full pass each.
+def _full_pass_validation(r, horizon_rho):
+    # The checks one full pass each.
     if not np.all(np.isfinite(r)):
         return FlowSingularError
-    if np.any(r < horizon_rho):
+    constant = bool(np.ptp(r) == 0.0)
+    if np.any(r < horizon_rho) or (not constant and np.any(r == horizon_rho)):
         return ExteriorError
-    return bool(np.ptp(r) == 0.0)
+    return constant
 
 
 _SPHERE9 = make_background(1, 0, 9, mass=1.0)
@@ -668,7 +777,7 @@ _NODE = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(hnp.arrays(np.float64, 9, elements=_NODE))
 def test_one_pass_validation_agrees_with_full_passes(r):
-    expected = _parent_validation(r, _SPHERE9.horizon_rho)
+    expected = _full_pass_validation(r, _SPHERE9.horizon_rho)
     try:
         outcome = GraphSurface(_SPHERE9, r).is_constant
     except (FlowSingularError, ExteriorError) as err:
