@@ -14,6 +14,7 @@ discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,34 +142,37 @@ class KottlerBackground:
         return (1.0 - 2.0 * self.mass / rho**3) / v - v1**2 / v
 
     # -- horizon data -------------------------------------------------------
+    # Pure functions of the frozen fields, each computed once per background.
+    # cached_property writes to the instance __dict__, which a frozen
+    # dataclass allows; equality and hashing still compare the three fields.
 
-    @property
+    @cached_property
     def surface_gravity(self):
         return 0.5 * (3.0 * self.horizon_rho + self.curvature_sign / self.horizon_rho)
 
-    @property
+    @cached_property
     def horizon_area(self):
         return self.base.area * self.horizon_rho**2
 
-    @property
+    @cached_property
     def hk_constant(self):
         return hk_constant(self.horizon_area, self.base.euler_char)
 
     # The paper sums these terms over the horizon components; a Kottler
     # background has exactly one.
 
-    @property
+    @cached_property
     def chi_horizon_term(self):
         """2 pi chi / (3|bdry| + 2 pi chi) kappa |bdry|."""
         area, chi = self.horizon_area, self.base.euler_char
         return 2.0 * np.pi * chi / (3.0 * area + 2.0 * np.pi * chi) * self.surface_gravity * area
 
-    @property
+    @cached_property
     def areal_horizon_term(self):
         """(1 - 2c) kappa |bdry|."""
         return (1.0 - 2.0 * self.hk_constant) * self.surface_gravity * self.horizon_area
 
-    @property
+    @cached_property
     def hk_horizon_term(self):
         """c kappa |bdry|."""
         return self.hk_constant * self.surface_gravity * self.horizon_area

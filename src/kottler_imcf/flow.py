@@ -105,7 +105,7 @@ def _sample_row(state):
         compute_Q(surface),
         compute_P(surface),
         float(hawking_mass(surface)),
-        float(np.min(g.mean_curvature)),
+        float(g.min_mean_curvature),
         float(np.max(g.mean_curvature)),
         float(np.min(g.alignment)),
         integrate(base, g.traceless_sq * g.area_density),
@@ -124,8 +124,13 @@ def cfl_limit(surface, cfl=FlowControls.cfl):
     """
     g = surface.geometry
     spacing = surface.background.base.grid.spacing
-    local = (spacing * surface.radius_field) ** 2 * g.mean_curvature**2 / g.graph_factor**2
-    return cfl * float(local.min())
+    # (spacing r)^2 H^2 / graph_factor^2 in that operand order, in two arrays.
+    local = np.multiply(spacing, surface.radius_field)
+    np.square(local, out=local)
+    scratch = np.square(g.mean_curvature)
+    local *= scratch
+    local /= np.square(g.graph_factor, out=scratch)
+    return cfl * float(np.minimum.reduce(local, axis=None))
 
 
 def step_slice_ode(state, dt):
@@ -140,7 +145,7 @@ def step_slice_ode(state, dt):
 
 
 def _check_mean_convex(surface, h_floor):
-    min_h = surface.geometry.mean_curvature.min()
+    min_h = surface.geometry.min_mean_curvature
     if min_h <= h_floor:
         raise FlowSingularError(f"min H = {min_h:.3e} at or below floor {h_floor}")
 
@@ -182,8 +187,12 @@ def run_flow(initial, t_end, sample_interval, controls=None):
     # reach t_end; NaN fails every one of these comparisons.
     if not (0.0 < t_end < np.inf and 0.0 < sample_interval < np.inf):
         raise ValueError("t_end and sample_interval must be finite and positive")
-    if not controls.cfl > 0.0:
-        raise ValueError("controls.cfl must be positive")
+    # Each comparison is False on NaN; an infinite step fraction would lift
+    # the CFL bound, and a NaN floor would switch its check off.
+    if not 0.0 < controls.cfl < np.inf:
+        raise ValueError("controls.cfl must be finite and positive")
+    if not (0.0 <= controls.h_floor < np.inf and 0.0 <= controls.star_floor < np.inf):
+        raise ValueError("controls.h_floor and controls.star_floor must be finite and nonnegative")
     if not star_shaped_check(initial, controls.star_floor):
         raise FlowSingularError(
             f"initial surface fails the star-shape floor {controls.star_floor}"

@@ -46,7 +46,7 @@ def bulk_integral(surface):
     """
     r = surface.radius_field
     rho_m = surface.background.horizon_rho
-    if np.any(r < rho_m):
+    if np.minimum.reduce(r, axis=None) < rho_m:  # False on NaN, as np.any(r < rho_m)
         raise ExteriorError("graph dips below the horizon radius")
     return integrate(surface.background.base, (r**3 - rho_m**3) / 3.0)
 
@@ -68,7 +68,7 @@ def _willmore(surface):
 
 def _hk_lhs(surface):
     g = surface.geometry
-    if np.min(g.mean_curvature) <= 0.0:
+    if g.min_mean_curvature <= 0.0:
         raise FlowSingularError("Heintze-Karcher gap needs a mean-convex surface")
     return integrate(
         surface.background.base, g.potential / g.mean_curvature * g.area_density

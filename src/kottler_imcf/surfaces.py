@@ -40,14 +40,15 @@ class SurfaceGeometry:
     (equal to |grad(rho - r)|_g evaluated on the surface).
 
     mean_curvature and graph_factor, all that a flow stage reads, are
-    computed with the geometry.  The other four fields are read only at
-    sample times and by audits, and are computed on first read from the
-    kernel's intermediates, in two groups, each once.  ``measure`` gives
-    (potential, area_density), all that the functionals read, and the
-    shape group's closure, which gives (traceless_sq, alignment) from the
-    same potential.  The shape closure is made only when the measure
-    group runs, so a flow stage, which reads neither group, makes one
-    closure per geometry.
+    computed with the geometry; min_mean_curvature is reduced from H once,
+    when compute_geometry checks that H is finite.  The other four fields
+    are read only at sample times and by audits, and are computed on first
+    read from the kernel's intermediates, in two groups, each once.
+    ``measure`` gives (potential, area_density), all that the functionals
+    read, and the shape group's closure, which gives (traceless_sq,
+    alignment) from the same potential.  The shape closure is made only
+    when the measure group runs, so a flow stage, which reads neither
+    group, makes one closure per geometry.
 
     On the torus the intermediates live in a workspace that the next
     evaluation reuses: one page-aligned buffer per thread and grid size n,
@@ -63,6 +64,11 @@ class SurfaceGeometry:
     mean_curvature: np.ndarray
     graph_factor: np.ndarray
     measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def min_mean_curvature(self):
+        """min H, reduced once per geometry (NaN if H holds a NaN)."""
+        return np.minimum.reduce(self.mean_curvature, axis=None)
 
     @cached_property
     def _measure_fields(self):
@@ -166,6 +172,21 @@ class _ThreadWorkspaces(threading.local):
 _workspaces = _ThreadWorkspaces()
 
 
+def _scale_down(x, c):
+    """Divide x by c in place, multiplying by 1/c where that reciprocal is exact.
+
+    When c is a power of two with a finite reciprocal, 1/c is exact, so
+    x * (1/c) and x / c are the correctly rounded values of one real number
+    and agree bit for bit for every double x (signed zeros, subnormals,
+    infinities and NaN included); a multiplication costs about half a
+    division.
+    """
+    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
+        x *= 1.0 / c
+    else:
+        x /= c
+
+
 def _torus_kernel(background, grid, r, slots):
     # At 64x64 this kernel is bound by memory, not arithmetic: a fresh 32 KiB
     # array is a heap allocation, and freeing it can let the heap trim, so
@@ -179,6 +200,9 @@ def _torus_kernel(background, grid, r, slots):
     # (_torus_geometry); the rest are scratch.  Each expression keeps its
     # operand order, since goldens and tests pin these bits exactly (f_r -
     # r11 is -r11 + f_r, signed zeros included), and nothing is written into r.
+    # The five stencil scales 2h, h^2 and 4h^2 are powers of two on a torus of
+    # area 1 with n a power of two; there _scale_down multiplies by their
+    # exact reciprocals, which rounds to the same bits as the division.
     (f, det, g22, g11, g12, r11, fac_r1, r22, c, right, left,
      r_sq, two_r, f1, r1, r2, r12, fac, f_r) = slots
     h = grid.spacing
@@ -203,19 +227,19 @@ def _torus_kernel(background, grid, r, slots):
         ext[0] = ext[-2]
         ext[-1] = ext[1]
     np.subtract(c[2:], c[:-2], out=r1)
-    r1 /= 2.0 * h
+    _scale_down(r1, 2.0 * h)
     np.subtract(right[1:-1], left[1:-1], out=r2)
-    r2 /= 2.0 * h
+    _scale_down(r2, 2.0 * h)
     np.subtract(c[2:], two_r, out=r11)
     r11 += c[:-2]
-    r11 /= h**2
+    _scale_down(r11, h**2)
     np.subtract(right[1:-1], two_r, out=r22)
     r22 += left[1:-1]
-    r22 /= h**2
+    _scale_down(r22, h**2)
     np.subtract(right[2:], left[2:], out=r12)
     r12 -= right[:-2]
     r12 += left[:-2]
-    r12 /= 4.0 * h**2
+    _scale_down(r12, 4.0 * h**2)
 
     # g11 and g22 start as r1^2 and r2^2, whose sum is |grad r|^2.
     np.multiply(r1, r1, out=g11)
@@ -372,7 +396,10 @@ def compute_geometry(surface):
         geom = _torus_geometry(surface.background, grid, r)
     else:
         raise TypeError(f"unsupported grid kind {type(grid).__name__}")
-    if not np.isfinite(geom.mean_curvature).all():
+    # As in GraphSurface: min and max propagate NaN, and an infinite node is
+    # the min or the max.  The min is the one the flow and functionals read.
+    hi = np.maximum.reduce(geom.mean_curvature, axis=None)
+    if not (math.isfinite(geom.min_mean_curvature) and math.isfinite(hi)):
         raise FlowSingularError("non-finite mean curvature")
     surface._geometry = geom
     return surface

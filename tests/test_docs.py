@@ -1,9 +1,11 @@
-"""README stays in step with the code: its config key table and its check table."""
+"""README stays in step with the code: its config key table, its check table and
+the flow controls' defaults."""
 
 import os
 import re
 from dataclasses import fields
 
+from kottler_imcf import FlowControls
 from kottler_imcf.cli import _CHECKS, ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,3 +44,15 @@ def test_readme_check_table_matches_the_check_rows():
     # Each row of the check table, in order: its name and its rule.
     rows = re.findall(r"^\| `(\w+)` \| (\w+) \|", _readme_section("Audit checks"), re.M)
     assert rows == [(spec.name, spec.rule) for spec in _CHECKS]
+
+
+def test_readme_flow_defaults_are_the_flow_controls_defaults():
+    # The flow bullet gives the defaults as a bare triple; the control names
+    # stay out of backquotes (test_readme_names_no_removed_key).
+    section = _readme_section("Library overview")
+    start = section.index("- `kottler_imcf.flow`")
+    bullet = section[start:section.index("\n- ", start + 1)]
+    triples = re.findall(r"\(([^()]*\d[^()]*)\)", bullet)
+    assert len(triples) == 1, triples
+    listed = tuple(float(value) for value in triples[0].split(","))
+    assert listed == tuple(f.default for f in fields(FlowControls))

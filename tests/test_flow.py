@@ -286,8 +286,16 @@ def test_evaluate_report_runs_only_the_measure_group(monkeypatch):
     (1.0, 0.25, FlowControls(cfl=0.0)),
     (1.0, 0.25, FlowControls(cfl=-1.0)),
     (1.0, 0.25, FlowControls(cfl=np.nan)),
+    (1.0, 0.25, FlowControls(cfl=np.inf)),
+    (1.0, 0.25, FlowControls(h_floor=np.nan)),
+    (1.0, 0.25, FlowControls(h_floor=np.inf)),
+    (1.0, 0.25, FlowControls(h_floor=-1.0)),
+    (1.0, 0.25, FlowControls(star_floor=np.nan)),
+    (1.0, 0.25, FlowControls(star_floor=np.inf)),
+    (1.0, 0.25, FlowControls(star_floor=-1.0)),
 ], ids=["t_end-inf", "t_end-nan", "interval-inf", "interval-nan", "cfl-zero", "cfl-negative",
-        "cfl-nan"])
+        "cfl-nan", "cfl-inf", "h_floor-nan", "h_floor-inf", "h_floor-negative", "star_floor-nan",
+        "star_floor-inf", "star_floor-negative"])
 def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval, controls):
     b = make_background(1, 0, 17, mass=1.0)
     surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
@@ -396,11 +404,13 @@ def _torus64_state():
     return FlowState(0.0, surface, 0)
 
 
-# Measured 72,202 B and 205,554 B with numpy 2.4; the bounds leave 5%.  That
-# is the two returned 32 KiB arrays of a geometry evaluation, and of a step
-# its two velocities and the two geometries they make, each 4 x 32 KiB.
-GEOMETRY_PEAK_BOUND = 76_000
-STEP_PEAK_BOUND = 216_000
+# Measured 68,208 B, 201,584 B and 66,776 B with numpy 2.4; the bounds leave
+# 5%.  That is the two returned 32 KiB arrays of a geometry evaluation; of a
+# step, its two velocities and the two geometries they make, each 4 x 32 KiB;
+# and the two 32 KiB arrays of one cfl_limit.
+GEOMETRY_PEAK_BOUND = 71_700
+STEP_PEAK_BOUND = 211_700
+CFL_PEAK_BOUND = 70_200
 
 
 def _traced_peak(fn):
@@ -414,10 +424,11 @@ def _traced_peak(fn):
 
 def test_torus64_allocation_peaks():
     # A repeatable gauge of the torus kernel's temporaries: bytes allocated at
-    # the peak of one geometry evaluation and of one RK2 step (tracemalloc
-    # counts numpy's buffers).  Written out of place, one fresh array per
+    # the peak of one geometry evaluation, one RK2 step and one cfl_limit
+    # (tracemalloc counts numpy's buffers).  Written out of place, one fresh array per
     # operation, they peaked at 956,616 B and 1,418,304 B; in place but with
-    # fresh intermediates, at 628,296 B and 1,024,688 B.
+    # fresh intermediates, at 628,296 B and 1,024,688 B.  Out of place, one
+    # cfl_limit peaked at 98,616 B.
     state = _torus64_state()
     surface = state.surface
     # The flow's own first evaluation, which also makes this thread's
@@ -426,8 +437,10 @@ def test_torus64_allocation_peaks():
     geometry_peak = _traced_peak(
         lambda: GraphSurface(surface.background, surface.radius_field).geometry)
     step_peak = _traced_peak(lambda: step_graph_pde(state, dt))
+    cfl_peak = _traced_peak(lambda: cfl_limit(surface))
     assert geometry_peak <= GEOMETRY_PEAK_BOUND, geometry_peak
     assert step_peak <= STEP_PEAK_BOUND, step_peak
+    assert cfl_peak <= CFL_PEAK_BOUND, cfl_peak
 
 
 def test_rk2_step_leaves_its_input_unchanged():

@@ -6,6 +6,7 @@ of the warped metric, embedding derivatives, unit normal), evaluated at
 grid-representable points to 25 digits and frozen here.
 """
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,7 +25,9 @@ from kottler_imcf import (
     make_background,
     star_shaped_check,
 )
-from kottler_imcf.surfaces import _sphere_geometry, _torus_geometry
+from kottler_imcf.flow import _check_mean_convex, run_flow
+from kottler_imcf.functionals import evaluate_report
+from kottler_imcf.surfaces import _scale_down, _sphere_geometry, _torus_geometry
 
 # r = 2 + cos(theta)/5 over ADS-Schwarzschild mass 1, at theta = pi/4, pi/2, 3pi/4
 SPHERE_H_ORACLE = {
@@ -350,6 +353,8 @@ def test_deferred_fields_match_fresh_geometry(kind):
     fresh = compute_geometry(GraphSurface(s.background, s.radius_field)).geometry
     for name in reversed(GEOMETRY_FIELDS):
         assert np.array_equal(getattr(fresh, name), getattr(read, name)), name
+    # The cached min of H is the min of H, bit for bit.
+    assert _bits(read.min_mean_curvature) == _bits(read.mean_curvature.min())
 
 
 # -- independent identities off the slices ------------------------------------
@@ -783,3 +788,113 @@ def test_one_pass_validation_agrees_with_full_passes(r):
     except (FlowSingularError, ExteriorError) as err:
         outcome = type(err)
     assert outcome == expected
+
+
+# -- exact stencil scales ---------------------------------------------------------
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+_ANY_DOUBLE = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+                     np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, 16, elements=_ANY_DOUBLE), st.integers(-40, 40))
+def test_scale_down_by_a_power_of_two_equals_the_division_bitwise(x, k):
+    c = 2.0**k
+    scaled = x.copy()
+    with np.errstate(all="ignore"):  # overflow and underflow are part of the domain
+        _scale_down(scaled, c)
+        assert np.array_equal(_bits(scaled), _bits(x / c))
+
+
+@pytest.mark.parametrize("c, x", [
+    # The stencil scale 2h of a torus of area 2.5 at n = 33.
+    (2.0 * np.sqrt(2.5) / 33, np.linspace(1.0, 2.0, 1001)),
+    # A power of two whose reciprocal overflows.
+    (2.0**-1074, np.array([0.0, 5e-324, 1e-310])),
+], ids=["not-a-power-of-two", "subnormal-power-of-two"])
+def test_scale_down_divides_where_the_reciprocal_is_not_exact(c, x):
+    scaled = x.copy()
+    with np.errstate(all="ignore"):
+        _scale_down(scaled, c)
+        assert np.array_equal(_bits(scaled), _bits(x / c))
+        # Here a multiplication by 1/c would round differently.
+        assert not np.array_equal(_bits(x * (1.0 / c)), _bits(x / c))
+
+
+# -- one reduction of H per geometry ------------------------------------------------
+
+
+_KERNELS = {
+    "sphere": ("_sphere_geometry", lambda: _sphere_surface(33)[0]),
+    "torus": ("_torus_geometry", lambda: _torus_surface(16)[0]),
+    "slice": ("_slice_geometry", lambda: GraphSurface(make_background(1, 0, 33, mass=1.0), 2.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_node_of_h_is_rejected(monkeypatch, kind, bad):
+    name, make = _KERNELS[kind]
+    kernel = getattr(kottler_imcf.surfaces, name)
+
+    def spoiled(*args):
+        geometry = kernel(*args)
+        geometry.mean_curvature.flat[3] = bad
+        return geometry
+
+    monkeypatch.setattr(kottler_imcf.surfaces, name, spoiled)
+    with pytest.raises(FlowSingularError, match="non-finite mean curvature"):
+        compute_geometry(make())
+
+
+def _count_h_min_reductions(monkeypatch, kernel_name):
+    """Count the geometries a kernel makes and the min reductions of their H."""
+    counts = {"geometries": 0, "min_reductions": 0}
+
+    class CountedH(np.ndarray):
+        # Every min of H (H.min(), np.min(H), np.minimum.reduce(H)) is a
+        # minimum reduce; the results are plain arrays.
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.minimum and method == "reduce":
+                counts["min_reductions"] += 1
+
+            def plain(a):
+                return a.view(np.ndarray) if isinstance(a, CountedH) else a
+
+            if "out" in kwargs:
+                kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+            return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+    kernel = getattr(kottler_imcf.surfaces, kernel_name)
+
+    def counted(*args):
+        counts["geometries"] += 1
+        geometry = kernel(*args)
+        return dataclasses.replace(geometry, mean_curvature=geometry.mean_curvature.view(CountedH))
+
+    monkeypatch.setattr(kottler_imcf.surfaces, kernel_name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus"])
+def test_flow_and_functionals_reduce_h_to_its_min_once_per_geometry(monkeypatch, kind):
+    # compute_geometry's finiteness check, the flow's mean-convexity checks
+    # (twice on each step's end surface), the sample rows' min_H and the
+    # Heintze-Karcher left side all read one cached minimum.
+    name, make = _KERNELS[kind]
+    surface = make()
+    counts = _count_h_min_reductions(monkeypatch, name)
+    trace = run_flow(surface, 0.05, 0.025)
+    assert trace.complete
+    evaluate_report(surface)
+    _check_mean_convex(surface, 1e-6)
+    assert counts["geometries"] > 10
+    assert counts["min_reductions"] == counts["geometries"]
