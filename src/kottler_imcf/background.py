@@ -128,6 +128,12 @@ class KottlerBackground:
         rho = np.asarray(rho, dtype=float)
         return self.curvature_sign + rho**2 - 2.0 * self.mass / rho
 
+    @cached_property
+    def v_squared_terms(self):
+        """k and 2m of V^2 = k + rho^2 - 2m/rho as 0-d float arrays, for the
+        sphere kernel: numpy converts a Python scalar operand on every call."""
+        return np.array(float(self.curvature_sign)), np.array(2.0 * self.mass)
+
     def potential(self, rho):
         return np.sqrt(self.v_squared(rho))
 

@@ -56,6 +56,13 @@ class AxisymmetricSphereGrid:
         return np.concatenate(([0.0], self.interior_cot, [0.0]))
 
     @cached_property
+    def stencil_divisors(self):
+        """2h and h^2, the divisors of the centered r_t and r_tt, as 0-d arrays:
+        numpy converts a Python float operand on every call, a 0-d array not."""
+        h = self.spacing
+        return np.array(2.0 * h), np.array(h**2)
+
+    @cached_property
     def ext_index(self):
         """Gather index of the reflective (even) extension across both poles:
         r[ext_index] is r with r[1] before it and r[-2] after it."""

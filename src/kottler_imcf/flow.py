@@ -13,6 +13,7 @@ sample times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,17 @@ def _sample_row(state):
     return row
 
 
+def _check_finite(name, value, positive=True):
+    """Raise ValueError unless value is finite and positive (or nonnegative).
+
+    Each comparison is False on NaN, so NaN is rejected too.  An infinite
+    step fraction would lift the CFL bound, a NaN floor would switch its
+    check off, and a step that is not positive would never reach t_end.
+    """
+    if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+
+
 def cfl_limit(surface, cfl=FlowControls.cfl):
     """Largest stable explicit time step for the graphical flow.
 
@@ -122,6 +134,7 @@ def cfl_limit(surface, cfl=FlowControls.cfl):
     graph_factor^2 / (H^2 lambda^2) per unit grid spacing squared, with
     lambda = r the metric scale of one grid cell.
     """
+    _check_finite("cfl", cfl)
     g = surface.geometry
     spacing = surface.background.base.grid.spacing
     # (spacing r)^2 H^2 / graph_factor^2 in that operand order, in two arrays.
@@ -130,13 +143,16 @@ def cfl_limit(surface, cfl=FlowControls.cfl):
     scratch = np.square(g.mean_curvature)
     local *= scratch
     local /= np.square(g.graph_factor, out=scratch)
-    return cfl * float(np.minimum.reduce(local, axis=None))
+    # argmin finds the first NaN, as the reduction propagates it, at about a
+    # third of its cost; a quotient of squares holds no -0, so the bits agree.
+    return cfl * local.item(local.argmin())
 
 
 def step_slice_ode(state, dt):
     """Advance a constant graph by the exact slice solution."""
     if not state.surface.is_constant:
         raise ValueError("slice ODE step requires a constant graph")
+    _check_finite("dt", dt, positive=False)
     if dt == 0.0:
         return state
     new_r = state.surface.radius_field * np.exp(0.5 * dt)
@@ -158,13 +174,17 @@ def _velocity(surface, h_floor):
 
 def step_graph_pde(state, dt, h_floor=FlowControls.h_floor, cfl=FlowControls.cfl):
     """One explicit midpoint step of the graphical flow equation."""
+    _check_finite("h_floor", h_floor, positive=False)
     surface = state.surface
+    # Mean convexity is checked before dt: where H = 0 the CFL limit, and so
+    # run_flow's dt, is 0, and that is a singular flow, not a bad argument.
+    v1 = _velocity(surface, h_floor)
+    _check_finite("dt", dt)
     limit = cfl_limit(surface, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
     # Each velocity is a fresh array, so it becomes the next radius field in place.
     r = surface.radius_field
-    v1 = _velocity(surface, h_floor)
     v1 *= 0.5 * dt
     half = GraphSurface(surface.background, np.add(r, v1, out=v1))
     v2 = _velocity(half, h_floor)
@@ -183,16 +203,11 @@ def run_flow(initial, t_end, sample_interval, controls=None):
     """
     if controls is None:
         controls = FlowControls()
-    # A non-finite or non-positive time or step fraction would never
-    # reach t_end; NaN fails every one of these comparisons.
-    if not (0.0 < t_end < np.inf and 0.0 < sample_interval < np.inf):
-        raise ValueError("t_end and sample_interval must be finite and positive")
-    # Each comparison is False on NaN; an infinite step fraction would lift
-    # the CFL bound, and a NaN floor would switch its check off.
-    if not 0.0 < controls.cfl < np.inf:
-        raise ValueError("controls.cfl must be finite and positive")
-    if not (0.0 <= controls.h_floor < np.inf and 0.0 <= controls.star_floor < np.inf):
-        raise ValueError("controls.h_floor and controls.star_floor must be finite and nonnegative")
+    _check_finite("t_end", t_end)
+    _check_finite("sample_interval", sample_interval)
+    _check_finite("controls.cfl", controls.cfl)
+    _check_finite("controls.h_floor", controls.h_floor, positive=False)
+    _check_finite("controls.star_floor", controls.star_floor, positive=False)
     if not star_shaped_check(initial, controls.star_floor):
         raise FlowSingularError(
             f"initial surface fails the star-shape floor {controls.star_floor}"

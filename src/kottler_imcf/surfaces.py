@@ -40,35 +40,28 @@ class SurfaceGeometry:
     (equal to |grad(rho - r)|_g evaluated on the surface).
 
     mean_curvature and graph_factor, all that a flow stage reads, are
-    computed with the geometry; min_mean_curvature is reduced from H once,
-    when compute_geometry checks that H is finite.  The other four fields
-    are read only at sample times and by audits, and are computed on first
-    read from the kernel's intermediates, in two groups, each once.
-    ``measure`` gives (potential, area_density), all that the functionals
-    read, and the shape group's closure, which gives (traceless_sq,
-    alignment) from the same potential.  The shape closure is made only
-    when the measure group runs, so a flow stage, which reads neither
-    group, makes one closure per geometry.
+    computed with the geometry.  min_mean_curvature is a plain field:
+    compute_geometry reduces H to its min and max once, to check that H is
+    finite, and stores the min here (it is None on a kernel's bare output).
+    The other four fields are read only at sample times and by audits, and
+    are computed on first read from the kernel's intermediates, in two
+    groups, each once.  ``measure`` gives (potential, area_density), all
+    that the functionals read, and the shape group's closure, which gives
+    (traceless_sq, alignment) from the same potential.  The shape closure is
+    made only when the measure group runs, so a flow stage, which reads
+    neither group, makes one closure per geometry.
 
-    On the torus the intermediates live in a workspace that the next
-    evaluation reuses: one page-aligned buffer per thread and grid size n,
-    split into 19 slots, each starting on its own 4 KiB page plus a
-    stagger of 72 doubles per slot, so that no two slots share an offset
-    within a page.  Each evaluation takes ownership with a fresh token.
-    The two groups read the slots while the token is still theirs on the
-    calling thread; after a later evaluation, or from another thread, they
-    rerun the kernel into private slots, which gives the same bits.  Every
-    field is a new array: none shares memory with the workspace.
+    On the torus the intermediates live in a per-thread workspace that the
+    next evaluation reuses (_torus_workspace, _torus_geometry); a read after
+    a later evaluation, or from another thread, reruns the kernel into
+    private slots, which gives the same bits.  Every field is a new array:
+    none shares memory with the workspace.
     """
 
     mean_curvature: np.ndarray
     graph_factor: np.ndarray
     measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
-
-    @cached_property
-    def min_mean_curvature(self):
-        """min H, reduced once per geometry (NaN if H holds a NaN)."""
-        return np.minimum.reduce(self.mean_curvature, axis=None)
+    min_mean_curvature: float | None = dataclass_field(default=None, compare=False)
 
     @cached_property
     def _measure_fields(self):
@@ -96,39 +89,55 @@ class SurfaceGeometry:
 
 
 def _sphere_geometry(background, grid, r):
-    # At 128 nodes this kernel is bound by per-call cost, not arithmetic, so
-    # it makes as few numpy calls as it can.  Each expression keeps its
-    # operand order, since goldens and tests pin these bits exactly
-    # (c - a*b is -a*b + c, signed zeros included).
-    h = grid.spacing
-    f = background.v_squared(r)
+    # At 128 nodes this kernel is bound by per-call cost, not arithmetic, so it
+    # makes few numpy calls, finishes each expression in place and takes its
+    # scalars as 0-d arrays.  Each expression keeps its operand order, as goldens
+    # and tests pin these bits (c - a*b is -a*b + c, 2r is r + r, exactly).
+    k, two_m = background.v_squared_terms
+    two_h, h_sq = grid.stencil_divisors
     r_sq = r**2
-    two_r = 2.0 * r
-    f1 = two_r + 2.0 * background.mass / r_sq
+    # V^2 = k + r^2 - 2m/r from r_sq, in KottlerBackground.v_squared's operand order.
+    f = k + r_sq
+    f -= two_m / r
+    two_r = r + r
+    f1 = two_r + two_m / r_sq
 
     # Reflective (even) extension across both poles in one gather, so that
     # the Neumann condition r'(0) = r'(pi) = 0 holds: r_t at a pole is
     # r[1] - r[1] (or r[-2] - r[-2]), exactly 0 for a finite field.
     ext = r[grid.ext_index]
-    r_t = (ext[2:] - ext[:-2]) / (2.0 * h)
-    r_tt = (ext[2:] - two_r + ext[:-2]) / h**2
+    r_t = ext[2:] - ext[:-2]
+    r_t /= two_h
+    r_tt = ext[2:] - two_r
+    r_tt += ext[:-2]
+    r_tt /= h_sq
     grad_sq = r_t**2
-    n_f = np.sqrt(f + grad_sq / r_sq)
+    n_f = grad_sq / r_sq
+    n_f = np.sqrt(np.add(f, n_f, out=n_f), out=n_f)
 
     f_r = f * r
-    gamma_tt = grad_sq / f + r_sq
-    h_tt = (-r_tt + f_r + 2.0 * grad_sq / r + grad_sq * 0.5 * f1 / f) / n_f
-    k1 = h_tt / gamma_tt
+    gamma_tt = grad_sq / f
+    gamma_tt += r_sq
+    # h_tt = (-r_tt + f_r + 2 grad_sq / r + grad_sq 0.5 f1 / f) / n_f, then k1.
+    k1 = f_r - r_tt
+    k1 += (grad_sq + grad_sq) / r
+    k1 += grad_sq * 0.5 * f1 / f
+    k1 /= n_f
+    k1 /= gamma_tt
 
     # Azimuthal principal curvature on every node, then at the poles with the
-    # cot(theta) term replaced by its L'Hopital limit cot(theta) r_t -> r_tt.
-    # There r[pole] ** 2 stays a scalar power: numpy's scalar square can
-    # differ from the array square in the last bit, and the goldens pin these
-    # bits.
-    k2 = (f_r - grid.cot_full * r_t) / (n_f * r_sq)
+    # cot(theta) term replaced by its L'Hopital limit cot(theta) r_t -> r_tt, in
+    # Python floats (numpy's scalar operations, at less call cost); r[pole] ** 2
+    # stays a scalar pow, which can differ from the array square in the last bit.
+    # Where Python raises, numpy's scalars give a non-finite H: NaN stands in.
+    k2 = f_r - grid.cot_full * r_t
+    k2 /= n_f * r_sq
     for pole in (0, -1):
-        k2[pole] = (f_r[pole] - r_tt[pole]) / (n_f[pole] * r[pole] ** 2)
-        k1[pole] = k2[pole]
+        try:
+            k_pole = (f_r.item(pole) - r_tt.item(pole)) / (n_f.item(pole) * r.item(pole) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            k_pole = math.nan
+        k1[pole] = k2[pole] = k_pole
 
     def measure():
         v = np.sqrt(f)
@@ -191,8 +200,7 @@ def _torus_kernel(background, grid, r, slots):
     # At 64x64 this kernel is bound by memory, not arithmetic: a fresh 32 KiB
     # array is a heap allocation, and freeing it can let the heap trim, so
     # that a later call faults the same pages back in.  So every intermediate
-    # goes into the 19 slots of a workspace (_torus_workspace: one buffer,
-    # each slot on its own 4 KiB page plus a stagger of 72 doubles per slot),
+    # goes into the 19 page-staggered slots of a workspace (_torus_workspace),
     # and only the two returned arrays, H and the graph factor, are new; they
     # share no memory with the slots.  The first eight slots end holding V^2,
     # det(gamma), gamma^{-1} (i11, i22, i12) and h (h11, h12, h22), which the
@@ -357,9 +365,9 @@ class GraphSurface:
             r = np.full(shape, float(r.ravel()[0]))
         elif r.shape != shape:
             raise ValueError(f"radius field shape {r.shape} does not match grid {shape}")
-        # min and max give every check: both propagate NaN, and an infinite
-        # node is the min or the max.
-        lo, hi = r.min(), r.max()
+        # min and max give every check: argmin and argmax find the first NaN, and
+        # an infinite node is the min or the max (at a third of a ufunc reduce).
+        lo, hi = r.item(r.argmin()), r.item(r.argmax())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FlowSingularError("non-finite radius field")
         # r == horizon_rho is allowed for a constant field only: the horizon
@@ -396,11 +404,13 @@ def compute_geometry(surface):
         geom = _torus_geometry(surface.background, grid, r)
     else:
         raise TypeError(f"unsupported grid kind {type(grid).__name__}")
-    # As in GraphSurface: min and max propagate NaN, and an infinite node is
-    # the min or the max.  The min is the one the flow and functionals read.
-    hi = np.maximum.reduce(geom.mean_curvature, axis=None)
-    if not (math.isfinite(geom.min_mean_curvature) and math.isfinite(hi)):
+    # As in GraphSurface.  The min, which the flow and functionals read, is
+    # numpy's reduction, whose bits for a tie of -0 and +0 an argmin may not keep.
+    h = geom.mean_curvature
+    lo, hi = np.minimum.reduce(h, axis=None), h.item(h.argmax())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FlowSingularError("non-finite mean curvature")
+    object.__setattr__(geom, "min_mean_curvature", lo)  # frozen: the one field set late
     surface._geometry = geom
     return surface
 

@@ -3,10 +3,12 @@
 import dataclasses
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+import kottler_imcf.base
 import kottler_imcf.flow
 import kottler_imcf.surfaces
 from kottler_imcf import (
@@ -114,6 +116,57 @@ def test_h_floor_abort():
         step_graph_pde(state, 1e-5, h_floor=10.0)
 
 
+@pytest.mark.parametrize("dt_scale, kwargs", [
+    (50.0, {"cfl": np.inf}),
+    (0.5, {"cfl": np.nan}),
+    (0.5, {"cfl": 0.0}),
+    (0.5, {"h_floor": np.nan}),
+    (0.5, {"h_floor": np.inf}),
+    (0.5, {"h_floor": -1.0}),
+    (-1.0, {}),
+    (0.0, {}),
+    (np.nan, {}),
+    (np.inf, {}),
+], ids=["cfl-inf", "cfl-nan", "cfl-zero", "h_floor-nan", "h_floor-inf", "h_floor-negative",
+        "dt-negative", "dt-zero", "dt-nan", "dt-inf"])
+def test_step_graph_pde_rejects_bad_inputs(dt_scale, kwargs):
+    # Unchecked, cfl = inf admits a step 50x over the limit, a NaN floor
+    # switches the mean-convexity check off, a negative dt steps back in time
+    # and dt = 0 counts as a step.
+    s = _edge_surface("sphere-33")
+    state = FlowState(0.0, s, 0)
+    dt = dt_scale * cfl_limit(s)
+    with pytest.raises(ValueError):
+        step_graph_pde(state, dt, **kwargs)
+
+
+@pytest.mark.parametrize("cfl", [np.inf, np.nan, 0.0, -0.2])
+def test_cfl_limit_rejects_bad_step_fractions(cfl):
+    with pytest.raises(ValueError):
+        cfl_limit(_edge_surface("sphere-33"), cfl)
+
+
+@pytest.mark.parametrize("dt", [-0.5, np.nan, np.inf])
+def test_slice_ode_rejects_bad_steps(dt):
+    with pytest.raises(ValueError):
+        step_slice_ode(_slice_state(), dt)
+
+
+def test_zero_of_h_aborts_the_flow_as_singular():
+    # Where H = 0 the CFL limit, and so run_flow's dt, is 0: the step reports
+    # the lost mean convexity, not a bad dt, and the flow ends as an abort.
+    s = _edge_surface("sphere-33")
+    g = s.geometry
+    h = g.mean_curvature.copy()
+    h[5] = 0.0
+    s._geometry = dataclasses.replace(g, mean_curvature=h, min_mean_curvature=0.0)
+    assert cfl_limit(s) == 0.0
+    with pytest.raises(FlowSingularError, match="at or below floor"):
+        step_graph_pde(FlowState(0.0, s, 0), 0.0)
+    trace = run_flow(s, 1.0, 0.5)
+    assert not trace.complete and "at or below floor" in trace.abort_reason
+
+
 def test_run_flow_slice_trace():
     b = make_background(0, 1, "point", mass=0.5)
     trace = run_flow(GraphSurface(b, b.horizon_rho), 4.0, 0.5)
@@ -188,9 +241,11 @@ def test_run_flow_pde_area_growth_and_traceless_decay():
     ("torus-perturbed", 2032, 4065),
 ])
 def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
-    # Deterministic work, not wall time: a change that adds RK2 steps or
-    # geometry evaluations to a shipped flow shows here.
-    counts = {"steps": 0, "evaluations": 0}
+    # Deterministic work, not wall time: a change that adds RK2 steps,
+    # geometry evaluations, CFL bounds or sample-row quadratures to a shipped
+    # flow shows here.  The benchmark pins the same counts per step and per
+    # row: two cfl_limit calls per step and 11 integrate calls per row.
+    counts = {"steps": 0, "evaluations": 0, "cfl": 0, "integrals": 0}
 
     def counted(module, name, key):
         original = getattr(module, name)
@@ -203,10 +258,29 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
 
     counted(kottler_imcf.flow, "step_graph_pde", "steps")
     counted(kottler_imcf.surfaces, "compute_geometry", "evaluations")
+    counted(kottler_imcf.flow, "cfl_limit", "cfl")
+    # Each module that calls integrate binds it by name.
+    integrate = kottler_imcf.base.integrate
+    modules = [m for m in vars(kottler_imcf).values() if isinstance(m, types.ModuleType)]
+    for module in modules:
+        if getattr(module, "integrate", None) is integrate:
+            counted(module, "integrate", "integrals")
+    per_row = []
+    sample_row = kottler_imcf.flow._sample_row
+
+    def counted_row(state):
+        before = counts["integrals"]
+        row = sample_row(state)
+        per_row.append(counts["integrals"] - before)
+        return row
+
+    monkeypatch.setattr(kottler_imcf.flow, "_sample_row", counted_row)
     with open(os.path.join(SCENARIO_DIR, scenario + ".cfg"), encoding="utf-8") as fh:
         trace, result = run_scenario(parse_config(fh.read()))
     assert trace.complete and result.passed
-    assert counts == {"steps": steps, "evaluations": evaluations}
+    del counts["integrals"]
+    assert counts == {"steps": steps, "evaluations": evaluations, "cfl": 2 * steps}
+    assert per_row == [11] * trace.n_samples
 
 
 def _count_torus_deferred_groups(monkeypatch):

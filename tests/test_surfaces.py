@@ -855,6 +855,17 @@ def test_one_non_finite_node_of_h_is_rejected(monkeypatch, kind, bad):
         compute_geometry(make())
 
 
+@pytest.mark.parametrize("scale", [1e153, 1e155, 1e300])
+def test_sphere_field_whose_square_overflows_is_a_non_finite_mean_curvature(scale):
+    # The sphere kernel's pole values are Python floats, whose ** raises where
+    # numpy's scalars overflow to inf (from 1e155 on here): such a field is
+    # rejected as a non-finite H, as every other overflow is.
+    b = make_background(1, 0, 33, mass=1.0)
+    surface = GraphSurface(b, scale * (2.0 + 0.1 * np.cos(b.base.grid.theta)))
+    with np.errstate(all="ignore"), pytest.raises(FlowSingularError, match="non-finite mean"):
+        compute_geometry(surface)
+
+
 def _count_h_min_reductions(monkeypatch, kernel_name):
     """Count the geometries a kernel makes and the min reductions of their H."""
     counts = {"geometries": 0, "min_reductions": 0}
