@@ -1,17 +1,15 @@
 """Run the mutation table against the oracle-only test suite.
 
-    python3 mutants/run.py                    # every mutant in table.py
-    python3 mutants/run.py sphere-v2-sign     # the named mutants only
+    python3 mutants/mutate.py                 # every mutant in table.py
 
 Each mutant runs in a fresh copy of the repository (without ``.git`` and
 work files) under a temporary directory (``--workdir`` sets its parent,
 which must lie outside the repository), with its one text replacement
-applied, as
-``python -m pytest -m "not byte_pin"`` with the copy's ``src`` first on
-PYTHONPATH.  Golden, digest and bitwise-reference tests are deselected, so
-a mutant counts as caught only by an oracle that would survive a numerical
-change.  pytest stops at the first failure (``-x``), whose test id is
-printed; the mutant's ``first`` test file runs before the others.
+applied, as ``python -m pytest -m "not byte_pin" tests`` with the copy's
+``src`` first on PYTHONPATH.  Golden, digest and bitwise-reference tests
+are deselected, so a mutant counts as caught only by an oracle that would
+survive a numerical change.  pytest stops at the first failure (``-x``),
+whose test id is printed.
 
 A mutant is caught when pytest exits 1 (a test failed).  The run passes
 when every mutant is caught, except those listed as equivalent, which must
@@ -19,7 +17,6 @@ survive; it exits 0 then and 1 otherwise.  Stdlib only.
 """
 
 import argparse
-import glob
 import os
 import re
 import shutil
@@ -37,6 +34,7 @@ from table import MUTANTS  # noqa: E402
 SKIPPED = shutil.ignore_patterns(".git", ".bench_build", "__pycache__", ".pytest_cache",
                                  ".hypothesis")
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+TIMEOUT_S = 600.0  # per mutant; the whole suite takes under a minute
 
 
 def apply(root, mutant):
@@ -51,13 +49,7 @@ def apply(root, mutant):
         fh.write(text.replace(mutant.old, mutant.new))
 
 
-def suite_files(first):
-    found = glob.glob(os.path.join(ROOT, "tests", "test_*.py"))
-    rest = sorted(os.path.relpath(p, ROOT) for p in found)
-    return [first] + [p for p in rest if p != first]
-
-
-def run_one(mutant, workdir, timeout):
+def run_one(mutant, workdir):
     top = tempfile.mkdtemp(prefix="mutant-", dir=workdir)
     root = os.path.join(top, "repo")
     try:
@@ -65,11 +57,11 @@ def run_one(mutant, workdir, timeout):
         apply(root, mutant)
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                "-m", "not byte_pin"]
+                "-m", "not byte_pin", "tests"]
         start = perf_counter()
         try:
-            done = subprocess.run(argv + suite_files(mutant.first), cwd=root, env=env,
-                                  capture_output=True, text=True, timeout=timeout)
+            done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "timeout", [], perf_counter() - start
         seconds = perf_counter() - start
@@ -84,23 +76,15 @@ def run_one(mutant, workdir, timeout):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--workdir", default=None, help="parent of the temporary copies")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     args = parser.parse_args(argv)
     parent = os.path.realpath(args.workdir or tempfile.gettempdir())
     if os.path.commonpath([parent, os.path.realpath(ROOT)]) == os.path.realpath(ROOT):
         parser.error("--workdir must lie outside the repository")
 
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] if args.names else MUTANTS
-
     bad = 0
-    for m in chosen:
-        outcome, failures, seconds = run_one(m, args.workdir, args.timeout)
+    for m in MUTANTS:
+        outcome, failures, seconds = run_one(m, args.workdir)
         expected = "survived" if m.equivalent else "caught"
         ok = outcome == expected
         bad += not ok
@@ -108,7 +92,7 @@ def main(argv=None):
         print(f"{'ok ' if ok else 'BAD'} {m.name:36s} {label:22s} {seconds:6.1f} s", flush=True)
         for failure in failures:
             print(f"      {failure}")
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants as expected")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants as expected")
     return 1 if bad else 0
 
 

@@ -2,14 +2,14 @@
 
     python3 -m pytest mutants -q
 
-These read the table and the source; they run no mutant (run.py does).
+These read the table and the source; they run no mutant (mutate.py does).
 """
 
 import os
 
 import pytest
 
-from run import ROOT, apply, suite_files
+from mutate import ROOT, apply
 from table import MUTANTS
 
 
@@ -21,7 +21,6 @@ def test_names_are_unique_and_the_table_is_seeded():
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_each_mutant_applies_once_and_changes_the_text(mutant, tmp_path):
     assert mutant.new != mutant.old and mutant.why
-    assert os.path.isfile(os.path.join(ROOT, mutant.first))
     target = tmp_path / mutant.path
     target.parent.mkdir(parents=True)
     with open(os.path.join(ROOT, mutant.path), encoding="utf-8") as fh:
@@ -37,9 +36,3 @@ def test_apply_rejects_an_old_text_that_is_not_unique(tmp_path):
     target.write_text(mutant.old * 2, encoding="utf-8")
     with pytest.raises(ValueError, match="occurs 2 times"):
         apply(str(tmp_path), mutant)
-
-
-def test_the_first_file_runs_first_and_every_test_file_once():
-    files = suite_files("tests/test_surfaces.py")
-    assert files[0] == "tests/test_surfaces.py"
-    assert len(files) == len(set(files)) and "tests/test_flow.py" in files

@@ -176,11 +176,13 @@ def step_graph_pde(state, dt, h_floor=FlowControls.h_floor, cfl=FlowControls.cfl
     """One explicit midpoint step of the graphical flow equation."""
     _check_finite("h_floor", h_floor, positive=False)
     surface = state.surface
-    # Mean convexity is checked before dt: where H = 0 the CFL limit, and so
-    # run_flow's dt, is 0, and that is a singular flow, not a bad argument.
     v1 = _velocity(surface, h_floor)
-    _check_finite("dt", dt)
     limit = cfl_limit(surface, cfl)
+    # The limit is checked before dt: where it is 0 (H = 0, or H^2 underflows
+    # above a zero floor), so is run_flow's dt, and the flow is singular.
+    if not limit > 0.0:
+        raise FlowSingularError(f"stability limit {limit:.3e} is not positive")
+    _check_finite("dt", dt)
     if dt > limit * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
     # Each velocity is a fresh array, so it becomes the next radius field in place.

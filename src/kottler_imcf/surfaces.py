@@ -40,13 +40,11 @@ class SurfaceGeometry:
     (equal to |grad(rho - r)|_g evaluated on the surface).
 
     mean_curvature and graph_factor, all that a flow stage reads, are
-    computed with the geometry.  min_mean_curvature is a plain field:
-    compute_geometry reduces H to its min and max once, to check that H is
-    finite, and stores the min here (it is None on a kernel's bare output).
-    The other four fields are read only at sample times and by audits, and
-    are computed on first read from the kernel's intermediates, in two
-    groups, each once.  ``measure`` gives (potential, area_density), all
-    that the functionals read, and the shape group's closure, which gives
+    computed with the geometry, and min_mean_curvature as it is made.  The
+    other four fields are read only at sample times and by audits, and are
+    computed on first read from the kernel's intermediates, in two groups,
+    each once.  ``measure`` gives (potential, area_density), all that the
+    functionals read, and the shape group's closure, which gives
     (traceless_sq, alignment) from the same potential.  The shape closure is
     made only when the measure group runs, so a flow stage, which reads
     neither group, makes one closure per geometry.
@@ -61,7 +59,11 @@ class SurfaceGeometry:
     mean_curvature: np.ndarray
     graph_factor: np.ndarray
     measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
-    min_mean_curvature: float | None = dataclass_field(default=None, compare=False)
+    min_mean_curvature: float = dataclass_field(init=False, compare=False)
+
+    def __post_init__(self):  # a ufunc reduction keeps the bits of a -0/+0 tie; argmin may not
+        h = self.mean_curvature
+        object.__setattr__(self, "min_mean_curvature", np.minimum.reduce(h, axis=None))
 
     @cached_property
     def _measure_fields(self):
@@ -127,9 +129,8 @@ def _sphere_geometry(background, grid, r):
 
     # Azimuthal principal curvature on every node, then at the poles with the
     # cot(theta) term replaced by its L'Hopital limit cot(theta) r_t -> r_tt, in
-    # Python floats (numpy's scalar operations, at less call cost); r[pole] ** 2
-    # stays a scalar pow, which can differ from the array square in the last bit.
-    # Where Python raises, numpy's scalars give a non-finite H: NaN stands in.
+    # Python floats: r[pole] ** 2 stays a scalar pow (the array square can differ
+    # in the last bit), and NaN stands in where Python raises and numpy gives inf.
     k2 = f_r - grid.cot_full * r_t
     k2 /= n_f * r_sq
     for pole in (0, -1):
@@ -404,13 +405,11 @@ def compute_geometry(surface):
         geom = _torus_geometry(surface.background, grid, r)
     else:
         raise TypeError(f"unsupported grid kind {type(grid).__name__}")
-    # As in GraphSurface.  The min, which the flow and functionals read, is
-    # numpy's reduction, whose bits for a tie of -0 and +0 an argmin may not keep.
+    # As in GraphSurface, on H as the kernel returned it.
     h = geom.mean_curvature
-    lo, hi = np.minimum.reduce(h, axis=None), h.item(h.argmax())
+    lo, hi = h.item(h.argmin()), h.item(h.argmax())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FlowSingularError("non-finite mean curvature")
-    object.__setattr__(geom, "min_mean_curvature", lo)  # frozen: the one field set late
     surface._geometry = geom
     return surface
 

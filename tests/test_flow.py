@@ -152,19 +152,24 @@ def test_slice_ode_rejects_bad_steps(dt):
         step_slice_ode(_slice_state(), dt)
 
 
-def test_zero_of_h_aborts_the_flow_as_singular():
-    # Where H = 0 the CFL limit, and so run_flow's dt, is 0: the step reports
-    # the lost mean convexity, not a bad dt, and the flow ends as an abort.
+@pytest.mark.parametrize("h_min, h_floor, reason", [
+    (0.0, FlowControls.h_floor, "at or below floor"),
+    (1e-170, 0.0, "not positive"),
+], ids=["zero-h", "underflowing-h-squared"])
+def test_zero_cfl_limit_aborts_the_flow_as_singular(h_min, h_floor, reason):
+    # Where H = 0, or H^2 underflows above a zero floor, the CFL limit, and so
+    # run_flow's dt, is 0: the step reports the lost mean convexity or the zero
+    # limit, not a bad dt, and the flow ends as an abort.
     s = _edge_surface("sphere-33")
     g = s.geometry
     h = g.mean_curvature.copy()
-    h[5] = 0.0
-    s._geometry = dataclasses.replace(g, mean_curvature=h, min_mean_curvature=0.0)
+    h[5] = h_min
+    s._geometry = dataclasses.replace(g, mean_curvature=h)
     assert cfl_limit(s) == 0.0
-    with pytest.raises(FlowSingularError, match="at or below floor"):
-        step_graph_pde(FlowState(0.0, s, 0), 0.0)
-    trace = run_flow(s, 1.0, 0.5)
-    assert not trace.complete and "at or below floor" in trace.abort_reason
+    with pytest.raises(FlowSingularError, match=reason):
+        step_graph_pde(FlowState(0.0, s, 0), 0.0, h_floor=h_floor)
+    trace = run_flow(s, 1.0, 0.5, FlowControls(h_floor=h_floor))
+    assert not trace.complete and reason in trace.abort_reason
 
 
 def test_run_flow_slice_trace():
