@@ -23,6 +23,7 @@ BASE = "src/kottler_imcf/base.py"
 BACKGROUND = "src/kottler_imcf/background.py"
 SURFACES = "src/kottler_imcf/surfaces.py"
 FLOW = "src/kottler_imcf/flow.py"
+FUNCTIONALS = "src/kottler_imcf/functionals.py"
 
 MUTANTS = [
     # -- the sphere kernel ---------------------------------------------------
@@ -123,14 +124,14 @@ MUTANTS = [
         "predicate-admits-inf", FLOW,
         "if not (value < math.inf and",
         "if not (value <= math.inf and",
-        "an infinite step fraction lifts the CFL bound; an infinite floor "
-        "rejects every surface"),
+        "an infinite step fraction lifts the CFL bound, and an infinite t_end "
+        "never ends"),
     Mutant(
         "predicate-admits-nan", FLOW,
         "if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):",
         "if value >= math.inf or (value <= 0.0 if positive else value < 0.0):",
         "every comparison is False on NaN, so the inverted form admits it: a "
-        "NaN floor switches the mean-convexity check off"),
+        "NaN step fraction makes every CFL bound NaN"),
     Mutant(
         "step-dt-check-dropped", FLOW,
         "    _check_finite(\"dt\", dt)\n",
@@ -142,16 +143,17 @@ MUTANTS = [
         "    _check_finite(\"dt\", dt, positive=False)\n",
         "dt = 0 is counted as a step and never reaches t_end"),
     Mutant(
-        "step-h_floor-check-dropped", FLOW,
-        "    _check_finite(\"h_floor\", h_floor, positive=False)\n",
-        "",
-        "a NaN floor passes every step, whatever H is"),
-    Mutant(
         "cfl_limit-cfl-check-dropped", FLOW,
-        "    _check_finite(\"cfl\", cfl)\n",
-        "",
+        "    \"\"\"\n    _check_finite(\"cfl\", cfl)\n",
+        "    \"\"\"\n",
         "cfl = inf makes the limit inf, and a step 50x over the stability "
         "limit passes"),
+    Mutant(
+        "run_flow-cfl-check-dropped", FLOW,
+        "    _check_finite(\"sample_interval\", sample_interval)\n    _check_finite(\"cfl\", cfl)\n",
+        "    _check_finite(\"sample_interval\", sample_interval)\n",
+        "a slice flow never reads the step fraction, so a NaN one runs to the "
+        "end unless run_flow checks it before any work"),
     Mutant(
         "slice-dt-check-dropped", FLOW,
         "    _check_finite(\"dt\", dt, positive=False)\n",
@@ -162,7 +164,7 @@ MUTANTS = [
         "    if not limit > 0.0:\n"
         "        raise FlowSingularError(f\"stability limit {limit:.3e} is not positive\")\n",
         "",
-        "where H^2 underflows above a zero floor the CFL limit, and so "
+        "where a graph factor's square overflows the CFL limit, and so "
         "run_flow's dt, is 0: the flow must end as a singular abort, not "
         "raise a ValueError"),
     Mutant(
@@ -175,13 +177,61 @@ MUTANTS = [
         "        raise FlowSingularError(f\"stability limit {limit:.3e} is not positive\")\n",
         "a zero limit gives run_flow dt = 0, which the dt check would report "
         "as a bad argument instead of a singular flow"),
+    # -- the flow's floors ----------------------------------------------------
+    Mutant(
+        "h_floor-edge-admitted", FLOW,
+        "    if min_h <= H_FLOOR:\n",
+        "    if min_h < H_FLOOR:\n",
+        "the mean-curvature floor is the last value that aborts a step; a "
+        "node of H at the floor must not be stepped"),
+    Mutant(
+        "star_floor-edge-rejected", SURFACES,
+        "return bool(np.min(surface.geometry.alignment) >= floor)",
+        "return bool(np.min(surface.geometry.alignment) > floor)",
+        "the star-shape floor is the last alignment that starts a flow; a "
+        "node at the floor must not reject it"),
+    Mutant(
+        "bulk-horizon-guard-dropped", FUNCTIONALS,
+        "    if r.item(r.argmin()) < rho_m:  # argmin finds the first NaN: False, as "
+        "np.any(r < rho_m)\n"
+        "        raise ExteriorError(\"graph dips below the horizon radius\")\n",
+        "",
+        "a radius field lowered below the horizon after construction gives a "
+        "bulk integral that counts negative volume"),
+    Mutant(
+        "bulk-horizon-guard-edge", FUNCTIONALS,
+        "    if r.item(r.argmin()) < rho_m:",
+        "    if r.item(r.argmin()) <= rho_m:",
+        "a node on the horizon bounds zero volume, which the closed form "
+        "gives; only a node below it is an error"),
+    # -- the torus shape operator and its workspace ----------------------------
+    Mutant(
+        "torus-cross-term-pairing", SURFACES,
+        "a_sq = s11**2 + s22**2 + 2.0 * s12 * s21",
+        "a_sq = s11**2 + s22**2 + 2.0 * s12 * s12",
+        "S = gamma^{-1} h is not symmetric as a matrix: tr(S^2) pairs S12 with "
+        "S21, and S12^2 is |A|^2 only on a diagonal metric"),
+    Mutant(
+        "workspace-owner-unchecked", SURFACES,
+        "if _workspaces.owner.get(n) is token:",
+        "if _workspaces.owner.get(n) is not None:",
+        "a deferred read after a later evaluation on the same grid must rerun "
+        "the kernel, not read the slots that the later evaluation holds"),
+    # -- the trace columns ----------------------------------------------------
+    Mutant(
+        "trace-min-max-H-swapped", FLOW,
+        "        float(g.min_mean_curvature),\n"
+        "        float(np.max(g.mean_curvature)),\n",
+        "        float(np.max(g.mean_curvature)),\n"
+        "        float(g.min_mean_curvature),\n",
+        "min_H feeds the mean-convexity check and the late-time fits; a swap "
+        "leaves every value finite and every flow complete"),
     # -- pinned work counts ---------------------------------------------------
     Mutant(
         "flow-extra-cfl-bound", FLOW,
-        "dt = min(cfl_limit(state.surface, controls.cfl), next_sample - state.time)",
-        "dt = min(cfl_limit(state.surface, controls.cfl),\n"
-        "                         cfl_limit(state.surface, controls.cfl), "
-        "next_sample - state.time)",
+        "dt = min(cfl_limit(state.surface, cfl), next_sample - state.time)",
+        "dt = min(cfl_limit(state.surface, cfl), cfl_limit(state.surface, cfl),\n"
+        "                         next_sample - state.time)",
         "a third CFL bound per step: the same trace, more work"),
     Mutant(
         "sample-row-extra-integral", FLOW,

@@ -34,7 +34,6 @@ from .errors import (
     NoiseFloorError,
 )
 from .flow import (
-    FlowControls,
     FlowState,
     FlowTrace,
     TRACE_COLUMNS,

@@ -350,8 +350,8 @@ class _Run:
     extrapolated mass of `chmass`.  Each shared quantity is computed once.
     """
 
-    def __init__(self, background, scale, surface=None, flow=False, extrapolated=None):
-        self.background, self.k, self.scale = background, background.curvature_sign, scale
+    def __init__(self, background, surface=None, flow=False, extrapolated=None):
+        self.background, self.k = background, background.curvature_sign
         self.trace, self.extrapolated = None, extrapolated
         self.audit, self.flow = extrapolated is None, flow  # `audit` and `flow`, not `chmass`
         self.slice = surface is not None and surface.is_constant
@@ -377,9 +377,8 @@ def _worst_step(values, reduce):
     return float(reduce(np.diff(values))) if len(values) > 1 else 0.0
 
 
-# One audit check, applied to a run where `when(run)` holds.  A number
-# `tolerance` is scaled by --tolerance-scale; a function of the run gives the
-# tolerance as used.  `value` is a function of the run, `bound` a number or one.
+# One audit check, applied to a run where `when(run)` holds.  `value` is a
+# function of the run; `tolerance` and `bound` are each a number or one.
 _Spec = namedtuple("_Spec", "name when rule tolerance value tag bound", defaults=(0.0,))
 
 
@@ -418,7 +417,7 @@ _CHECKS = (
           "Minkowski inequality"),
     _Spec("hk_gap", _graph, "lower", 1e-6, lambda run: run.report.hk_gap,
           "Heintze-Karcher inequality"),
-    _Spec("area_growth", _flow, "abs", lambda run: (1e-10 if run.slice else 1e-4) * run.scale,
+    _Spec("area_growth", _flow, "abs", lambda run: 1e-10 if run.slice else 1e-4,
           lambda run: np.max(np.abs(
               run.column("area") / (np.exp(run.trace.times) * run.column("area")[0]) - 1.0)),
           "exponential area growth"),
@@ -426,7 +425,7 @@ _CHECKS = (
           lambda run: np.max(np.abs(run.column("Q") - run.column("Q")[0])),
           "monotone functional constant on slice flows"),
     _Spec("q_monotone", lambda run: run.flow and run.graph, "upper",
-          lambda run: 1e-6 * max(1.0, abs(run.column("Q")[0])) * run.scale,
+          lambda run: 1e-6 * max(1.0, abs(run.column("Q")[0])),
           lambda run: _worst_step(run.column("Q"), np.max),
           "monotone functional non-increasing along the flow"),
     _Spec("q_limit", _flow, "lower", 1e-6, lambda run: float(np.min(run.column("Q"))) - run.q_inf,
@@ -441,7 +440,7 @@ _CHECKS = (
     _Spec("flow_complete", _flow, "lower", 0.0, lambda run: float(run.trace.complete),
           "flow reached its final time", 1.0),
     _Spec("chmass_extrapolated", lambda run: not run.audit, "abs",
-          lambda run: 1e-3 * max(1.0, abs(run.background.mass)) * run.scale,
+          lambda run: 1e-3 * max(1.0, abs(run.background.mass)),
           lambda run: run.extrapolated - run.background.mass,
           "boundary mass integral converges to the mass parameter"),
 )
@@ -452,17 +451,17 @@ def _evaluate(run):
     checks = []
     for name, when, rule, tolerance, value, tag, bound in _CHECKS:
         if when(run):
-            tolerance = tolerance(run) if callable(tolerance) else tolerance * run.scale
+            tolerance = tolerance(run) if callable(tolerance) else tolerance
             bound = bound(run) if callable(bound) else bound
             checks.append(_check(name, value(run), tag, rule, tolerance, bound))
     return checks
 
 
-def run_scenario(config, with_flow=True, tolerance_scale=1.0):
+def run_scenario(config, with_flow=True):
     """Build the scenario, optionally run its flow, and evaluate every check that applies."""
     background = build_background(config)
     surface = None if config.radius is None else build_initial_surface(config, background)
-    run = _Run(background, tolerance_scale, surface,
+    run = _Run(background, surface,
                flow=surface is not None and with_flow and config.t_end is not None)
     if run.flow:
         run.trace = run_flow(surface, config.t_end, config.sample_interval)
@@ -522,12 +521,7 @@ def _load_config(args):
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {args.config}: {err}") from None
-    config = parse_config(text)
-    if args.scenario is not None and args.scenario != config.scenario_id:
-        raise ConfigError(
-            f"config defines scenario {config.scenario_id!r}, not {args.scenario!r}"
-        )
-    return config
+    return parse_config(text)
 
 
 def _report(result, quiet):
@@ -569,8 +563,7 @@ def _cmd_background(args):
 
 def _cmd_flow_or_audit(args):
     config = _load_config(args)
-    trace, result = run_scenario(config, with_flow=args.command == "flow",
-                                 tolerance_scale=args.tolerance_scale)
+    trace, result = run_scenario(config, with_flow=args.command == "flow")
     _write_outputs(args, trace, result)
     code = _report(result, args.quiet)
     if trace is not None and not trace.complete:
@@ -591,18 +584,9 @@ def _cmd_chmass(args):
         print(f"{rho:>12.6g}  {est:>22.17g}  {abs(est - background.mass):>12.3e}")
     extrap = bg.richardson_mass(background, config.rho_eval)
     print(f"{'extrapolated':>12}  {extrap:>22.17g}  {abs(extrap - background.mass):>12.3e}")
-    result = AuditResult(config.scenario_id,
-                         _evaluate(_Run(background, args.tolerance_scale, extrapolated=extrap)))
+    result = AuditResult(config.scenario_id, _evaluate(_Run(background, extrapolated=extrap)))
     _write_outputs(args, None, result)
     return 0 if result.passed else 1
-
-
-def _tolerance_scale(text):
-    """--tolerance-scale, finite and positive like a config value; else exit 2."""
-    try:
-        return _positive(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
 
 
 def main(argv=None):
@@ -620,12 +604,9 @@ def main(argv=None):
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--scenario", default=None)
         p.add_argument("--quiet", action="store_true")
         if name != "background":  # background writes no file and runs no check
             p.add_argument("--out", default=None)
-            p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
-                           dest="tolerance_scale")
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:

@@ -33,13 +33,19 @@ __all__ = [
     "TRACE_COLUMNS",
     "FlowState",
     "FlowTrace",
-    "FlowControls",
     "cfl_limit",
     "step_slice_ode",
     "step_graph_pde",
     "run_flow",
     "asymptotic_rate_fit",
 ]
+
+# The step fraction of the CFL bound, the one flow control a caller sets;
+# a step aborts where H is at or below H_FLOOR, and a flow does not start
+# where the radial alignment drops below STAR_FLOOR.
+CFL = 0.2
+H_FLOOR = 1e-6
+STAR_FLOOR = 0.1
 
 TRACE_COLUMNS = (
     "t",
@@ -63,15 +69,6 @@ class FlowState:
     time: float
     surface: GraphSurface
     step_count: int
-
-
-@dataclass
-class FlowControls:
-    """Step-size and safety parameters for a flow run."""
-
-    cfl: float = 0.2
-    h_floor: float = 1e-6
-    star_floor: float = 0.1
 
 
 @dataclass
@@ -120,14 +117,14 @@ def _check_finite(name, value, positive=True):
     """Raise ValueError unless value is finite and positive (or nonnegative).
 
     Each comparison is False on NaN, so NaN is rejected too.  An infinite
-    step fraction would lift the CFL bound, a NaN floor would switch its
-    check off, and a step that is not positive would never reach t_end.
+    step fraction would lift the CFL bound, and a step that is not positive
+    would never reach t_end.
     """
     if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
 
 
-def cfl_limit(surface, cfl=FlowControls.cfl):
+def cfl_limit(surface, cfl=CFL):
     """Largest stable explicit time step for the graphical flow.
 
     The diffusion coefficient of the linearized operator scales like
@@ -160,26 +157,25 @@ def step_slice_ode(state, dt):
     return FlowState(state.time + dt, surface, state.step_count + 1)
 
 
-def _check_mean_convex(surface, h_floor):
+def _check_mean_convex(surface):
     min_h = surface.geometry.min_mean_curvature
-    if min_h <= h_floor:
-        raise FlowSingularError(f"min H = {min_h:.3e} at or below floor {h_floor}")
+    if min_h <= H_FLOOR:
+        raise FlowSingularError(f"min H = {min_h:.3e} at or below floor {H_FLOOR}")
 
 
-def _velocity(surface, h_floor):
-    _check_mean_convex(surface, h_floor)
+def _velocity(surface):
+    _check_mean_convex(surface)
     g = surface.geometry
     return g.graph_factor / g.mean_curvature
 
 
-def step_graph_pde(state, dt, h_floor=FlowControls.h_floor, cfl=FlowControls.cfl):
+def step_graph_pde(state, dt, *, cfl=CFL):
     """One explicit midpoint step of the graphical flow equation."""
-    _check_finite("h_floor", h_floor, positive=False)
     surface = state.surface
-    v1 = _velocity(surface, h_floor)
+    v1 = _velocity(surface)
     limit = cfl_limit(surface, cfl)
-    # The limit is checked before dt: where it is 0 (H = 0, or H^2 underflows
-    # above a zero floor), so is run_flow's dt, and the flow is singular.
+    # The limit is checked before dt: where it rounds to 0 (a graph factor
+    # whose square overflows), so does run_flow's dt, and the flow is singular.
     if not limit > 0.0:
         raise FlowSingularError(f"stability limit {limit:.3e} is not positive")
     _check_finite("dt", dt)
@@ -189,31 +185,26 @@ def step_graph_pde(state, dt, h_floor=FlowControls.h_floor, cfl=FlowControls.cfl
     r = surface.radius_field
     v1 *= 0.5 * dt
     half = GraphSurface(surface.background, np.add(r, v1, out=v1))
-    v2 = _velocity(half, h_floor)
+    v2 = _velocity(half)
     v2 *= dt
     new_surface = GraphSurface(surface.background, np.add(r, v2, out=v2))
-    _check_mean_convex(new_surface, h_floor)  # mean-convexity must survive the step
+    _check_mean_convex(new_surface)  # mean-convexity must survive the step
     return FlowState(state.time + dt, new_surface, state.step_count + 1)
 
 
-def run_flow(initial, t_end, sample_interval, controls=None):
+def run_flow(initial, t_end, sample_interval, *, cfl=CFL):
     """Drive a flow to t_end, sampling functionals at fixed intervals.
 
     Constant graphs take the exact ODE path directly between sample
-    times; all other graphs take CFL-limited explicit steps.  On a flow
-    abort the partial trace is returned with ``complete`` False.
+    times; all other graphs take explicit steps of at most
+    ``cfl_limit(surface, cfl)``.  On a flow abort the partial trace is
+    returned with ``complete`` False.
     """
-    if controls is None:
-        controls = FlowControls()
     _check_finite("t_end", t_end)
     _check_finite("sample_interval", sample_interval)
-    _check_finite("controls.cfl", controls.cfl)
-    _check_finite("controls.h_floor", controls.h_floor, positive=False)
-    _check_finite("controls.star_floor", controls.star_floor, positive=False)
-    if not star_shaped_check(initial, controls.star_floor):
-        raise FlowSingularError(
-            f"initial surface fails the star-shape floor {controls.star_floor}"
-        )
+    _check_finite("cfl", cfl)
+    if not star_shaped_check(initial, STAR_FLOOR):
+        raise FlowSingularError(f"initial surface fails the star-shape floor {STAR_FLOOR}")
 
     state = FlowState(0.0, initial, 0)
     rows = [_sample_row(state)]
@@ -228,8 +219,8 @@ def run_flow(initial, t_end, sample_interval, controls=None):
             if ode_path:
                 state = step_slice_ode(state, next_sample - state.time)
             else:
-                dt = min(cfl_limit(state.surface, controls.cfl), next_sample - state.time)
-                state = step_graph_pde(state, dt, controls.h_floor, controls.cfl)
+                dt = min(cfl_limit(state.surface, cfl), next_sample - state.time)
+                state = step_graph_pde(state, dt, cfl=cfl)
             if state.time >= next_sample - 1e-12:
                 rows.append(_sample_row(state))
                 sample_index += 1

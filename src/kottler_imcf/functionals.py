@@ -46,7 +46,7 @@ def bulk_integral(surface):
     """
     r = surface.radius_field
     rho_m = surface.background.horizon_rho
-    if np.minimum.reduce(r, axis=None) < rho_m:  # False on NaN, as np.any(r < rho_m)
+    if r.item(r.argmin()) < rho_m:  # argmin finds the first NaN: False, as np.any(r < rho_m)
         raise ExteriorError("graph dips below the horizon radius")
     return integrate(surface.background.base, (r**3 - rho_m**3) / 3.0)
 

@@ -231,11 +231,6 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert main(["audit", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_cli_scenario_name_mismatch(tmp_path, capsys):
-    cfg = _write(tmp_path, MINIMAL)
-    assert main(["audit", "--config", cfg, "--scenario", "other"]) == 2
-
-
 def test_cli_background_output(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "\n[background]\nresolution = point\n")
     assert main(["background", "--config", cfg]) == 0
@@ -326,26 +321,6 @@ def test_cli_degenerate_horizon_radius_exit_two(tmp_path, capsys):
     assert main(["audit", "--config", _write(tmp_path, text)]) == 2
 
 
-def test_cli_tolerance_scale(tmp_path, capsys):
-    cfg = _write(tmp_path, MINIMAL + "\n[background]\nresolution = point\n")
-    # an absurdly small tolerance scale forces rigidity checks to fail
-    assert main(["audit", "--config", cfg, "--tolerance-scale", "1e-20"]) == 1
-
-
-@pytest.mark.parametrize("scale,code", [("-1", 2), ("0", 2), ("nan", 2), ("inf", 2),
-                                        ("1e-20", 1)])
-def test_cli_tolerance_scale_finite_and_positive(capsys, scale, code):
-    # A scale that is not finite and positive is a usage error (argparse exits 2),
-    # not a run whose every check fails or passes; a tiny scale is still a run.
-    config = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
-    try:
-        status = main(["audit", "--config", config, "--tolerance-scale", scale])
-    except SystemExit as exit_:
-        status = exit_.code
-        assert "--tolerance-scale" in capsys.readouterr().err
-    assert status == code
-
-
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_audit_integrates_each_surface_integral_once(monkeypatch, scenario):
     # The surface checks read one evaluate_report: its five integrals.
@@ -395,9 +370,10 @@ def test_check_nan_fails_every_rule(rule):
     assert _check("c", np.nan, "demo", rule, 1.0).passed is False
 
 
-# At --tolerance-scale 1e-20 the shipped scenarios reach the failing side
-# that their goldens never show.  Per scenario: the audit's checks, then
-# the checks its flow adds, each as `name` (passes) or `-name` (fails).
+# With every tolerance scaled by 1e-20 (_tiny_tolerances) the shipped
+# scenarios reach the failing side that their goldens never show.  Per
+# scenario: the audit's checks, then the checks its flow adds, each as `name`
+# (passes) or `-name` (fails).
 _TINY_SCALE_CHECKS = {
     "slice-rigidity-hyperbolic": (
         "surface_gravity_bound penrose_conjecture -mass_upper_bound reverse_penrose "
@@ -426,11 +402,26 @@ _TINY_SCALE_CHECKS = {
 }
 
 
+def _tiny_tolerances(monkeypatch):
+    """Scale the tolerance of every check row by 1e-20, except the width of
+    `area_window`, which is the radius window itself."""
+    def tiny(tolerance):
+        if callable(tolerance):
+            return lambda run: tolerance(run) * 1e-20
+        return tolerance * 1e-20
+
+    monkeypatch.setattr(kottler_imcf.cli, "_CHECKS", tuple(
+        spec if spec.name == "area_window" else spec._replace(tolerance=tiny(spec.tolerance))
+        for spec in kottler_imcf.cli._CHECKS))
+
+
 @pytest.mark.parametrize("command", ["audit", "flow"])
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_cli_tiny_tolerance_scale_failing_checks(tmp_path, capsys, scenario, command):
+def test_cli_tiny_tolerance_scale_failing_checks(tmp_path, monkeypatch, capsys, scenario,
+                                                 command):
+    _tiny_tolerances(monkeypatch)
     config = os.path.join(ROOT, "scenarios", scenario + ".cfg")
-    argv = [command, "--config", config, "--out", str(tmp_path), "--tolerance-scale", "1e-20"]
+    argv = [command, "--config", config, "--out", str(tmp_path)]
     assert main(argv) == 1
     audit, flow = _TINY_SCALE_CHECKS[scenario]
     marked = (audit + " " + flow if command == "flow" else audit).split()
@@ -444,9 +435,10 @@ def test_cli_tiny_tolerance_scale_failing_checks(tmp_path, capsys, scenario, com
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_cli_chmass_tiny_tolerance_scale_fails(tmp_path, capsys, scenario):
+def test_cli_chmass_tiny_tolerance_scale_fails(tmp_path, monkeypatch, capsys, scenario):
+    _tiny_tolerances(monkeypatch)
     config = os.path.join(ROOT, "scenarios", scenario + ".cfg")
-    argv = ["chmass", "--config", config, "--out", str(tmp_path), "--tolerance-scale", "1e-20"]
+    argv = ["chmass", "--config", config, "--out", str(tmp_path)]
     assert main(argv) == 1
     payload = json.loads((tmp_path / (scenario + "_audit.json")).read_text())
     assert payload["passed"] is False
@@ -594,7 +586,8 @@ def test_removed_key_is_unknown_exit_two(tmp_path, capsys, section, key, value):
 @pytest.mark.parametrize("flag, value", [("--out", "out"), ("--tolerance-scale", "2")])
 def test_cli_background_rejects_flags_it_never_reads(tmp_path, monkeypatch, capsys, flag,
                                                      value):
-    # Each value is one that `flow`, `audit` and `chmass` accept.
+    # `flow`, `audit` and `chmass` accept `--out out`; `--tolerance-scale` is
+    # retired from every subcommand.
     monkeypatch.chdir(tmp_path)
     config = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
     with pytest.raises(SystemExit) as exit_:
@@ -604,6 +597,36 @@ def test_cli_background_rejects_flags_it_never_reads(tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert flag in captured.err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["flow", "audit", "chmass"])
+@pytest.mark.parametrize("flag, value", [("--tolerance-scale", "2"), ("--scenario", "x")])
+def test_cli_retired_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
+    # A verdict depends on its scenario alone: no flag scales a tolerance or
+    # names the scenario, so both are unknown arguments, before any work.
+    monkeypatch.chdir(tmp_path)
+    flows = _count_flows(monkeypatch)
+    config = os.path.join(ROOT, "scenarios", "sphere-perturbed.cfg")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", config, "--out", "out", flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert flows == [] and os.listdir(tmp_path) == []
+
+
+def test_coarse_sphere_flow_fails_its_area_growth(tmp_path, capsys):
+    # At 9 nodes the flow's area error, 5.0e-4, is above its 1e-4 tolerance,
+    # so the run fails with exit 1; no flag can widen that tolerance
+    # (test_cli_retired_flag_is_a_usage_error).
+    text = "id = coarse\n[background]\ncurvature_sign = 1\nmass = 1.0\nresolution = 9\n" \
+        "[surface]\nradius = 2.0\namplitude = 0.2\nmode = 1\n[flow]\nt_end = 1.0\n"
+    assert main(["flow", "--config", _write(tmp_path, text), "--quiet"]) == 1
+    failed, verdict = capsys.readouterr().out.splitlines()
+    assert failed.startswith("FAIL area_growth: ")
+    assert failed.endswith(" tol=1.0e-04 (exponential area growth)")
+    assert verdict == "scenario coarse: FAIL"
 
 
 @pytest.mark.parametrize("command", ["background", "flow", "audit", "chmass"])

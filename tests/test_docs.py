@@ -1,21 +1,27 @@
-"""README stays in step with the code: its config key table, its check table and
-the flow controls' defaults."""
+"""README stays in step with the code: its config key table, its check table,
+the flow's step fraction and floors, and the command-line flags."""
 
 import os
 import re
 from dataclasses import fields
 
-from kottler_imcf import FlowControls
+from kottler_imcf import flow
 from kottler_imcf.cli import _CHECKS, ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Keys that no longer exist; the parser rejects them as unknown.
 REMOVED_KEYS = {"max_dt", "seed", "cfl", "h_floor", "star_floor", "checks"}
+# Flags that no longer exist; argparse rejects them as unrecognized.
+REMOVED_FLAGS = ("--tolerance-scale", "--scenario")
+
+
+def _readme():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _readme_section(title):
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+    text = _readme()
     start = text.index(f"\n## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start:end if end != -1 else len(text)]
@@ -35,9 +41,13 @@ def test_readme_key_table_lists_every_config_key_once():
 
 
 def test_readme_names_no_removed_key():
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        quoted = set(re.findall(r"`(\w+)`", fh.read()))
+    quoted = set(re.findall(r"`(\w+)`", _readme()))
     assert not quoted & REMOVED_KEYS
+
+
+def test_readme_names_no_removed_flag():
+    text = _readme()
+    assert [flag for flag in REMOVED_FLAGS if flag in text] == []
 
 
 def test_readme_check_table_matches_the_check_rows():
@@ -47,12 +57,12 @@ def test_readme_check_table_matches_the_check_rows():
 
 
 def test_readme_flow_defaults_are_the_flow_controls_defaults():
-    # The flow bullet gives the defaults as a bare triple; the control names
-    # stay out of backquotes (test_readme_names_no_removed_key).
+    # The flow bullet gives the step fraction and the two floors as a bare
+    # triple; their names stay out of backquotes (test_readme_names_no_removed_key).
     section = _readme_section("Library overview")
     start = section.index("- `kottler_imcf.flow`")
     bullet = section[start:section.index("\n- ", start + 1)]
     triples = re.findall(r"\(([^()]*\d[^()]*)\)", bullet)
     assert len(triples) == 1, triples
     listed = tuple(float(value) for value in triples[0].split(","))
-    assert listed == tuple(f.default for f in fields(FlowControls))
+    assert listed == (flow.CFL, flow.H_FLOOR, flow.STAR_FLOOR)

@@ -13,7 +13,6 @@ import kottler_imcf.flow
 import kottler_imcf.surfaces
 from kottler_imcf import (
     CFLError,
-    FlowControls,
     FlowState,
     FlowSingularError,
     FlowTrace,
@@ -29,6 +28,7 @@ from kottler_imcf import (
     step_slice_ode,
 )
 from kottler_imcf.cli import build_background, build_initial_surface, parse_config, run_scenario
+from kottler_imcf.flow import H_FLOOR, STAR_FLOOR
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "scenarios")
@@ -109,30 +109,42 @@ def test_cfl_guard_at_its_edge(kind):
         step_graph_pde(state, limit * (1.0 + 1e-9))
 
 
+def _with_node(surface, field, value, node=5):
+    """The surface with one node of one geometry field replaced; the cached
+    minimum of H is recomputed from the patched H."""
+    g = surface.geometry
+    patched = getattr(g, field).copy()
+    patched[node] = value
+    surface._geometry = dataclasses.replace(g, **{field: patched})
+    return surface
+
+
 def test_h_floor_abort():
-    b = make_background(1, 0, 33, mass=1.0)
-    state = FlowState(0.0, GraphSurface(b, 2.0), 0)
-    with pytest.raises(FlowSingularError):
-        step_graph_pde(state, 1e-5, h_floor=10.0)
+    # The floor is the last value that aborts: H at the floor ends the step,
+    # H one float above it takes the step.
+    for h_min, aborts in ((H_FLOOR, True), (np.nextafter(H_FLOOR, np.inf), False)):
+        s = _with_node(_edge_surface("sphere-33"), "mean_curvature", h_min)
+        assert s.geometry.min_mean_curvature == h_min
+        state = FlowState(0.0, s, 0)
+        if aborts:
+            with pytest.raises(FlowSingularError, match="at or below floor"):
+                step_graph_pde(state, cfl_limit(s))
+        else:
+            assert step_graph_pde(state, cfl_limit(s)).step_count == 1
 
 
 @pytest.mark.parametrize("dt_scale, kwargs", [
     (50.0, {"cfl": np.inf}),
     (0.5, {"cfl": np.nan}),
     (0.5, {"cfl": 0.0}),
-    (0.5, {"h_floor": np.nan}),
-    (0.5, {"h_floor": np.inf}),
-    (0.5, {"h_floor": -1.0}),
     (-1.0, {}),
     (0.0, {}),
     (np.nan, {}),
     (np.inf, {}),
-], ids=["cfl-inf", "cfl-nan", "cfl-zero", "h_floor-nan", "h_floor-inf", "h_floor-negative",
-        "dt-negative", "dt-zero", "dt-nan", "dt-inf"])
+], ids=["cfl-inf", "cfl-nan", "cfl-zero", "dt-negative", "dt-zero", "dt-nan", "dt-inf"])
 def test_step_graph_pde_rejects_bad_inputs(dt_scale, kwargs):
-    # Unchecked, cfl = inf admits a step 50x over the limit, a NaN floor
-    # switches the mean-convexity check off, a negative dt steps back in time
-    # and dt = 0 counts as a step.
+    # Unchecked, cfl = inf admits a step 50x over the limit, a negative dt
+    # steps back in time and dt = 0 counts as a step.
     s = _edge_surface("sphere-33")
     state = FlowState(0.0, s, 0)
     dt = dt_scale * cfl_limit(s)
@@ -152,23 +164,21 @@ def test_slice_ode_rejects_bad_steps(dt):
         step_slice_ode(_slice_state(), dt)
 
 
-@pytest.mark.parametrize("h_min, h_floor, reason", [
-    (0.0, FlowControls.h_floor, "at or below floor"),
-    (1e-170, 0.0, "not positive"),
-], ids=["zero-h", "underflowing-h-squared"])
-def test_zero_cfl_limit_aborts_the_flow_as_singular(h_min, h_floor, reason):
-    # Where H = 0, or H^2 underflows above a zero floor, the CFL limit, and so
-    # run_flow's dt, is 0: the step reports the lost mean convexity or the zero
-    # limit, not a bad dt, and the flow ends as an abort.
-    s = _edge_surface("sphere-33")
-    g = s.geometry
-    h = g.mean_curvature.copy()
-    h[5] = h_min
-    s._geometry = dataclasses.replace(g, mean_curvature=h)
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.parametrize("field, value, reason", [
+    ("mean_curvature", 0.0, "at or below floor"),
+    ("graph_factor", 1e170, "not positive"),
+], ids=["zero-h", "overflowing-graph-factor-squared"])
+def test_zero_cfl_limit_aborts_the_flow_as_singular(field, value, reason):
+    # Where H = 0, or a graph factor's square overflows while H stays above
+    # the floor, the CFL limit, and so run_flow's dt, is 0: the step reports
+    # the lost mean convexity or the zero limit, not a bad dt, and the flow
+    # ends as an abort.
+    s = _with_node(_edge_surface("sphere-33"), field, value)
     assert cfl_limit(s) == 0.0
     with pytest.raises(FlowSingularError, match=reason):
-        step_graph_pde(FlowState(0.0, s, 0), 0.0, h_floor=h_floor)
-    trace = run_flow(s, 1.0, 0.5, FlowControls(h_floor=h_floor))
+        step_graph_pde(FlowState(0.0, s, 0), 0.0)
+    trace = run_flow(s, 1.0, 0.5)
     assert not trace.complete and reason in trace.abort_reason
 
 
@@ -199,12 +209,36 @@ def test_horizon_slice_has_geometry_and_flows_for_every_mass(k, genus):
         assert trace.complete and trace.n_samples == 3, (k, mass, trace.abort_reason)
 
 
+def _with_alignment_node(surface, value, node=5):
+    """The surface with one node of its alignment replaced, read through the
+    geometry's measure group as the kernel defers it."""
+    g = surface.geometry
+    measure = g.measure
+
+    def patched_measure():
+        potential, area_density, shape = measure()
+
+        def patched_shape():
+            traceless_sq, alignment = shape()
+            alignment = alignment.copy()
+            alignment[node] = value
+            return traceless_sq, alignment
+
+        return potential, area_density, patched_shape
+
+    surface._geometry = dataclasses.replace(g, measure=patched_measure)
+    return surface
+
+
 def test_run_flow_star_floor_rejection():
-    b = make_background(1, 0, 129, mass=1.0)
-    th = b.base.grid.theta
-    s = GraphSurface(b, 2.0 + 0.2 * np.cos(th))
-    with pytest.raises(FlowSingularError):
-        run_flow(s, 1.0, 0.25, FlowControls(star_floor=0.9999))
+    # The floor is the last alignment that starts a flow: one node at the
+    # floor runs, one node a float below it is rejected before any step.
+    s = _with_alignment_node(_edge_surface("sphere-33"), STAR_FLOOR)
+    trace = run_flow(s, 0.05, 0.05)
+    assert trace.complete and trace.column("min_align")[0] == STAR_FLOOR
+    s = _with_alignment_node(_edge_surface("sphere-33"), np.nextafter(STAR_FLOOR, -np.inf))
+    with pytest.raises(FlowSingularError, match="star-shape floor"):
+        run_flow(s, 0.05, 0.05)
 
 
 def test_run_flow_argument_validation():
@@ -357,29 +391,25 @@ def test_evaluate_report_runs_only_the_measure_group(monkeypatch):
     assert counts == {"measure": 1, "shape": 0}
 
 
-@pytest.mark.parametrize("t_end, sample_interval, controls", [
-    (np.inf, 0.25, None),
-    (np.nan, 0.25, None),
-    (1.0, np.inf, None),
-    (1.0, np.nan, None),
-    (1.0, 0.25, FlowControls(cfl=0.0)),
-    (1.0, 0.25, FlowControls(cfl=-1.0)),
-    (1.0, 0.25, FlowControls(cfl=np.nan)),
-    (1.0, 0.25, FlowControls(cfl=np.inf)),
-    (1.0, 0.25, FlowControls(h_floor=np.nan)),
-    (1.0, 0.25, FlowControls(h_floor=np.inf)),
-    (1.0, 0.25, FlowControls(h_floor=-1.0)),
-    (1.0, 0.25, FlowControls(star_floor=np.nan)),
-    (1.0, 0.25, FlowControls(star_floor=np.inf)),
-    (1.0, 0.25, FlowControls(star_floor=-1.0)),
+@pytest.mark.parametrize("t_end, sample_interval, controls, amplitude", [
+    (np.inf, 0.25, {}, 0.2),
+    (np.nan, 0.25, {}, 0.2),
+    (1.0, np.inf, {}, 0.2),
+    (1.0, np.nan, {}, 0.2),
+    (1.0, 0.25, {"cfl": 0.0}, 0.2),
+    (1.0, 0.25, {"cfl": -1.0}, 0.2),
+    (1.0, 0.25, {"cfl": np.nan}, 0.2),
+    (1.0, 0.25, {"cfl": np.inf}, 0.2),
+    (1.0, 0.25, {"cfl": np.nan}, 0.0),
 ], ids=["t_end-inf", "t_end-nan", "interval-inf", "interval-nan", "cfl-zero", "cfl-negative",
-        "cfl-nan", "cfl-inf", "h_floor-nan", "h_floor-inf", "h_floor-negative", "star_floor-nan",
-        "star_floor-inf", "star_floor-negative"])
-def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval, controls):
+        "cfl-nan", "cfl-inf", "slice-cfl-nan"])
+def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval, controls,
+                                                     amplitude):
+    # A slice flow never reads the step fraction, so run_flow checks it itself.
     b = make_background(1, 0, 17, mass=1.0)
-    surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
+    surface = GraphSurface(b, 2.0 + amplitude * np.cos(b.base.grid.theta))
     with pytest.raises(ValueError):
-        run_flow(surface, t_end, sample_interval, controls)
+        run_flow(surface, t_end, sample_interval, **controls)
 
 
 def _order(traces, name):
@@ -412,7 +442,7 @@ def test_flow_dt_halving_second_order(grid):
         b = make_background(0, 1, 16, mass=0.5)
         g = b.base.grid
         surface = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side))
-    traces = [run_flow(surface, 0.5, 0.25, FlowControls(cfl=cfl)) for cfl in (0.2, 0.1, 0.05)]
+    traces = [run_flow(surface, 0.5, 0.25, cfl=cfl) for cfl in (0.2, 0.1, 0.05)]
     assert all(trace.complete and trace.times[-1] == 0.5 for trace in traces)
     for name in ("area", "Q", "hawking_mass", "int_A0sq", "min_H"):
         order = _order(traces, name)

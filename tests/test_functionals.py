@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import kottler_imcf.functionals
 import kottler_imcf.surfaces
 from kottler_imcf import (
+    ExteriorError,
     FlowState,
     GraphSurface,
     TRACE_COLUMNS,
@@ -133,6 +134,20 @@ def test_bulk_integral_slices():
         expected = b.base.area * (rho**3 - b.horizon_rho**3) / 3.0
         assert bulk_integral(s) == pytest.approx(expected, rel=1e-14)
         assert bulk_integral(GraphSurface(b, b.horizon_rho)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_bulk_integral_rejects_a_field_lowered_below_the_horizon():
+    # GraphSurface checks the horizon as it is made; a field lowered after
+    # that is caught by bulk_integral, whose closed form starts at the horizon.
+    b = make_background(1, 0, 33, mass=1.0)
+    s = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
+    r = s.radius_field.copy()
+    r[5] = b.horizon_rho
+    s.radius_field = r
+    bulk_integral(s)
+    r[5] = np.nextafter(b.horizon_rho, 0.0)
+    with pytest.raises(ExteriorError, match="below the horizon"):
+        bulk_integral(s)
 
 
 def test_bulk_integral_against_radial_quadrature():
