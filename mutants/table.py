@@ -24,6 +24,7 @@ BACKGROUND = "src/kottler_imcf/background.py"
 SURFACES = "src/kottler_imcf/surfaces.py"
 FLOW = "src/kottler_imcf/flow.py"
 FUNCTIONALS = "src/kottler_imcf/functionals.py"
+CLI = "src/kottler_imcf/cli.py"
 
 MUTANTS = [
     # -- the sphere kernel ---------------------------------------------------
@@ -238,4 +239,66 @@ MUTANTS = [
         "        surface.area(),\n",
         "        surface.area() + 0.0 * surface.area(),\n",
         "a twelfth quadrature per sample row: the same trace, more work"),
+    # -- state derived, not stored ----------------------------------------------
+    Mutant(
+        "euler_char-from-genus-halved", BASE,
+        "        return 2 - 2 * self.genus\n",
+        "        return 2 - self.genus\n",
+        "chi = 2 - 2g; 2 - g agrees on the sphere only, so the torus and the "
+        "hyperbolic bases fail Gauss-Bonnet"),
+    Mutant(
+        "trace-complete-inverted", FLOW,
+        "        return self.abort_reason is None\n",
+        "        return self.abort_reason is not None\n",
+        "complete is read by the flow_complete check and the exit code 3 of "
+        "an aborted flow"),
+    # -- the parse-time [surface] rules -----------------------------------------
+    Mutant(
+        "surface-zero-amplitude-modes-admitted", CLI,
+        "ignored, where = sorted(modes), \"when amplitude is 0\"",
+        "ignored, where = [], \"when amplitude is 0\"",
+        "a mode key with amplitude 0 changes nothing, so it must be an error "
+        "where it is read, by every subcommand"),
+    Mutant(
+        "surface-unread-key-admitted", CLI,
+        "ignored = sorted({\"amplitude\", *modes}.difference(keys))",
+        "ignored = []",
+        "a key that the grid does not read (mode on a torus, amplitude on "
+        "the point grid) must not pass as if it took effect"),
+    Mutant(
+        "surface-vanishing-torus-modes-admitted", CLI,
+        "    return (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0\n",
+        "    return False\n",
+        "a torus field that is 0 on every node (up to round-off) would be "
+        "audited as a non-slice graph"),
+    # -- rules of item 3's list ----------------------------------------------
+    Mutant(
+        "scale-down-always-multiplies", SURFACES,
+        "    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):\n",
+        "    if True:\n",
+        "x * (1/c) rounds twice where c is not a power of two, so it leaves "
+        "the bits of x / c"),
+    Mutant(
+        "lower-rule-strict", CLI,
+        "\"lower\": lambda value, bound, tol: value >= bound - tol,",
+        "\"lower\": lambda value, bound, tol: value > bound - tol,",
+        "a lower bound is met at equality: a complete flow's flow_complete "
+        "value is exactly its bound, 1"),
+    Mutant(
+        "upper-rule-strict", CLI,
+        "\"upper\": lambda value, bound, tol: value <= bound + tol,",
+        "\"upper\": lambda value, bound, tol: value < bound + tol,",
+        "an upper bound is met at equality, as the README's rule table says"),
+    Mutant(
+        "abs-rule-strict", CLI,
+        "\"abs\": lambda value, bound, tol: abs(value - bound) <= tol,",
+        "\"abs\": lambda value, bound, tol: abs(value - bound) < tol,",
+        "a deviation equal to the tolerance passes, as the README's rule "
+        "table says"),
+    Mutant(
+        "above-rule-admits-equality", CLI,
+        "\"above\": lambda value, bound, tol: value > bound + tol,",
+        "\"above\": lambda value, bound, tol: value >= bound + tol,",
+        "mean_convex asks min H > 0: a flow whose H reaches 0 is not "
+        "mean-convex"),
 ]

@@ -31,6 +31,8 @@ __all__ = [
     "static_residual",
     "ch_mass_integral",
     "mass_upper_bound",
+    "make_background",
+    "richardson_mass",
 ]
 
 

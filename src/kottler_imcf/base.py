@@ -102,9 +102,12 @@ class BaseSurface:
 
     curvature_sign: int
     area: float
-    euler_char: int
     genus: int
     grid: AxisymmetricSphereGrid | FlatTorusGrid | PointGrid
+
+    @property
+    def euler_char(self):
+        return 2 - 2 * self.genus
 
     def __post_init__(self):
         # Gauss-Bonnet must hold exactly by construction.
@@ -113,8 +116,6 @@ class BaseSurface:
                 f"Gauss-Bonnet violated: k*area = {self.curvature_sign * self.area}, "
                 f"2*pi*chi = {2.0 * np.pi * self.euler_char}"
             )
-        if self.euler_char != 2 - 2 * self.genus:
-            raise InvalidBaseError(f"euler_char {self.euler_char} != 2 - 2*genus")
 
 
 def _simpson_weights(x):
@@ -179,12 +180,11 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         raise InvalidBaseError(
             f"genus {genus} incompatible with curvature sign {curvature_sign}"
         )
-    euler_char = 2 - 2 * genus
 
     if curvature_sign == 1:
         w2 = 4.0 * np.pi
     elif curvature_sign == -1:
-        w2 = -2.0 * np.pi * euler_char  # 4*pi*(genus - 1)
+        w2 = 4.0 * np.pi * (genus - 1)  # exactly -2*pi*chi, as Gauss-Bonnet checks
     else:
         w2 = 1.0 if area is None else float(area)
         if w2 <= 0:
@@ -206,15 +206,9 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         grid = _torus_grid(resolution, np.sqrt(w2))
     else:
         raise InvalidBaseError(
-            "hyperbolic bases support only the point grid (constant graphs)"
+            f"hyperbolic bases support only the point grid, not {resolution}"
         )
-    return BaseSurface(
-        curvature_sign=curvature_sign,
-        area=w2,
-        euler_char=euler_char,
-        genus=genus,
-        grid=grid,
-    )
+    return BaseSurface(curvature_sign=curvature_sign, area=w2, genus=genus, grid=grid)
 
 
 def integrate(base, field):

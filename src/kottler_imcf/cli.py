@@ -192,17 +192,18 @@ def _validate(config, lines):
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
-    # The library guard on the point grid: first the genus, then a curved area.
-    for key, name, area in (("genus", "genus", None), ("area", "base_area", config.base_area)):
+    # The library guard: first the genus and a curved area on the point grid,
+    # then the scenario's own grid, which the [surface] rules below read.
+    for key, name, resolution, area in (
+            ("genus", "genus", "point", None),
+            ("area", "base_area", "point", config.base_area),
+            ("resolution", "resolution", config.resolution, config.base_area)):
         try:
-            make_base(config.curvature_sign, config.genus, "point", area=area)
+            grid = make_base(config.curvature_sign, config.genus, resolution, area=area).grid
         except InvalidBaseError as err:
             fail(f"key {key!r}: {err}", name)
-    if config.curvature_sign == -1 and config.resolution != "point":
-        fail(f"key 'resolution': hyperbolic bases support only the point grid, "
-             f"not {config.resolution}", "resolution")
-    surface = ["amplitude"] if config.amplitude != 0.0 else []
-    surface += [key for key in ("mode", "mode1", "mode2") if getattr(config, key) is not None]
+    modes = _modes(config)
+    surface = (["amplitude"] if config.amplitude != 0.0 else []) + list(modes)
     flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
     for section, given in (("surface", surface), ("flow", flow)):
         if config.radius is None and given:
@@ -230,6 +231,18 @@ def _validate(config, lines):
                 f"= {config.radius - rho_m:.6g}",
                 "amplitude",
             )
+        keys, _ = _MODE_FIELDS[type(grid)]
+        if config.amplitude == 0.0:
+            ignored, where = sorted(modes), "when amplitude is 0"
+        else:
+            ignored = sorted({"amplitude", *modes}.difference(keys))
+            where = f"on a {type(grid).__name__} background"
+            if not ignored and isinstance(grid, FlatTorusGrid) and _torus_modes_vanish(
+                    grid, **modes):
+                ignored = ["amplitude", *sorted(modes)]
+                where = f"when resolution {grid.n} divides both 2*mode1 and 2*mode2"
+        if ignored:
+            fail(f"[surface] key(s) {', '.join(ignored)} have no effect {where}", ignored[0])
 
 
 def build_background(config):
@@ -243,14 +256,22 @@ def build_background(config):
     )
 
 
-def _torus_mode_field(grid, mode1=1, mode2=0):
-    # On node (j, k) the field is sin(2 pi (mode1 j + mode2 k) / n): 0 on
-    # every node iff n divides both 2*mode1 and 2*mode2.  In floating point
+def _torus_modes_vanish(grid, mode1=1, mode2=0):
+    # On node (j, k) the torus field is sin(2 pi (mode1 j + mode2 k) / n): 0
+    # on every node iff n divides both 2*mode1 and 2*mode2.  In floating point
     # the Nyquist case sin(pi j) leaves round-off, so the rule is decided on
-    # the integers, and such a field is None.
-    if (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0:
-        return None
+    # the integers.
+    return (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0
+
+
+def _torus_mode_field(grid, mode1=1, mode2=0):
     return np.sin(2.0 * np.pi * (mode1 * grid.theta1 + mode2 * grid.theta2) / grid.side)
+
+
+def _modes(config):
+    """The mode keys that the config sets, with their values."""
+    return {key: getattr(config, key) for key in ("mode", "mode1", "mode2")
+            if getattr(config, key) is not None}
 
 
 # Per grid kind: the [surface] keys besides `radius` that it reads, and
@@ -267,25 +288,13 @@ _MODE_FIELDS = {
 
 
 def build_initial_surface(config, background):
+    """The initial graph of a config that parse_config validated."""
     if config.radius is None:
         raise ConfigError("missing required key 'radius' in [surface]")
-    grid = background.base.grid
-    keys, mode_field = _MODE_FIELDS[type(grid)]
-    modes = {key: getattr(config, key) for key in ("mode", "mode1", "mode2")
-             if getattr(config, key) is not None}
-    if config.amplitude == 0.0:
-        ignored, where = sorted(modes), "when amplitude is 0"
-    else:
-        ignored = sorted({"amplitude", *modes}.difference(keys))
-        where = f"on a {type(grid).__name__} background"
-        # Only a torus field can vanish on every node.
-        if not ignored and (unit := mode_field(grid, **modes)) is None:
-            ignored = ["amplitude", *sorted(modes)]
-            where = f"when resolution {grid.n} divides both 2*mode1 and 2*mode2"
-    if ignored:
-        raise ConfigError(f"[surface] key(s) {', '.join(ignored)} have no effect {where}")
     if config.amplitude == 0.0:
         return GraphSurface(background, config.radius)
+    grid = background.base.grid
+    unit = _MODE_FIELDS[type(grid)][1](grid, **_modes(config))
     return GraphSurface(background, config.radius + config.amplitude * unit)
 
 
@@ -594,6 +603,7 @@ def main(argv=None):
         prog="kottler-imcf",
         description="Inverse mean curvature flow and inequality audits "
         "in Kottler black-hole backgrounds",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in (
@@ -602,7 +612,7 @@ def main(argv=None):
         ("audit", _cmd_flow_or_audit),
         ("chmass", _cmd_chmass),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True)
         p.add_argument("--quiet", action="store_true")
         if name != "background":  # background writes no file and runs no check

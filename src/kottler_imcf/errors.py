@@ -32,7 +32,6 @@ class ConfigError(KottlerError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class NoiseFloorError(KottlerError):

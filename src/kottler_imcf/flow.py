@@ -76,8 +76,11 @@ class FlowTrace:
     """Time series of scalar functionals sampled along one flow."""
 
     data: np.ndarray  # shape (n_samples, len(TRACE_COLUMNS))
-    complete: bool = True
     abort_reason: str | None = None
+
+    @property
+    def complete(self):
+        return self.abort_reason is None
 
     def column(self, name):
         return self.data[:, TRACE_COLUMNS.index(name)]
@@ -209,7 +212,6 @@ def run_flow(initial, t_end, sample_interval, *, cfl=CFL):
     state = FlowState(0.0, initial, 0)
     rows = [_sample_row(state)]
     ode_path = initial.is_constant
-    complete = True
     abort_reason = None
 
     sample_index = 1
@@ -226,14 +228,9 @@ def run_flow(initial, t_end, sample_interval, *, cfl=CFL):
                 sample_index += 1
                 next_sample = min(sample_index * sample_interval, t_end)
     except (FlowSingularError, CFLError) as err:
-        complete = False
         abort_reason = str(err)
 
-    return FlowTrace(
-        data=np.array(rows, dtype=float),
-        complete=complete,
-        abort_reason=abort_reason,
-    )
+    return FlowTrace(data=np.array(rows, dtype=float), abort_reason=abort_reason)
 
 
 _FIT_TARGETS = {"min_align": 1.0, "min_H": 2.0, "max_H": 2.0}

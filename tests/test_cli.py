@@ -258,33 +258,54 @@ def test_cli_flow_writes_outputs(tmp_path, capsys):
     assert payload["passed"] is True
 
 
-@pytest.mark.parametrize("background, surface", [
-    ("curvature_sign = -1\nmass = 1.0\nresolution = point", "amplitude = 0.1"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = point", "amplitude = 0.1"),
-    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode1 = 2"),
-    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode2 = 1"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode = 2"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode1 = 0\nmode2 = 0"),
-], ids=["hyperbolic-point-amplitude", "torus-point-amplitude", "sphere-mode1", "sphere-mode2",
-        "torus-mode", "torus-zero-modes"])
+UNREAD_SURFACE_KEYS = [
+    pytest.param("curvature_sign = -1\nmass = 1.0\nresolution = point", "amplitude = 0.1",
+                 id="hyperbolic-point-amplitude"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = point", "amplitude = 0.1",
+                 id="torus-point-amplitude"),
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode1 = 2",
+                 id="sphere-mode1"),
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode2 = 1",
+                 id="sphere-mode2"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode = 2",
+                 id="torus-mode"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16",
+                 "amplitude = 0.1\nmode1 = 0\nmode2 = 0", id="torus-zero-modes"),
+]
+
+
+def _surface_text(background, surface, radius=None):
+    radius = "" if radius is None else f"radius = {radius}\n"
+    return f"[background]\n{background}\n[surface]\n{radius}{surface}\n"
+
+
+@pytest.mark.parametrize("background, surface", UNREAD_SURFACE_KEYS)
 def test_cli_surface_key_without_effect_exit_two(tmp_path, capsys, background, surface):
-    cfg = _write(tmp_path, f"[background]\n{background}\n[surface]\nradius = 2.5\n{surface}\n")
+    cfg = _write(tmp_path, _surface_text(background, surface, 2.5))
     assert main(["audit", "--config", cfg]) == 2
     assert "no effect" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("background, surface", [
-    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.3\nmode = 2"),
-    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 2"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1"),
-    ("curvature_sign = 1\nmass = 1.0\nresolution = point", "[flow]\nt_end = 1.0"),
-    ("curvature_sign = 1\nmass = 1.0\nresolution = point", "amplitude = 0.0\n[flow]\nt_end = 1.0"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "[flow]\nsample_interval = 0.5"),
-], ids=["sphere-amplitude-mode", "sphere-mode", "torus-amplitude", "torus-zero-amplitude-mode2",
-        "flow-t_end", "flow-zero-amplitude-t_end", "flow-controls"])
+KEYS_WITHOUT_RADIUS = [
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.3\nmode = 2",
+                 id="sphere-amplitude-mode"),
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 2", id="sphere-mode"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1",
+                 id="torus-amplitude"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1",
+                 id="torus-zero-amplitude-mode2"),
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = point", "[flow]\nt_end = 1.0",
+                 id="flow-t_end"),
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = point",
+                 "amplitude = 0.0\n[flow]\nt_end = 1.0", id="flow-zero-amplitude-t_end"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16",
+                 "[flow]\nsample_interval = 0.5", id="flow-controls"),
+]
+
+
+@pytest.mark.parametrize("background, surface", KEYS_WITHOUT_RADIUS)
 def test_cli_surface_keys_without_radius_exit_two(tmp_path, capsys, background, surface):
-    text = f"[background]\n{background}\n[surface]\n{surface}\n"
+    text = _surface_text(background, surface)
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert "need a radius" in str(err.value)
@@ -297,17 +318,21 @@ def test_cli_zero_amplitude_without_radius_accepted(tmp_path, capsys):
     assert main(["audit", "--config", _write(tmp_path, text)]) == 0
 
 
-@pytest.mark.parametrize("background, surface", [
-    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 3"),
-    ("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.0\nmode = 3"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "mode1 = 2"),
-    ("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode1 = 1\nmode2 = 1"),
-], ids=["sphere-unset", "sphere-explicit-zero", "torus-unset", "torus-explicit-zero"])
+MODES_WITH_ZERO_AMPLITUDE = [
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 3", id="sphere-unset"),
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.0\nmode = 3",
+                 id="sphere-explicit-zero"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "mode1 = 2", id="torus-unset"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16",
+                 "amplitude = 0.0\nmode1 = 1\nmode2 = 1", id="torus-explicit-zero"),
+]
+
+
+@pytest.mark.parametrize("background, surface", MODES_WITH_ZERO_AMPLITUDE)
 def test_cli_mode_key_with_zero_amplitude_exit_two(tmp_path, capsys, background, surface):
-    text = f"[background]\n{background}\n[surface]\nradius = 2.0\n{surface}\n"
-    config = parse_config(text)
+    text = _surface_text(background, surface, 2.0)
     with pytest.raises(ConfigError) as err:
-        build_initial_surface(config, build_background(config))
+        parse_config(text)
     assert "when amplitude is 0" in str(err.value)
     assert main(["audit", "--config", _write(tmp_path, text)]) == 2
     assert "no effect" in capsys.readouterr().err
@@ -717,7 +742,10 @@ def _torus_with_modes(mode1, mode2):
     return text.replace("mode2 = 0", f"mode2 = {mode2}")
 
 
-@pytest.mark.parametrize("mode1, mode2", [(16, 0), (32, 0), (0, 16), (16, 16)])
+VANISHING_TORUS_MODES = [(16, 0), (32, 0), (0, 16), (16, 16)]
+
+
+@pytest.mark.parametrize("mode1, mode2", VANISHING_TORUS_MODES)
 def test_cli_torus_modes_that_vanish_on_the_grid_exit_two(tmp_path, capsys, mode1, mode2):
     # At resolution 32, sin(2 pi (mode1 j + mode2 k) / 32) is 0 on every node
     # when 32 divides 2*mode1 and 2*mode2; at mode 16 floating point leaves a
@@ -727,8 +755,53 @@ def test_cli_torus_modes_that_vanish_on_the_grid_exit_two(tmp_path, capsys, mode
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "config error: [surface] key(s) amplitude, mode1, mode2 have no effect "
-        "when resolution 32 divides both 2*mode1 and 2*mode2")
+        f"config error: line {_line_of(text, 'amplitude = 0.1')}: [surface] key(s) amplitude, "
+        "mode1, mode2 have no effect when resolution 32 divides both 2*mode1 and 2*mode2")
+
+
+SURFACE_KEY_ERRORS = [
+    *(pytest.param(_surface_text(*p.values), id=f"without-radius-{p.id}")
+      for p in KEYS_WITHOUT_RADIUS),
+    *(pytest.param(_surface_text(*p.values, 2.0), id=f"zero-amplitude-{p.id}")
+      for p in MODES_WITH_ZERO_AMPLITUDE),
+    *(pytest.param(_surface_text(*p.values, 2.5), id=f"unread-{p.id}")
+      for p in UNREAD_SURFACE_KEYS),
+    *(pytest.param(_torus_with_modes(*modes), id=f"vanishing-{modes[0]}-{modes[1]}")
+      for modes in VANISHING_TORUS_MODES),
+]
+
+
+@pytest.mark.parametrize("text", SURFACE_KEY_ERRORS)
+def test_cli_surface_key_error_is_the_same_from_every_subcommand(tmp_path, capsys, text):
+    # parse_config decides every [surface] rule, so whether a scenario is
+    # valid does not depend on the subcommand that reads it.
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    errors = set()
+    for command in ("background", "flow", "audit", "chmass"):
+        argv = [command, "--config", cfg] + ([] if command == "background" else ["--out", str(out)])
+        assert main(argv) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        errors.add(captured.err)
+    assert len(errors) == 1 and errors.pop().startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--qui", "--o"])
+def test_cli_flag_prefix_is_unrecognized(tmp_path, capsys, flag):
+    # Flags are spelled in full: a unique prefix is not taken for its flag.
+    cfg = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
+    out = tmp_path / "out"
+    extra = {"--conf": [cfg], "--qui": [], "--o": [str(out)]}[flag]
+    for command in ("background", "flow", "audit", "chmass"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", cfg, flag, *extra])
+        assert exit_.value.code == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err, command
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode1, mode2, code", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (15, 0, 3)])
