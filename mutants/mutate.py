@@ -11,6 +11,12 @@ are deselected, so a mutant counts as caught only by an oracle that would
 survive a numerical change.  pytest stops at the first failure (``-x``),
 whose test id is printed.
 
+Each pytest child runs under an address-space bound (RLIMIT_AS, 4 GiB;
+the suite itself peaks near 130 MB), so that a mutant that makes memory
+grow without end stops with a MemoryError instead of taking the machine's
+memory.  A child whose output shows a MemoryError is reported as an error,
+not as caught, whatever its exit code.
+
 A mutant is caught when pytest exits 1 (a test failed).  The run passes
 when every mutant is caught, except those listed as equivalent, which must
 survive; it exits 0 then and 1 otherwise.  Stdlib only.
@@ -19,6 +25,7 @@ survive; it exits 0 then and 1 otherwise.  Stdlib only.
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -35,6 +42,24 @@ SKIPPED = shutil.ignore_patterns(".git", ".bench_build", "__pycache__", ".pytest
                                  ".hypothesis")
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 TIMEOUT_S = 600.0  # per mutant; the whole suite takes under a minute
+MEMORY_BYTES = 4 * 2**30  # address space of each pytest child
+
+
+def bound_memory():
+    """Run in the child before exec: cap its address space at MEMORY_BYTES."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def outcome_of(done):
+    """'survived', 'caught' or 'error ...' of a finished pytest child, with
+    the ids of its failed tests or, for an error, its last output line."""
+    output = done.stdout + done.stderr
+    failures = FAILED.findall(done.stdout)
+    if "MemoryError" in output:
+        return "error memory", failures or output.strip().splitlines()[-1:]
+    if done.returncode in (0, 1):
+        return ("survived", "caught")[done.returncode], failures
+    return f"error {done.returncode}", output.strip().splitlines()[-1:]
 
 
 def apply(root, mutant):
@@ -61,15 +86,10 @@ def run_one(mutant, workdir):
         start = perf_counter()
         try:
             done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
-                                  timeout=TIMEOUT_S)
+                                  timeout=TIMEOUT_S, preexec_fn=bound_memory)
         except subprocess.TimeoutExpired:
             return "timeout", [], perf_counter() - start
-        seconds = perf_counter() - start
-        outcome = {0: "survived", 1: "caught"}.get(done.returncode, f"error {done.returncode}")
-        failures = FAILED.findall(done.stdout)
-        if outcome.startswith("error"):
-            failures = (done.stdout + done.stderr).strip().splitlines()[-1:]
-        return outcome, failures, seconds
+        return (*outcome_of(done), perf_counter() - start)
     finally:
         shutil.rmtree(top, ignore_errors=True)
 

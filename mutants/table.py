@@ -115,6 +115,13 @@ MUTANTS = [
         "ufunc reductions propagate it); they can differ only in the sign of "
         "a zero, which none of the checks (<, <=, >, hi - lo == 0) can see"),
     Mutant(
+        "horizon-touch-admitted", SURFACES,
+        "            if hi > lo:\n"
+        "                raise ExteriorError(\"a non-constant surface must not touch the horizon\")\n",
+        "",
+        "the graph kernels divide by V^2, which at a horizon node rounds to "
+        "either side of 0; only the constant horizon slice may touch it"),
+    Mutant(
         "cfl-min-as-max", FLOW,
         "return cfl * local.item(local.argmin())",
         "return cfl * local.item(local.argmax())",
@@ -213,6 +220,37 @@ MUTANTS = [
         "S = gamma^{-1} h is not symmetric as a matrix: tr(S^2) pairs S12 with "
         "S21, and S12^2 is |A|^2 only on a diagonal metric"),
     Mutant(
+        "torus-cross-term-sign", SURFACES,
+        "    mean_curv -= f_r\n",
+        "    mean_curv += f_r\n",
+        "the slot holds -i12, so H subtracts the cross term 2 (-i12) h12; adding "
+        "it flips the term's sign wherever r1 r2 is not 0"),
+    Mutant(
+        "torus-shape-i12-sign", SURFACES,
+        "            s11 = i11 * h11 - neg_i12 * h12\n"
+        "            s12 = i11 * h12 - neg_i12 * h22\n"
+        "            s21 = i22 * h12 - neg_i12 * h11\n"
+        "            s22 = i22 * h22 - neg_i12 * h12\n",
+        "            s11 = i11 * h11 + neg_i12 * h12\n"
+        "            s12 = i11 * h12 + neg_i12 * h22\n"
+        "            s21 = i22 * h12 + neg_i12 * h11\n"
+        "            s22 = i22 * h22 + neg_i12 * h12\n",
+        "the shape group reads -i12 from the slot; adding it as if it were "
+        "i12 gives the shape operator of the mirrored metric"),
+    Mutant(
+        "torus-grid-curvature-unchecked", BASE,
+        "        if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:\n"
+        "            raise InvalidBaseError(\"a flat torus grid needs curvature_sign 0\")\n",
+        "",
+        "the torus kernel drops k from V^2 = k + r^2 - 2m/r, so a torus grid "
+        "under a curved base would give the potential of the wrong background"),
+    Mutant(
+        "torus-wrap-row", SURFACES,
+        "    c[0], c[-1] = c[-2], c[1]\n",
+        "    c[0], c[-1] = c[-2], c[2]\n",
+        "row n+1 of the periodic extension is row 1; any other row breaks the "
+        "stencils of the last row and, through right and left, its neighbours"),
+    Mutant(
         "workspace-owner-unchecked", SURFACES,
         "if _workspaces.owner.get(n) is token:",
         "if _workspaces.owner.get(n) is not None:",
@@ -273,11 +311,17 @@ MUTANTS = [
         "audited as a non-slice graph"),
     # -- rules of item 3's list ----------------------------------------------
     Mutant(
-        "scale-down-always-multiplies", SURFACES,
+        "scale-down-always-multiplies", BASE,
         "    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):\n",
         "    if True:\n",
         "x * (1/c) rounds twice where c is not a power of two, so it leaves "
         "the bits of x / c"),
+    Mutant(
+        "torus-scales-always-reciprocal", BASE,
+        "return tuple(_division_by(c) for c in (2.0 * h, h**2, 4.0 * h**2))",
+        "return tuple((np.multiply, np.array(1.0 / c)) for c in (2.0 * h, h**2, 4.0 * h**2))",
+        "a grid that caches the reciprocal of a scale that is not a power of "
+        "two moves the bits of its stencils"),
     Mutant(
         "lower-rule-strict", CLI,
         "\"lower\": lambda value, bound, tol: value >= bound - tol,",

@@ -6,10 +6,12 @@ These read the table and the source; they run no mutant (mutate.py does).
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
-from mutate import ROOT, apply
+from mutate import MEMORY_BYTES, ROOT, apply, bound_memory, outcome_of
 from table import MUTANTS
 
 
@@ -36,3 +38,24 @@ def test_apply_rejects_an_old_text_that_is_not_unique(tmp_path):
     target.write_text(mutant.old * 2, encoding="utf-8")
     with pytest.raises(ValueError, match="occurs 2 times"):
         apply(str(tmp_path), mutant)
+
+
+def test_pytest_children_run_under_the_memory_bound():
+    probe = "import resource; print(*resource.getrlimit(resource.RLIMIT_AS))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, preexec_fn=bound_memory)
+    assert done.stdout.split() == [str(MEMORY_BYTES)] * 2
+
+
+@pytest.mark.parametrize("code, stdout, expected", [
+    (0, "5 passed\n", ("survived", [])),
+    (1, "FAILED tests/test_a.py::test_b - assert 0\n", ("caught", ["tests/test_a.py::test_b"])),
+    (1, "E   MemoryError\nFAILED tests/test_a.py::test_b - MemoryError\n",
+     ("error memory", ["tests/test_a.py::test_b"])),
+    (2, "ERROR collecting\ninterrupted\n", ("error 2", ["interrupted"])),
+    (-9, "", ("error -9", ["killed"])),
+], ids=["survived", "caught", "memory-bound", "usage-error", "killed"])
+def test_outcome_of_a_child(code, stdout, expected):
+    stderr = "killed\n" if code < 0 else ""
+    done = subprocess.CompletedProcess([], code, stdout=stdout, stderr=stderr)
+    assert outcome_of(done) == expected

@@ -9,6 +9,7 @@ constant graphs over hyperbolic bases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +27,10 @@ __all__ = [
 ]
 
 MIN_RESOLUTION = 8
+# The largest grid per curvature sign: far above any shipped one (sphere 128,
+# torus 64), and low enough that an audit over it fits in memory: 270 MiB on
+# the torus (its kernel's workspace is 19 fields of 8 MiB), 40 MiB on the sphere.
+MAX_RESOLUTION = {1: 65_536, 0: 1_024}
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,24 @@ class FlatTorusGrid:
     def spacing(self):
         return self.side / self.n
 
+    @cached_property
+    def stencil_scales(self):
+        """2h, h^2 and 4h^2, the divisors of the centered differences, as _division_by pairs."""
+        h = self.spacing
+        return tuple(_division_by(c) for c in (2.0 * h, h**2, 4.0 * h**2))
+
+
+def _division_by(c):
+    """(ufunc, 0-d operand) such that ufunc(x, operand, x) is x /= c, bit for bit.
+
+    Where c is a power of two with a finite reciprocal, x * (1/c) and x / c
+    round the same real number for every double x, and multiplying costs
+    about half as much as dividing.
+    """
+    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
+        return np.multiply, np.array(1.0 / c)
+    return np.divide, np.array(c)
+
 
 @dataclass(frozen=True)
 class PointGrid:
@@ -110,6 +133,9 @@ class BaseSurface:
         return 2 - 2 * self.genus
 
     def __post_init__(self):
+        # The torus kernel forms V^2 = rho^2 - 2m/rho, with k = 0.
+        if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:
+            raise InvalidBaseError("a flat torus grid needs curvature_sign 0")
         # Gauss-Bonnet must hold exactly by construction.
         if self.curvature_sign * self.area != 2.0 * np.pi * self.euler_char:
             raise InvalidBaseError(
@@ -197,6 +223,8 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         resolution = int(grid_resolution)
         if resolution < MIN_RESOLUTION:
             raise InvalidBaseError(f"resolution {resolution} < {MIN_RESOLUTION}")
+        if resolution > MAX_RESOLUTION.get(curvature_sign, resolution):
+            raise InvalidBaseError(f"resolution {resolution} > {MAX_RESOLUTION[curvature_sign]}")
 
     if point:
         grid = PointGrid(area=w2)

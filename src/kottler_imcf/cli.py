@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -113,6 +113,8 @@ class ScenarioConfig:
     the leading `id`), its parser, which rejects a malformed or
     out-of-range value with ValueError, the default used when the key is
     absent, and its key name where that differs from the field name.
+    The rules that involve more than one key run on construction; `lines`
+    maps field names to config lines for the `line N:` of a ConfigError.
     """
 
     scenario_id: str = _key(None, _name, "scenario", key="id")
@@ -131,6 +133,10 @@ class ScenarioConfig:
     t_end: float | None = _key("flow", _positive)
     sample_interval: float = _key("flow", _positive, 0.25)
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
+    lines: InitVar[dict | None] = None
+
+    def __post_init__(self, lines):
+        _validate(self, lines or {})
 
 
 _KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
@@ -167,19 +173,7 @@ def parse_config(text):
         except ValueError as err:
             raise ConfigError(f"key {key!r}: {err}", lineno) from None
         lines[spec.name] = lineno
-
-    if "curvature_sign" not in values:
-        raise ConfigError("missing required key 'curvature_sign' in [background]")
-    values.setdefault("genus", {1: 0, 0: 1, -1: 2}[values["curvature_sign"]])
-    values.setdefault("resolution", "point" if values["curvature_sign"] == -1 else 64)
-    if ("mass" in values) == ("horizon_radius" in values):
-        raise ConfigError(
-            "give exactly one of 'mass', 'horizon_radius' in [background]",
-            lines.get("mass") or lines.get("horizon_radius"),
-        )
-    config = ScenarioConfig(**values)
-    _validate(config, lines)
-    return config
+    return ScenarioConfig(**values, lines=lines)
 
 
 # Far above any shipped flow (at most 48 rows), and low enough that a flow
@@ -188,10 +182,21 @@ _MAX_SAMPLE_ROWS = 100_000
 
 
 def _validate(config, lines):
-    """The rules that involve more than one key."""
+    """The rules that involve more than one key, and the defaults set by the curvature sign."""
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
+    if config.curvature_sign is None:
+        raise ConfigError("missing required key 'curvature_sign' in [background]")
+    if config.curvature_sign not in (-1, 0, 1):
+        fail("key 'curvature_sign': must be -1, 0 or +1", "curvature_sign")
+    for name, default in (("genus", {1: 0, 0: 1, -1: 2}[config.curvature_sign]),
+                          ("resolution", "point" if config.curvature_sign == -1 else 64)):
+        if getattr(config, name) is None:
+            object.__setattr__(config, name, default)
+    if (config.mass is None) == (config.horizon_radius is None):
+        fail("give exactly one of 'mass', 'horizon_radius' in [background]",
+             "mass" if "mass" in lines else "horizon_radius")
     # The library guard: first the genus and a curved area on the point grid,
     # then the scenario's own grid, which the [surface] rules below read.
     for key, name, resolution, area in (

@@ -50,10 +50,11 @@ class SurfaceGeometry:
     neither group, makes one closure per geometry.
 
     On the torus the intermediates live in a per-thread workspace that the
-    next evaluation reuses (_torus_workspace, _torus_geometry); a read after
-    a later evaluation, or from another thread, reruns the kernel into
-    private slots, which gives the same bits.  Every field is a new array:
-    none shares memory with the workspace.
+    next evaluation reuses (_torus_workspace, _torus_geometry).  They hold
+    V^2 formed without k, which is 0 on every torus, and -i12 in place of the
+    inverse metric's i12.  A read after a later evaluation, or from another
+    thread, reruns the kernel into private slots, which gives the same bits.
+    Every field is a new array: none shares memory with the workspace.
     """
 
     mean_curvature: np.ndarray
@@ -182,129 +183,93 @@ class _ThreadWorkspaces(threading.local):
 _workspaces = _ThreadWorkspaces()
 
 
-def _scale_down(x, c):
-    """Divide x by c in place, multiplying by 1/c where that reciprocal is exact.
-
-    When c is a power of two with a finite reciprocal, 1/c is exact, so
-    x * (1/c) and x / c are the correctly rounded values of one real number
-    and agree bit for bit for every double x (signed zeros, subnormals,
-    infinities and NaN included); a multiplication costs about half a
-    division.
-    """
-    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
-        x *= 1.0 / c
-    else:
-        x /= c
+_TWO, _HALF = np.array(2.0), np.array(0.5)  # 0-d: numpy converts a Python float per call
 
 
 def _torus_kernel(background, grid, r, slots):
-    # At 64x64 this kernel is bound by memory, not arithmetic: a fresh 32 KiB
-    # array is a heap allocation, and freeing it can let the heap trim, so
-    # that a later call faults the same pages back in.  So every intermediate
-    # goes into the 19 page-staggered slots of a workspace (_torus_workspace),
-    # and only the two returned arrays, H and the graph factor, are new; they
-    # share no memory with the slots.  The first eight slots end holding V^2,
-    # det(gamma), gamma^{-1} (i11, i22, i12) and h (h11, h12, h22), which the
-    # deferred groups read while their evaluation still owns the workspace
-    # (_torus_geometry); the rest are scratch.  Each expression keeps its
-    # operand order, since goldens and tests pin these bits exactly (f_r -
-    # r11 is -r11 + f_r, signed zeros included), and nothing is written into r.
-    # The five stencil scales 2h, h^2 and 4h^2 are powers of two on a torus of
-    # area 1 with n a power of two; there _scale_down multiplies by their
-    # exact reciprocals, which rounds to the same bits as the division.
+    # At 64x64 this kernel is bound by memory and per-call cost, not
+    # arithmetic.  A fresh 32 KiB array is a heap allocation whose release can
+    # trim the heap, so every intermediate goes into the 19 page-staggered
+    # slots of a workspace (_torus_workspace), and only H and the graph
+    # factor are new arrays.  The first eight slots end holding V^2,
+    # det(gamma), gamma^{-1} (i11, i22 and -i12) and h (h11, h12, h22), which
+    # the deferred groups read (_torus_geometry); the rest are scratch.  Each
+    # expression has the bits of the reference kernel, which goldens and tests
+    # pin: a + (-x) and -x + a are a - x, 2r is r + r, and k + r^2 is r^2, as
+    # k = 0 on every torus (BaseSurface).  Nothing is written into r.
     (f, det, g22, g11, g12, r11, fac_r1, r22, c, right, left,
      r_sq, two_r, f1, r1, r2, r12, fac, f_r) = slots
-    h = grid.spacing
-    # V^2 = k + r^2 - 2m/r: KottlerBackground.v_squared in its operand order
-    # (the bitwise reference tests compare the potential with it).
-    np.square(r, out=r_sq)
-    np.add(background.curvature_sign, r_sq, out=f)
-    f -= np.divide(2.0 * background.mass, r, out=f1)
-    np.multiply(2.0, r, out=two_r)
-    np.divide(2.0 * background.mass, r_sq, out=f1)
-    np.add(two_r, f1, out=f1)
+    (by_2h, two_h), (by_h_sq, h_sq), (by_4h_sq, four_h_sq) = grid.stencil_scales
+    two_m = background.v_squared_terms[1]
+    # V^2 = r^2 - 2m/r and f1 = 2r + 2m/r^2.
+    np.square(r, r_sq)
+    np.subtract(r_sq, np.divide(two_m, r, f1), f)
+    np.add(r, r, two_r)
+    np.add(two_r, np.divide(two_m, r_sq, f1), f1)
 
-    # Periodic neighbours: c, right and left hold r, r[:, j+1] and r[:, j-1],
-    # each with one more row on either side (row 0 is row n, row n+1 is row
-    # 1), so that every stencil term is one contiguous block.
+    # Periodic neighbours: c holds r with one more row on either side (row 0
+    # is row n, row n+1 is row 1), and right and left hold c[:, j+1] and
+    # c[:, j-1], so that every stencil term is one contiguous block.
     c[1:-1] = r
-    right[1:-1, :-1] = r[:, 1:]
-    right[1:-1, -1] = r[:, 0]
-    left[1:-1, 1:] = r[:, :-1]
-    left[1:-1, 0] = r[:, -1]
-    for ext in (c, right, left):
-        ext[0] = ext[-2]
-        ext[-1] = ext[1]
-    np.subtract(c[2:], c[:-2], out=r1)
-    _scale_down(r1, 2.0 * h)
-    np.subtract(right[1:-1], left[1:-1], out=r2)
-    _scale_down(r2, 2.0 * h)
-    np.subtract(c[2:], two_r, out=r11)
-    r11 += c[:-2]
-    _scale_down(r11, h**2)
-    np.subtract(right[1:-1], two_r, out=r22)
-    r22 += left[1:-1]
-    _scale_down(r22, h**2)
-    np.subtract(right[2:], left[2:], out=r12)
+    c[0], c[-1] = c[-2], c[1]
+    right[:, :-1], right[:, -1] = c[:, 1:], c[:, 0]
+    left[:, 1:], left[:, 0] = c[:, :-1], c[:, -1]
+    by_2h(np.subtract(c[2:], c[:-2], r1), two_h, r1)
+    by_2h(np.subtract(right[1:-1], left[1:-1], r2), two_h, r2)
+    for d2, up, down in ((r11, c[2:], c[:-2]), (r22, right[1:-1], left[1:-1])):
+        np.add(np.subtract(up, two_r, d2), down, d2)
+        by_h_sq(d2, h_sq, d2)
+    np.subtract(right[2:], left[2:], r12)
     r12 -= right[:-2]
     r12 += left[:-2]
-    _scale_down(r12, 4.0 * h**2)
+    by_4h_sq(r12, four_h_sq, r12)
 
     # g11 and g22 start as r1^2 and r2^2, whose sum is |grad r|^2.
-    np.multiply(r1, r1, out=g11)
-    np.multiply(r2, r2, out=g22)
+    np.multiply(r1, r1, g11)
+    np.multiply(r2, r2, g22)
     n_f = g11 + g22
     n_f /= r_sq
-    np.add(f, n_f, out=n_f)
-    np.sqrt(n_f, out=n_f)
+    np.sqrt(np.add(f, n_f, n_f), n_f)
+    for g in (g11, g22):
+        g /= f
+        g += r_sq
+    np.divide(np.multiply(r1, r2, g12), f, g12)
+    np.subtract(np.multiply(g11, g22, det), np.square(g12, fac), det)
+    i11 = np.divide(g22, det, g22)
+    i22 = np.divide(g11, det, g11)
+    neg_i12 = np.divide(g12, det, g12)
 
-    g11 /= f
-    g11 += r_sq
-    g22 /= f
-    g22 += r_sq
-    np.multiply(r1, r2, out=g12)
-    g12 /= f
-    np.multiply(g11, g22, out=det)
-    det -= np.square(g12, out=fac)
-    i11 = np.divide(g22, det, out=g22)
-    i22 = np.divide(g11, det, out=g11)
-    i12 = np.negative(g12, out=g12)
-    i12 /= det
-
-    np.divide(2.0, r, out=fac)
-    np.multiply(0.5, f1, out=f1)
+    np.divide(_TWO, r, fac)
+    np.multiply(_HALF, f1, f1)
     f1 /= f
     fac += f1
-    np.multiply(f, r, out=f_r)
-    np.multiply(fac, r1, out=fac_r1)
-    h11 = np.subtract(f_r, r11, out=r11)
-    h11 += np.multiply(fac_r1, r1, out=r1)
+    np.multiply(f, r, f_r)
+    np.multiply(fac, r1, fac_r1)
+    h11 = np.subtract(f_r, r11, r11)
+    h11 += np.multiply(fac_r1, r1, r1)
     h11 /= n_f
-    h12 = np.multiply(fac_r1, r2, out=fac_r1)
+    h12 = np.multiply(fac_r1, r2, fac_r1)
     h12 -= r12
     h12 /= n_f
-    h22 = np.subtract(f_r, r22, out=r22)
+    h22 = np.subtract(f_r, r22, r22)
     fac *= r2
     fac *= r2
     h22 += fac
     h22 /= n_f
 
-    # f_r is spent: it holds the second and then the third term of H.
+    # H = i11 h11 + i22 h22 + 2 i12 h12; f_r is spent and holds the last two terms.
     mean_curv = i11 * h11
-    mean_curv += np.multiply(i22, h22, out=f_r)
-    np.multiply(2.0, i12, out=f_r)
-    f_r *= h12
-    mean_curv += f_r
+    mean_curv += np.multiply(i22, h22, f_r)
+    np.multiply(np.add(neg_i12, neg_i12, f_r), h12, f_r)
+    mean_curv -= f_r
     return mean_curv, n_f
 
 
 def _torus_geometry(background, grid, r):
-    # Ownership: the kernel writes into this thread's workspace for n, which
-    # holds one evaluation at a time, and a fresh token marks whose.  The
-    # deferred groups read the slots while the calling thread's token for n
-    # is still theirs.  Otherwise (a later evaluation on this thread, or a
-    # read from another thread) they rerun the kernel into private slots,
-    # which gives the same bits.  Every array they return is new.
+    # The kernel writes into this thread's workspace for n, which holds one
+    # evaluation at a time, and a fresh token marks whose.  The deferred groups
+    # read the slots while the calling thread's token for n is still theirs,
+    # and otherwise rerun the kernel into private slots (SurfaceGeometry).
     n = grid.n
     slots = _workspaces.torus.get(n)
     if slots is None:
@@ -326,11 +291,12 @@ def _torus_geometry(background, grid, r):
         def shape():
             # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not
             # symmetric as a matrix, so the cross terms pair S12 with S21).
-            i11, i22, i12, h11, h12, h22 = held()[2:8]
-            s11 = i11 * h11 + i12 * h12
-            s12 = i11 * h12 + i12 * h22
-            s21 = i12 * h11 + i22 * h12
-            s22 = i12 * h12 + i22 * h22
+            # The slots hold -i12, so each i12 term is subtracted.
+            i11, i22, neg_i12, h11, h12, h22 = held()[2:8]
+            s11 = i11 * h11 - neg_i12 * h12
+            s12 = i11 * h12 - neg_i12 * h22
+            s21 = i22 * h12 - neg_i12 * h11
+            s22 = i22 * h22 - neg_i12 * h12
             a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
             traceless_sq = np.maximum(a_sq - 0.5 * mean_curv**2, 0.0)
             return traceless_sq, v / n_f

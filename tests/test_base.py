@@ -14,7 +14,7 @@ from kottler_imcf import (
     integrate,
     make_base,
 )
-from kottler_imcf.base import _sphere_grid
+from kottler_imcf.base import MAX_RESOLUTION, FlatTorusGrid, _sphere_grid
 
 
 def test_sphere_base_defaults():
@@ -74,6 +74,30 @@ def test_curved_area_override_rejected():
 def test_gauss_bonnet_enforced():
     with pytest.raises(InvalidBaseError):
         BaseSurface(curvature_sign=1, area=1.0, genus=0, grid=make_base(1, 0, 16).grid)
+
+
+def test_no_torus_base_has_curvature():
+    # The torus kernel forms V^2 = rho^2 - 2m/rho: it relies on k = 0.
+    torus = make_base(0, 1, 16).grid
+    for k, genus in ((1, 0), (-1, 2)):
+        with pytest.raises(InvalidBaseError, match="flat torus grid needs curvature_sign 0"):
+            BaseSurface(curvature_sign=k, area=4.0 * np.pi, genus=genus, grid=torus)
+    for k in (-1, 0, 1):
+        for genus in range(4):
+            for resolution in (8, 33, "point"):
+                try:
+                    base = make_base(k, genus, resolution)
+                except InvalidBaseError:
+                    continue
+                assert isinstance(base.grid, FlatTorusGrid) == (k == 0 and resolution != "point")
+
+
+@pytest.mark.parametrize("k, genus", [(1, 0), (0, 1)], ids=["sphere", "torus"])
+def test_resolution_bound_per_grid_kind(k, genus):
+    bound = MAX_RESOLUTION[k]
+    with pytest.raises(InvalidBaseError, match=f"^resolution {bound + 1} > {bound}$"):
+        make_base(k, genus, bound + 1)
+    assert make_base(k, genus, bound).grid.weights.shape[0] == bound
 
 
 def test_constant_integrates_exactly():

@@ -724,6 +724,46 @@ def test_cli_base_rule_is_a_config_error_naming_the_key(tmp_path, capsys, comman
     assert captured.err.startswith(f"config error: line {line}: key '{key}': ")
 
 
+@pytest.mark.parametrize("scenario, value, bound", [
+    ("slice-rigidity-sphere", "17179869184", 65536),
+    ("slice-rigidity-sphere", "65537", 65536),
+    ("torus-perturbed", "40000", 1024),
+    ("torus-perturbed", "1025", 1024),
+], ids=["sphere-128GiB", "sphere-edge", "torus-12GiB", "torus-edge"])
+def test_cli_resolution_above_the_grid_bound_exit_two(tmp_path, capsys, scenario, value, bound):
+    # Without the bound, the parse-time probe would make the grid: 128 GiB of
+    # sphere nodes, or 12 GiB for each field of the torus.
+    text = _scenario_with(scenario, "background", "resolution", value)
+    assert main(["background", "--config", _write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = _line_of(text, f"resolution = {value}")
+    assert captured.err == (
+        f"config error: line {line}: key 'resolution': resolution {value} > {bound}\n")
+    accepted = parse_config(_scenario_with(scenario, "background", "resolution", str(bound)))
+    assert build_background(accepted).base.grid.weights.size in (bound, bound**2)
+
+
+def test_directly_built_config_runs_every_rule_once(monkeypatch):
+    # Before, a ScenarioConfig made without parse_config skipped every rule,
+    # and this one reached the point grid's missing mode field as a TypeError.
+    with pytest.raises(ConfigError, match="amplitude have no effect on a PointGrid"):
+        run_scenario(ScenarioConfig(curvature_sign=0, genus=1, mass=0.5, resolution="point",
+                                    radius=2.5, amplitude=0.1), with_flow=False)
+    with pytest.raises(ConfigError, match="^missing required key 'curvature_sign'"):
+        ScenarioConfig(mass=1.0)
+    with pytest.raises(ConfigError, match="^give exactly one of 'mass', 'horizon_radius'"):
+        ScenarioConfig(curvature_sign=1)
+    # The defaults that depend on the curvature sign are the parser's.
+    assert ScenarioConfig(curvature_sign=0, mass=0.5, radius=2.0, scenario_id="t") == \
+        parse_config(MINIMAL)
+    runs = []
+    validate = kottler_imcf.cli._validate
+    monkeypatch.setattr(kottler_imcf.cli, "_validate", lambda *args: runs.append(validate(*args)))
+    parse_config(MINIMAL)
+    assert len(runs) == 1
+
+
 def test_hyperbolic_default_resolution_is_point(tmp_path):
     # `resolution` defaults by the curvature sign, as `genus` does: a
     # hyperbolic base takes only the point grid, so the key can be omitted.

@@ -25,9 +25,10 @@ from kottler_imcf import (
     make_background,
     star_shaped_check,
 )
+from kottler_imcf.base import _division_by
 from kottler_imcf.flow import _check_mean_convex, run_flow
 from kottler_imcf.functionals import evaluate_report
-from kottler_imcf.surfaces import _scale_down, _sphere_geometry, _torus_geometry
+from kottler_imcf.surfaces import _sphere_geometry, _torus_geometry
 
 # r = 2 + cos(theta)/5 over ADS-Schwarzschild mass 1, at theta = pi/4, pi/2, 3pi/4
 SPHERE_H_ORACLE = {
@@ -235,7 +236,10 @@ def _roll_torus_geometry(background, grid, r):
     }
 
 
-@pytest.mark.parametrize("n", [8, 33, 64])
+# On area 1 the stencil scales of n = 8 and 64 are powers of two, which the
+# kernel multiplies by their reciprocals; at n = 33 and 48, and on area 2.5, it
+# divides (test_torus_stencil_scales_divide_exactly).
+@pytest.mark.parametrize("n", [8, 33, 48, 64])
 @pytest.mark.parametrize("area", [1.0, 2.5])
 @pytest.mark.parametrize("modes", [(1, 0), (0, 1), (1, 1), "noise"])
 @pytest.mark.byte_pin
@@ -797,6 +801,11 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
+def _scale_down(x, c):
+    ufunc, operand = _division_by(c)
+    ufunc(x, operand, x)
+
+
 _ANY_DOUBLE = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
@@ -827,6 +836,19 @@ def test_scale_down_divides_where_the_reciprocal_is_not_exact(c, x):
         assert np.array_equal(_bits(scaled), _bits(x / c))
         # Here a multiplication by 1/c would round differently.
         assert not np.array_equal(_bits(x * (1.0 / c)), _bits(x / c))
+
+
+@pytest.mark.parametrize("n, area, multiplies", [
+    (8, 1.0, True), (64, 1.0, True), (64, 4.0, True),
+    (33, 1.0, False), (48, 1.0, False), (64, 2.5, False),
+])
+def test_torus_stencil_scales_divide_exactly(n, area, multiplies):
+    grid = make_background(0, 1, n, mass=0.5, area=area).base.grid
+    h = grid.spacing
+    x = np.linspace(1.0, 2.0, 1001)
+    for (ufunc, operand), c in zip(grid.stencil_scales, (2.0 * h, h**2, 4.0 * h**2)):
+        assert ufunc is (np.multiply if multiplies else np.divide)
+        assert np.array_equal(_bits(ufunc(x, operand)), _bits(x / c))
 
 
 # -- one reduction of H per geometry ------------------------------------------------
