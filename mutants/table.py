@@ -75,10 +75,18 @@ MUTANTS = [
     # -- one reduction of H and of r ------------------------------------------
     Mutant(
         "geometry-min-as-max", SURFACES,
-        "\"min_mean_curvature\", np.minimum.reduce(h, axis=None)",
-        "\"min_mean_curvature\", np.maximum.reduce(h, axis=None)",
+        "        low = h.item(h.argmin())\n",
+        "        low = h.item(h.argmax())\n",
         "min_mean_curvature feeds the mean-convexity checks, min_H and the "
         "Heintze-Karcher gap"),
+    Mutant(
+        "geometry-min-zero-tie-dropped", SURFACES,
+        "        if low == 0.0:\n"
+        "            low = np.minimum.reduce(h, axis=None).item()\n",
+        "",
+        "argmin gives the first zero of a -0/+0 tie and the reduction may "
+        "give the other; min_H keeps the reduction's bits, sign of zero "
+        "included"),
     Mutant(
         "geometry-max-finiteness-dropped", SURFACES,
         "    if not (math.isfinite(lo) and math.isfinite(hi)):\n"
@@ -123,10 +131,34 @@ MUTANTS = [
         "either side of 0; only the constant horizon slice may touch it"),
     Mutant(
         "cfl-min-as-max", FLOW,
-        "return cfl * local.item(local.argmin())",
-        "return cfl * local.item(local.argmax())",
+        "bound = local.item(local.argmin())",
+        "bound = local.item(local.argmax())",
         "the stable step is set by the most restrictive node; the least one "
         "lets the flow step past the stability limit"),
+    Mutant(
+        "cfl-cache-ignores-geometry", FLOW,
+        "    if key is not g:\n",
+        "    if bound is None:\n",
+        "a surface whose geometry is replaced keeps the bound of the old "
+        "geometry, so a step is checked against a stale limit"),
+    Mutant(
+        "cfl-cache-stores-scaled-limit", FLOW,
+        "surface._cfl_bound = (g, bound)",
+        "surface._cfl_bound = (g, cfl * bound)",
+        "the cache holds the unscaled bound: a scaled one is scaled again by "
+        "every later call, and by a different step fraction"),
+    Mutant(
+        "cfl-check-only-on-miss", FLOW,
+        "    _check_finite(\"cfl\", cfl)\n"
+        "    g = surface.geometry\n"
+        "    key, bound = surface._cfl_bound\n"
+        "    if key is not g:\n",
+        "    g = surface.geometry\n"
+        "    key, bound = surface._cfl_bound\n"
+        "    if key is not g:\n"
+        "        _check_finite(\"cfl\", cfl)\n",
+        "a bad step fraction must be rejected on every call, not only on the "
+        "one that computes the bound: an infinite one lifts the limit"),
     # -- stepper inputs -------------------------------------------------------
     Mutant(
         "predicate-admits-inf", FLOW,

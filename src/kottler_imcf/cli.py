@@ -61,18 +61,31 @@ __all__ = [
 
 
 def _require(parse, test, message):
-    """A parser: `parse`, then ValueError(message) unless `test` holds."""
-    def checked(text):
-        value = parse(text)
+    """A parser: `parse`, then ValueError(message) unless `test` holds.
+
+    Its `check` runs every value test of the parser alone, on a value that is
+    already parsed, as a directly built ScenarioConfig needs.
+    """
+    inner = getattr(parse, "check", lambda value: value)
+
+    def tested(value):
         if not test(value):
             raise ValueError(message)
         return value
+
+    def checked(text):
+        return tested(parse(text))
+
+    checked.check = lambda value: tested(inner(value))
     return checked
 
 
 def _list(item):
-    return _require(lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip()),
-                    bool, "must list at least one value")
+    def parse(text):
+        return tuple(item(s.strip()) for s in text.split(",") if s.strip())
+
+    parse.check = lambda values: tuple(map(item.check, values))
+    return _require(parse, bool, "must list at least one value")
 
 
 def _within(parse, low, high):
@@ -113,7 +126,8 @@ class ScenarioConfig:
     the leading `id`), its parser, which rejects a malformed or
     out-of-range value with ValueError, the default used when the key is
     absent, and its key name where that differs from the field name.
-    The rules that involve more than one key run on construction; `lines`
+    Each key's value tests and the rules that involve more than one key
+    run on construction, however the config is built; `lines`
     maps field names to config lines for the `line N:` of a ConfigError.
     """
 
@@ -182,14 +196,22 @@ _MAX_SAMPLE_ROWS = 100_000
 
 
 def _validate(config, lines):
-    """The rules that involve more than one key, and the defaults set by the curvature sign."""
+    """Each key's value tests, the rules that involve more than one key, and
+    the defaults set by the curvature sign."""
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
     if config.curvature_sign is None:
         raise ConfigError("missing required key 'curvature_sign' in [background]")
-    if config.curvature_sign not in (-1, 0, 1):
-        fail("key 'curvature_sign': must be -1, 0 or +1", "curvature_sign")
+    # The per-key value tests, which parse_config ran on the text; a config
+    # built directly meets them here.
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if value is not None:
+            try:
+                spec.metadata["parse"].check(value)
+            except ValueError as err:
+                fail(f"key {spec.metadata['key'] or spec.name!r}: {err}", spec.name)
     for name, default in (("genus", {1: 0, 0: 1, -1: 2}[config.curvature_sign]),
                           ("resolution", "point" if config.curvature_sign == -1 else 64)):
         if getattr(config, name) is None:

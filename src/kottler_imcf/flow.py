@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import integrate
+from .base import PointGrid, integrate
 from .errors import CFLError, FlowSingularError, NoiseFloorError
 from .functionals import (
     bulk_integral,
@@ -132,20 +132,30 @@ def cfl_limit(surface, cfl=CFL):
 
     The diffusion coefficient of the linearized operator scales like
     graph_factor^2 / (H^2 lambda^2) per unit grid spacing squared, with
-    lambda = r the metric scale of one grid cell.
+    lambda = r the metric scale of one grid cell.  The unscaled bound is
+    computed once per surface geometry and cached on the surface, keyed to
+    that geometry; every call checks ``cfl`` and returns ``cfl`` times it.
+    A point-grid surface is a slice: it has no spacing and steps by
+    ``step_slice_ode``.
     """
     _check_finite("cfl", cfl)
     g = surface.geometry
-    spacing = surface.background.base.grid.spacing
-    # (spacing r)^2 H^2 / graph_factor^2 in that operand order, in two arrays.
-    local = np.multiply(spacing, surface.radius_field)
-    np.square(local, out=local)
-    scratch = np.square(g.mean_curvature)
-    local *= scratch
-    local /= np.square(g.graph_factor, out=scratch)
-    # argmin finds the first NaN, as the reduction propagates it, at about a
-    # third of its cost; a quotient of squares holds no -0, so the bits agree.
-    return cfl * local.item(local.argmin())
+    key, bound = surface._cfl_bound
+    if key is not g:
+        grid = surface.background.base.grid
+        if isinstance(grid, PointGrid):
+            raise ValueError("a point-grid surface is a slice; it steps by step_slice_ode")
+        # (spacing r)^2 H^2 / graph_factor^2 in that operand order, in two arrays.
+        local = np.multiply(grid.spacing, surface.radius_field)
+        np.square(local, out=local)
+        scratch = np.square(g.mean_curvature)
+        local *= scratch
+        local /= np.square(g.graph_factor, out=scratch)
+        # argmin finds the first NaN, as the reduction propagates it, at about a
+        # third of its cost; a quotient of squares holds no -0, so the bits agree.
+        bound = local.item(local.argmin())
+        surface._cfl_bound = (g, bound)
+    return cfl * bound
 
 
 def step_slice_ode(state, dt):

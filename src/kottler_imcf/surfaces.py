@@ -62,9 +62,15 @@ class SurfaceGeometry:
     measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
     min_mean_curvature: float = dataclass_field(init=False, compare=False)
 
-    def __post_init__(self):  # a ufunc reduction keeps the bits of a -0/+0 tie; argmin may not
+    def __post_init__(self):
+        # argmin finds the first NaN, as the reduction propagates it, at about
+        # a third of its cost.  On a -0/+0 tie argmin gives the first zero and
+        # the reduction may not, so a zero min takes the reduction's bits.
         h = self.mean_curvature
-        object.__setattr__(self, "min_mean_curvature", np.minimum.reduce(h, axis=None))
+        low = h.item(h.argmin())
+        if low == 0.0:
+            low = np.minimum.reduce(h, axis=None).item()
+        object.__setattr__(self, "min_mean_curvature", low)
 
     @cached_property
     def _measure_fields(self):
@@ -324,6 +330,9 @@ class GraphSurface:
     radius_field: np.ndarray
     is_constant: bool = dataclass_field(init=False, repr=False, compare=False)
     _geometry: SurfaceGeometry | None = dataclass_field(default=None, init=False, repr=False)
+    # (geometry, unscaled CFL bound), filled by flow.cfl_limit
+    _cfl_bound: tuple = dataclass_field(default=(None, None), init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         shape = self.background.base.grid.weights.shape

@@ -764,6 +764,24 @@ def test_directly_built_config_runs_every_rule_once(monkeypatch):
     assert len(runs) == 1
 
 
+@pytest.mark.parametrize("values, key", [
+    ({"radius": float("nan")}, "radius"),
+    ({"radius": 2.0, "amplitude": float("nan")}, "amplitude"),
+    ({"radius": 2.0, "t_end": float("nan")}, "t_end"),
+    ({"radius": 2.0, "t_end": 1.0, "sample_interval": -0.25}, "sample_interval"),
+    ({"rho_eval": (10.0, float("inf"))}, "rho_eval"),
+    ({"rho_eval": (10.0, 10.0)}, "rho_eval"),
+    ({"scenario_id": ""}, "id"),
+], ids=["radius-nan", "amplitude-nan", "t_end-nan", "sample_interval-negative",
+        "rho_eval-inf", "rho_eval-repeated", "id-empty"])
+def test_directly_built_config_runs_each_key_value_test(values, key):
+    # Each key's value test runs however the config is built.  Before, a
+    # NaN radius or amplitude reached the surface as a FlowSingularError and
+    # a NaN t_end passed.
+    with pytest.raises(ConfigError, match=f"^key '{key}': "):
+        run_scenario(ScenarioConfig(curvature_sign=1, mass=1.0, **values), with_flow=False)
+
+
 def test_hyperbolic_default_resolution_is_point(tmp_path):
     # `resolution` defaults by the curvature sign, as `genus` does: a
     # hyperbolic base takes only the point grid, so the key can be omitted.

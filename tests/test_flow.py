@@ -28,7 +28,7 @@ from kottler_imcf import (
     step_slice_ode,
 )
 from kottler_imcf.cli import build_background, build_initial_surface, parse_config, run_scenario
-from kottler_imcf.flow import H_FLOOR, STAR_FLOOR
+from kottler_imcf.flow import CFL, H_FLOOR, STAR_FLOOR
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "scenarios")
@@ -154,8 +154,85 @@ def test_step_graph_pde_rejects_bad_inputs(dt_scale, kwargs):
 
 @pytest.mark.parametrize("cfl", [np.inf, np.nan, 0.0, -0.2])
 def test_cfl_limit_rejects_bad_step_fractions(cfl):
+    # Before and after the surface's bound is cached: the bound is computed
+    # once per geometry, the step fraction is checked on every call.
+    s = _edge_surface("sphere-33")
     with pytest.raises(ValueError):
-        cfl_limit(_edge_surface("sphere-33"), cfl)
+        cfl_limit(s, cfl)
+    cfl_limit(s)
+    with pytest.raises(ValueError, match="cfl must be finite and positive"):
+        cfl_limit(s, cfl)
+
+
+def _bound_reference(surface):
+    """min over nodes of (spacing r)^2 H^2 / graph_factor^2, in that operand order."""
+    g = surface.geometry
+    local = np.square(surface.background.base.grid.spacing * surface.radius_field)
+    return np.min(local * np.square(g.mean_curvature) / np.square(g.graph_factor))
+
+
+@pytest.mark.parametrize("kind", ["torus-16", "sphere-33"])
+@pytest.mark.parametrize("scale_first", [True, False], ids=["scaled-first", "unit-first"])
+def test_cfl_limit_scales_one_bound(kind, scale_first):
+    # Every step fraction scales the same unscaled bound, whichever call
+    # computed it: the bits are those of c * cfl_limit(s, 1.0).
+    for c in (0.2, 0.1, 0.05, 0.3, 1.0, 1e-3):
+        s = _edge_surface(kind)
+        if scale_first:
+            limit, unit = cfl_limit(s, c), cfl_limit(s, 1.0)
+        else:
+            unit, limit = cfl_limit(s, 1.0), cfl_limit(s, c)
+        assert unit == _bound_reference(s)
+        assert np.float64(limit).view(np.uint64) == np.float64(c * unit).view(np.uint64), c
+
+
+def test_replaced_geometry_gets_its_own_bound():
+    # A surface caches one bound per geometry: a geometry replaced after a
+    # cached call, as _with_node does, is bounded afresh.
+    s = _edge_surface("sphere-33")
+    before = cfl_limit(s)
+    h = s.geometry.mean_curvature
+    _with_node(s, "mean_curvature", 0.5 * h[5])
+    after = cfl_limit(s)
+    assert after < before
+    assert after == CFL * _bound_reference(s)
+    s = _with_node(s, "mean_curvature", 0.0)
+    assert cfl_limit(s) == 0.0
+
+
+def test_flow_computes_one_bound_per_stepped_surface(monkeypatch):
+    # run_flow and step_graph_pde each ask for the bound of the surface
+    # being stepped; only the first request on each surface computes it.
+    counts = {"steps": 0, "calls": 0, "bounds": 0}
+    step, limit = kottler_imcf.flow.step_graph_pde, kottler_imcf.flow.cfl_limit
+
+    def counted_step(*args, **kwargs):
+        counts["steps"] += 1
+        return step(*args, **kwargs)
+
+    def counted_limit(surface, *args, **kwargs):
+        counts["calls"] += 1
+        key = surface._cfl_bound[0]
+        value = limit(surface, *args, **kwargs)
+        counts["bounds"] += surface._cfl_bound[0] is not key
+        return value
+
+    monkeypatch.setattr(kottler_imcf.flow, "step_graph_pde", counted_step)
+    monkeypatch.setattr(kottler_imcf.flow, "cfl_limit", counted_limit)
+    trace = run_flow(_sphere_input(33), 0.5, 0.25)
+    assert trace.complete and counts["steps"] > 0
+    assert counts == {"steps": counts["steps"], "calls": 2 * counts["steps"],
+                      "bounds": counts["steps"]}
+
+
+def test_point_grid_surface_steps_as_a_slice():
+    b = make_background(-1, 2, "point", mass=1.0)
+    state = FlowState(0.0, GraphSurface(b, 2.0), 0)
+    with pytest.raises(ValueError, match="point-grid surface is a slice.*step_slice_ode"):
+        cfl_limit(state.surface)
+    with pytest.raises(ValueError, match="point-grid surface is a slice.*step_slice_ode"):
+        step_graph_pde(state, 0.1)
+    assert step_slice_ode(state, 0.1).time == 0.1
 
 
 @pytest.mark.parametrize("dt", [-0.5, np.nan, np.inf])
@@ -516,7 +593,7 @@ def _torus64_state():
 # Measured 68,208 B, 201,584 B and 66,776 B with numpy 2.4; the bounds leave
 # 5%.  That is the two returned 32 KiB arrays of a geometry evaluation; of a
 # step, its two velocities and the two geometries they make, each 4 x 32 KiB;
-# and the two 32 KiB arrays of one cfl_limit.
+# and the two 32 KiB arrays of a surface's first cfl_limit.
 GEOMETRY_PEAK_BOUND = 71_700
 STEP_PEAK_BOUND = 211_700
 CFL_PEAK_BOUND = 70_200
@@ -533,8 +610,9 @@ def _traced_peak(fn):
 
 def test_torus64_allocation_peaks():
     # A repeatable gauge of the torus kernel's temporaries: bytes allocated at
-    # the peak of one geometry evaluation, one RK2 step and one cfl_limit
-    # (tracemalloc counts numpy's buffers).  Written out of place, one fresh array per
+    # the peak of one geometry evaluation, one RK2 step and the cfl_limit call
+    # that computes a surface's bound (tracemalloc counts numpy's buffers).
+    # Written out of place, one fresh array per
     # operation, they peaked at 956,616 B and 1,418,304 B; in place but with
     # fresh intermediates, at 628,296 B and 1,024,688 B.  Out of place, one
     # cfl_limit peaked at 98,616 B.
@@ -546,7 +624,11 @@ def test_torus64_allocation_peaks():
     geometry_peak = _traced_peak(
         lambda: GraphSurface(surface.background, surface.radius_field).geometry)
     step_peak = _traced_peak(lambda: step_graph_pde(state, dt))
-    cfl_peak = _traced_peak(lambda: cfl_limit(surface))
+    # The bound of the stepped surface is cached; a fresh surface's is not.
+    fresh = GraphSurface(surface.background, surface.radius_field)
+    fresh.geometry
+    cfl_peak = _traced_peak(lambda: cfl_limit(fresh))
+    assert fresh._cfl_bound[0] is fresh.geometry
     assert geometry_peak <= GEOMETRY_PEAK_BOUND, geometry_peak
     assert step_peak <= STEP_PEAK_BOUND, step_peak
     assert cfl_peak <= CFL_PEAK_BOUND, cfl_peak

@@ -7,6 +7,7 @@ grid-representable points to 25 digits and frozen here.
 """
 
 import dataclasses
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -359,6 +360,24 @@ def test_deferred_fields_match_fresh_geometry(kind):
         assert np.array_equal(getattr(fresh, name), getattr(read, name)), name
     # The cached min of H is the min of H, bit for bit.
     assert _bits(read.min_mean_curvature) == _bits(read.mean_curvature.min())
+
+
+@pytest.mark.parametrize("shape", [(2,), (33,), (16, 16)], ids=["pair", "sphere", "torus"])
+@pytest.mark.parametrize("nodes", [
+    {0: 0.0, 1: -0.0},
+    {0: -0.0, 1: 0.0},
+    {1: np.nan},
+    {1: 0.5},
+], ids=["zero-then-negative-zero", "negative-zero-then-zero", "nan", "positive"])
+def test_min_mean_curvature_has_the_reductions_bits(shape, nodes):
+    # The min is found by argmin; a -0/+0 tie and a NaN node keep the bits of
+    # np.minimum.reduce, which the min was taken with before.
+    h = np.linspace(1.0, 2.0, math.prod(shape)).reshape(shape)
+    for node, value in nodes.items():
+        h.flat[node] = value
+    g = kottler_imcf.surfaces.SurfaceGeometry(mean_curvature=h, graph_factor=np.ones_like(h),
+                                              measure=None)
+    assert _bits(g.min_mean_curvature) == _bits(np.minimum.reduce(h, axis=None))
 
 
 # -- independent identities off the slices ------------------------------------
