@@ -97,16 +97,16 @@ MUTANTS = [
         "geometry accepts it"),
     Mutant(
         "geometry-max-as-min", SURFACES,
-        "lo, hi = h.item(h.argmin()), h.item(h.argmax())",
-        "lo, hi = h.item(h.argmin()), h.item(h.argmin())",
+        "lo, hi = geom.min_mean_curvature, h.item(h.argmax())",
+        "lo, hi = geom.min_mean_curvature, h.item(h.argmin())",
         "the max of H is read only by the finiteness check, where it is the "
         "one that finds a +inf node"),
     Mutant(
         "geometry-check-min-as-max", SURFACES,
-        "lo, hi = h.item(h.argmin()), h.item(h.argmax())",
+        "lo, hi = geom.min_mean_curvature, h.item(h.argmax())",
         "lo, hi = h.item(h.argmax()), h.item(h.argmax())",
-        "the finiteness check reads H as the kernel returned it; its min is "
-        "the one that finds a -inf node"),
+        "the finiteness check reads the geometry's min of H, the one that "
+        "finds a -inf node"),
     Mutant(
         "radius-min-as-max", SURFACES,
         "lo, hi = r.item(r.argmin()), r.item(r.argmax())",
@@ -306,9 +306,38 @@ MUTANTS = [
         "a third CFL bound per step: the same trace, more work"),
     Mutant(
         "sample-row-extra-integral", FLOW,
-        "        surface.area(),\n",
-        "        surface.area() + 0.0 * surface.area(),\n",
-        "a twelfth quadrature per sample row: the same trace, more work"),
+        "        bulk,\n",
+        "        bulk_integral(surface),\n",
+        "a sixth quadrature per sample row: the same trace, more work"),
+    # -- one integral per geometry ----------------------------------------------
+    Mutant(
+        "integral-memo-on-surface", SURFACES,
+        "        memo = g.integrals\n",
+        "        memo = vars(self).setdefault(\"_integrals\", {})\n",
+        "a memo kept on the surface outlives its geometry: a geometry swapped in "
+        "by dataclasses.replace reads the old geometry's integrals"),
+    Mutant(
+        "integral-memo-class-level", SURFACES,
+        "    def integrals(self):\n"
+        "        \"\"\"name -> surface integral over this geometry (GraphSurface.integral);\n"
+        "        a geometry made by dataclasses.replace starts with none.\"\"\"\n"
+        "        return {}\n",
+        "    def integrals(self, shared={}):\n"
+        "        return shared\n",
+        "one memo for every geometry: each surface reads the integrals of "
+        "whichever surface was integrated first"),
+    Mutant(
+        "bulk-memoized", FUNCTIONALS,
+        "    return integrate(surface.background.base, cube)\n",
+        "    return surface.integral(\"bulk\", lambda g: cube)\n",
+        "the bulk reads the radius field, which may change in place under one "
+        "geometry; it is integrated on every request"),
+    Mutant(
+        "integral-memo-name-collision", FUNCTIONALS,
+        "        \"int_V_over_H\", lambda g:",
+        "        \"int_VH\", lambda g:",
+        "a lookup under another integral's name returns that integral: the "
+        "Heintze-Karcher gap reads the total mean curvature"),
     # -- state derived, not stored ----------------------------------------------
     Mutant(
         "euler_char-from-genus-halved", BASE,

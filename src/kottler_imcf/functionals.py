@@ -35,6 +35,8 @@ __all__ = [
 
 
 # -- surface integrals (the area is GraphSurface.area) ----------------------
+# Those of the geometry are kept in its memo (GraphSurface.integral); the bulk
+# reads the radius field, which may change in place, so every call computes it.
 
 
 def bulk_integral(surface):
@@ -48,30 +50,30 @@ def bulk_integral(surface):
     rho_m = surface.background.horizon_rho
     if r.item(r.argmin()) < rho_m:  # argmin finds the first NaN: False, as np.any(r < rho_m)
         raise ExteriorError("graph dips below the horizon radius")
-    return integrate(surface.background.base, (r**3 - rho_m**3) / 3.0)
+    cube = r**3
+    cube -= rho_m**3
+    cube /= 3.0
+    return integrate(surface.background.base, cube)
 
 
 def total_mean_curvature(surface):
     """The potential-weighted total mean curvature."""
-    g = surface.geometry
-    return integrate(
-        surface.background.base, g.potential * g.mean_curvature * g.area_density
+    return surface.integral(
+        "int_VH", lambda g: g.potential * g.mean_curvature * g.area_density
     )
 
 
 def _willmore(surface):
-    g = surface.geometry
-    return integrate(
-        surface.background.base, (g.mean_curvature**2 - 4.0) * g.area_density
+    return surface.integral(
+        "willmore", lambda g: (g.mean_curvature**2 - 4.0) * g.area_density
     )
 
 
 def _hk_lhs(surface):
-    g = surface.geometry
-    if g.min_mean_curvature <= 0.0:
+    if surface.geometry.min_mean_curvature <= 0.0:
         raise FlowSingularError("Heintze-Karcher gap needs a mean-convex surface")
-    return integrate(
-        surface.background.base, g.potential / g.mean_curvature * g.area_density
+    return surface.integral(
+        "int_V_over_H", lambda g: g.potential / g.mean_curvature * g.area_density
     )
 
 

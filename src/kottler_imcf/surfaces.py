@@ -73,6 +73,12 @@ class SurfaceGeometry:
         object.__setattr__(self, "min_mean_curvature", low)
 
     @cached_property
+    def integrals(self):
+        """name -> surface integral over this geometry (GraphSurface.integral);
+        a geometry made by dataclasses.replace starts with none."""
+        return {}
+
+    @cached_property
     def _measure_fields(self):
         return self.measure()
 
@@ -364,8 +370,18 @@ class GraphSurface:
             compute_geometry(self)
         return self._geometry
 
+    def integral(self, name, integrand):
+        """integrate(base, integrand(geometry)), once per geometry and name.
+
+        Two threads that race on one name store the same bits."""
+        g = self.geometry
+        memo = g.integrals
+        if name not in memo:
+            memo[name] = integrate(self.background.base, integrand(g))
+        return memo[name]
+
     def area(self):
-        return integrate(self.background.base, self.geometry.area_density)
+        return self.integral("area", lambda g: g.area_density)
 
 
 def compute_geometry(surface):
@@ -380,9 +396,9 @@ def compute_geometry(surface):
         geom = _torus_geometry(surface.background, grid, r)
     else:
         raise TypeError(f"unsupported grid kind {type(grid).__name__}")
-    # As in GraphSurface, on H as the kernel returned it.
+    # As in GraphSurface: the geometry's min finds a NaN or -inf node, the max +inf.
     h = geom.mean_curvature
-    lo, hi = h.item(h.argmin()), h.item(h.argmax())
+    lo, hi = geom.min_mean_curvature, h.item(h.argmax())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FlowSingularError("non-finite mean curvature")
     surface._geometry = geom

@@ -1,5 +1,7 @@
 """Functional identities on slices and inequality audits off slices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -320,3 +322,142 @@ def test_evaluate_report_equals_functionals_exactly(kind, monkeypatch):
     assert list(standalone) == list(report.__dataclass_fields__)
     for name, value in standalone.items():
         assert getattr(report, name) == value, name
+
+
+# -- one integral per geometry ----------------------------------------------------
+
+
+def _count_integrals(monkeypatch):
+    """A list that grows by one per integrate call, in every module that binds it."""
+    calls = []
+
+    def counted(base, field):
+        calls.append(1)
+        return integrate(base, field)
+
+    for module in (kottler_imcf.functionals, kottler_imcf.surfaces, kottler_imcf.flow):
+        monkeypatch.setattr(module, "integrate", counted)
+    return calls
+
+
+# Every request on a surface, in this order, with the integrals it computes:
+# the report computes the five, later requests none of the four geometry
+# integrals again and the bulk once for each that reads it.
+_REQUESTS = [
+    ("evaluate_report", evaluate_report, 5),
+    ("area", GraphSurface.area, 0),
+    ("total_mean_curvature", total_mean_curvature, 0),
+    ("bulk_integral", bulk_integral, 1),
+    ("compute_Q", compute_Q, 1),
+    ("compute_P", compute_P, 0),
+    ("hawking_mass", hawking_mass, 0),
+    ("hk_gap", hk_gap, 1),
+    ("minkowski_deficit", minkowski_deficit, 1),
+    ("areal_minkowski_deficit", areal_minkowski_deficit, 0),
+]
+_KINDS = ["sphere-129", "torus-32", "sphere-slice", "hyperbolic-point"]
+
+
+def _value_bits(value):
+    fields = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else (value,)
+    return np.array(fields, dtype=float).tobytes()
+
+
+def _geometry_references(s):
+    """The four geometry integrals, integrated here from the geometry's fields."""
+    g, base = s.geometry, s.background.base
+    return {
+        "area": integrate(base, g.area_density),
+        "int_VH": integrate(base, g.potential * g.mean_curvature * g.area_density),
+        "willmore": integrate(base, (g.mean_curvature**2 - 4.0) * g.area_density),
+        "int_V_over_H": integrate(base, g.potential / g.mean_curvature * g.area_density),
+    }
+
+
+def _geometry_integrals(s):
+    report = evaluate_report(s)
+    return {
+        "area": report.area,
+        "int_VH": report.total_mean_curvature,
+        "willmore": kottler_imcf.functionals._willmore(s),
+        "int_V_over_H": kottler_imcf.functionals._hk_lhs(s),
+    }
+
+
+def _request_all(s, calls):
+    """Each request's value on s, asserting the integrals each computes."""
+    values = {}
+    for name, request, cost in _REQUESTS:
+        before = len(calls)
+        values[name] = request(s)
+        assert len(calls) - before == cost, name
+    return values
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_each_geometry_integral_once_and_the_bulk_once_per_request(kind, monkeypatch):
+    s = _report_surface(kind)
+    calls = _count_integrals(monkeypatch)
+    _request_all(s, calls)
+    before = len(calls)
+    memo = _geometry_integrals(s)
+    assert len(calls) - before == 1  # the report's bulk
+    for name, reference in _geometry_references(s).items():
+        assert _value_bits(memo[name]) == _value_bits(reference), name
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_each_value_equals_a_fresh_surfaces_bit_for_bit(kind):
+    s = _report_surface(kind)
+    for _, request, _ in _REQUESTS:
+        request(s)
+    for name, request, _ in _REQUESTS:
+        assert _value_bits(request(s)) == _value_bits(request(_report_surface(kind))), name
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_two_surfaces_never_share_an_integral(kind, monkeypatch):
+    # Requests alternate between two surfaces on one background; each costs
+    # what it costs alone and gives its own surface's bits.
+    a = _report_surface(kind)
+    b = GraphSurface(a.background, 1.1 * a.radius_field)
+    calls = _count_integrals(monkeypatch)
+    for name, request, cost in _REQUESTS:
+        for s in (a, b):
+            before = len(calls)
+            value = request(s)
+            assert len(calls) - before == cost, name
+            fresh = request(GraphSurface(s.background, s.radius_field.copy()))
+            assert _value_bits(value) == _value_bits(fresh), name
+    for name, value in _geometry_integrals(a).items():
+        assert value != _geometry_integrals(b)[name], name
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_a_replaced_geometry_integrates_again(kind, monkeypatch):
+    s = _report_surface(kind)
+    _geometry_integrals(s)
+    g = s.geometry
+    s._geometry = dataclasses.replace(g, mean_curvature=1.5 * g.mean_curvature)
+    calls = _count_integrals(monkeypatch)
+    memo = _geometry_integrals(s)
+    assert len(calls) == 5
+    for name, reference in _geometry_references(s).items():
+        assert _value_bits(memo[name]) == _value_bits(reference), name
+    assert memo["int_VH"] != _geometry_integrals(_report_surface(kind))["int_VH"]
+
+
+@pytest.mark.parametrize("kind", ["sphere-129", "torus-32"])
+def test_a_sample_row_reads_the_memo(kind, monkeypatch):
+    # A row integrates area, int_VH, bulk, Willmore and the traceless term;
+    # after the report, whose memo holds area, int_VH and Willmore, only the
+    # bulk and the traceless term.  Either way the row has the same bits.
+    calls = _count_integrals(monkeypatch)
+    fresh = _sample_row(FlowState(0.5, _report_surface(kind), 0))
+    assert len(calls) == 5
+    s = _report_surface(kind)
+    evaluate_report(s)
+    before = len(calls)
+    row = _sample_row(FlowState(0.5, s, 0))
+    assert len(calls) - before == 2
+    assert np.array(row).tobytes() == np.array(fresh).tobytes()
