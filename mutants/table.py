@@ -370,6 +370,13 @@ MUTANTS = [
         "    return False\n",
         "a torus field that is 0 on every node (up to round-off) would be "
         "audited as a non-slice graph"),
+    # -- the parse-time key-value rules ------------------------------------------
+    Mutant(
+        "rho_eval-duplicate-radii-admitted", CLI,
+        "lambda values: len(set(values)) == len(values)",
+        "lambda values: True",
+        "a repeated radius must be a config error at its line: the Richardson "
+        "step divides by (r2/r1)^3 - 1, which is 0 when the two largest agree"),
     # -- rules of item 3's list ----------------------------------------------
     Mutant(
         "scale-down-always-multiplies", BASE,

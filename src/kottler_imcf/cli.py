@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -46,7 +46,6 @@ from .surfaces import GraphSurface
 from .base import MIN_RESOLUTION, AxisymmetricSphereGrid, FlatTorusGrid, PointGrid, make_base
 
 __all__ = [
-    "ScenarioConfig",
     "CheckResult",
     "AuditResult",
     "parse_config",
@@ -61,31 +60,19 @@ __all__ = [
 
 
 def _require(parse, test, message):
-    """A parser: `parse`, then ValueError(message) unless `test` holds.
-
-    Its `check` runs every value test of the parser alone, on a value that is
-    already parsed, as a directly built ScenarioConfig needs.
-    """
-    inner = getattr(parse, "check", lambda value: value)
-
-    def tested(value):
+    """A parser: `parse`, then ValueError(message) unless `test` holds."""
+    def checked(text):
+        value = parse(text)
         if not test(value):
             raise ValueError(message)
         return value
 
-    def checked(text):
-        return tested(parse(text))
-
-    checked.check = lambda value: tested(inner(value))
     return checked
 
 
 def _list(item):
-    def parse(text):
-        return tuple(item(s.strip()) for s in text.split(",") if s.strip())
-
-    parse.check = lambda values: tuple(map(item.check, values))
-    return _require(parse, bool, "must list at least one value")
+    return _require(lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip()),
+                    bool, "must list at least one value")
 
 
 def _within(parse, low, high):
@@ -104,14 +91,8 @@ _mode = _within(int, -10**6, 10**6)
 _resolution = _require(lambda text: text if text == "point" else int(text),
                        lambda value: value == "point" or value >= MIN_RESOLUTION,
                        f"must be an integer >= {MIN_RESOLUTION} or 'point'")
-
-
-def _distinct(parse, what):
-    return _require(parse, lambda values: len(set(values)) == len(values),
-                    f"{what} must be distinct")
-
-
-_radii = _distinct(_list(_within(_positive, 1e-50, 1e50)), "radii")
+_radii = _require(_list(_within(_positive, 1e-50, 1e50)),
+                  lambda values: len(set(values)) == len(values), "radii must be distinct")
 
 
 def _key(section, parse, default=None, key=None):
@@ -120,15 +101,12 @@ def _key(section, parse, default=None, key=None):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One validated scenario.
+    """One scenario, as parse_config builds and validates it.
 
     Each field is one config key, declared with its [section] (None for
     the leading `id`), its parser, which rejects a malformed or
     out-of-range value with ValueError, the default used when the key is
     absent, and its key name where that differs from the field name.
-    Each key's value tests and the rules that involve more than one key
-    run on construction, however the config is built; `lines`
-    maps field names to config lines for the `line N:` of a ConfigError.
     """
 
     scenario_id: str = _key(None, _name, "scenario", key="id")
@@ -136,7 +114,7 @@ class ScenarioConfig:
     genus: int = _key("background", _genus)  # default set by the curvature sign
     mass: float | None = _key("background", _finite)
     horizon_radius: float | None = _key("background", _positive)
-    # int or "point"; default set by the curvature sign: "point" for -1, else 64
+    # int or "point"; default set by the curvature sign
     resolution: object = _key("background", _resolution)
     base_area: float | None = _key("background", _positive, key="area")
     radius: float | None = _key("surface", _positive)
@@ -147,10 +125,6 @@ class ScenarioConfig:
     t_end: float | None = _key("flow", _positive)
     sample_interval: float = _key("flow", _positive, 0.25)
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
-    lines: InitVar[dict | None] = None
-
-    def __post_init__(self, lines):
-        _validate(self, lines or {})
 
 
 _KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
@@ -159,7 +133,7 @@ _SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_config(text):
-    """Parse and validate a scenario config document."""
+    """Parse and validate a scenario config document: the one way to build a scenario."""
     section = None
     values = {}
     lines = {}
@@ -187,7 +161,14 @@ def parse_config(text):
         except ValueError as err:
             raise ConfigError(f"key {key!r}: {err}", lineno) from None
         lines[spec.name] = lineno
-    return ScenarioConfig(**values, lines=lines)
+    sign = values.get("curvature_sign")
+    if sign is None:
+        raise ConfigError("missing required key 'curvature_sign' in [background]")
+    values.setdefault("genus", {1: 0, 0: 1, -1: 2}[sign])
+    values.setdefault("resolution", "point" if sign == -1 else 64)
+    config = ScenarioConfig(**values)
+    _validate(config, lines)
+    return config
 
 
 # Far above any shipped flow (at most 48 rows), and low enough that a flow
@@ -196,26 +177,10 @@ _MAX_SAMPLE_ROWS = 100_000
 
 
 def _validate(config, lines):
-    """Each key's value tests, the rules that involve more than one key, and
-    the defaults set by the curvature sign."""
+    """The rules that involve more than one key."""
     def fail(message, key):
         raise ConfigError(message, lines.get(key))
 
-    if config.curvature_sign is None:
-        raise ConfigError("missing required key 'curvature_sign' in [background]")
-    # The per-key value tests, which parse_config ran on the text; a config
-    # built directly meets them here.
-    for spec in fields(config):
-        value = getattr(config, spec.name)
-        if value is not None:
-            try:
-                spec.metadata["parse"].check(value)
-            except ValueError as err:
-                fail(f"key {spec.metadata['key'] or spec.name!r}: {err}", spec.name)
-    for name, default in (("genus", {1: 0, 0: 1, -1: 2}[config.curvature_sign]),
-                          ("resolution", "point" if config.curvature_sign == -1 else 64)):
-        if getattr(config, name) is None:
-            object.__setattr__(config, name, default)
     if (config.mass is None) == (config.horizon_radius is None):
         fail("give exactly one of 'mass', 'horizon_radius' in [background]",
              "mass" if "mass" in lines else "horizon_radius")

@@ -18,7 +18,6 @@ from kottler_imcf.base import integrate
 from kottler_imcf.cli import (
     AuditResult,
     CheckResult,
-    ScenarioConfig,
     build_background,
     build_initial_surface,
     emit_audit_json,
@@ -28,7 +27,7 @@ from kottler_imcf.cli import (
     parse_trace_csv,
     run_scenario,
 )
-from kottler_imcf.cli import _RULES, _check
+from kottler_imcf.cli import _RULES, ScenarioConfig, _check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -78,8 +77,10 @@ def test_duplicate_key_rejected():
 
 def test_both_mass_and_radius_rejected():
     bad = MINIMAL.replace("mass = 0.5", "mass = 0.5\nhorizon_radius = 1.0")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(bad)
+    assert str(err.value) == (f"line {_line_of(bad, 'mass = 0.5')}: "
+                              "give exactly one of 'mass', 'horizon_radius' in [background]")
 
 
 def test_neither_mass_nor_radius_rejected():
@@ -254,7 +255,8 @@ def test_cli_flow_writes_outputs(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     assert main(["flow", "--config", cfg, "--out", out_dir]) == 0
     assert os.path.exists(os.path.join(out_dir, "t_trace.csv"))
-    payload = json.loads(open(os.path.join(out_dir, "t_audit.json")).read())
+    with open(os.path.join(out_dir, "t_audit.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
     assert payload["passed"] is True
 
 
@@ -744,19 +746,7 @@ def test_cli_resolution_above_the_grid_bound_exit_two(tmp_path, capsys, scenario
     assert build_background(accepted).base.grid.weights.size in (bound, bound**2)
 
 
-def test_directly_built_config_runs_every_rule_once(monkeypatch):
-    # Before, a ScenarioConfig made without parse_config skipped every rule,
-    # and this one reached the point grid's missing mode field as a TypeError.
-    with pytest.raises(ConfigError, match="amplitude have no effect on a PointGrid"):
-        run_scenario(ScenarioConfig(curvature_sign=0, genus=1, mass=0.5, resolution="point",
-                                    radius=2.5, amplitude=0.1), with_flow=False)
-    with pytest.raises(ConfigError, match="^missing required key 'curvature_sign'"):
-        ScenarioConfig(mass=1.0)
-    with pytest.raises(ConfigError, match="^give exactly one of 'mass', 'horizon_radius'"):
-        ScenarioConfig(curvature_sign=1)
-    # The defaults that depend on the curvature sign are the parser's.
-    assert ScenarioConfig(curvature_sign=0, mass=0.5, radius=2.0, scenario_id="t") == \
-        parse_config(MINIMAL)
+def test_parse_config_validates_once(monkeypatch):
     runs = []
     validate = kottler_imcf.cli._validate
     monkeypatch.setattr(kottler_imcf.cli, "_validate", lambda *args: runs.append(validate(*args)))
@@ -764,22 +754,19 @@ def test_directly_built_config_runs_every_rule_once(monkeypatch):
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("values, key", [
-    ({"radius": float("nan")}, "radius"),
-    ({"radius": 2.0, "amplitude": float("nan")}, "amplitude"),
-    ({"radius": 2.0, "t_end": float("nan")}, "t_end"),
-    ({"radius": 2.0, "t_end": 1.0, "sample_interval": -0.25}, "sample_interval"),
-    ({"rho_eval": (10.0, float("inf"))}, "rho_eval"),
-    ({"rho_eval": (10.0, 10.0)}, "rho_eval"),
-    ({"scenario_id": ""}, "id"),
-], ids=["radius-nan", "amplitude-nan", "t_end-nan", "sample_interval-negative",
-        "rho_eval-inf", "rho_eval-repeated", "id-empty"])
-def test_directly_built_config_runs_each_key_value_test(values, key):
-    # Each key's value test runs however the config is built.  Before, a
-    # NaN radius or amplitude reached the surface as a FlowSingularError and
-    # a NaN t_end passed.
-    with pytest.raises(ConfigError, match=f"^key '{key}': "):
-        run_scenario(ScenarioConfig(curvature_sign=1, mass=1.0, **values), with_flow=False)
+@pytest.mark.parametrize("text, line, message", [
+    (MINIMAL + "\n[audit]\nrho_eval = 10, 10\n", "rho_eval = 10, 10",
+     "key 'rho_eval': radii must be distinct"),
+    (MINIMAL.replace("curvature_sign = 0\n", ""), None,
+     "missing required key 'curvature_sign' in [background]"),
+], ids=["rho_eval-repeated", "curvature_sign-missing"])
+def test_config_error_message_in_full(text, line, message):
+    # The full message, with the line of the key where one is named.
+    if line is not None:
+        message = f"line {_line_of(text, line)}: {message}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
 
 
 def test_hyperbolic_default_resolution_is_point(tmp_path):
