@@ -8,8 +8,11 @@ which must lie outside the repository), with its one text replacement
 applied, as ``python -m pytest -m "not byte_pin" tests`` with the copy's
 ``src`` first on PYTHONPATH.  Golden, digest and bitwise-reference tests
 are deselected, so a mutant counts as caught only by an oracle that would
-survive a numerical change.  pytest stops at the first failure (``-x``),
-whose test id is printed.
+survive a numerical change.  Each mutant runs the whole suite, and every
+test that fails (kills it) is printed under its row.  The run ends with the
+rows that one test function alone kills, its parametrize ids merged into the
+function: a test may be removed only if no row names it there, or if a
+remaining test is written to kill that row too.
 
 Each pytest child runs under an address-space bound (RLIMIT_AS, 4 GiB;
 the suite itself peaks near 130 MB), so that a mutant that makes memory
@@ -41,7 +44,7 @@ from table import MUTANTS  # noqa: E402
 SKIPPED = shutil.ignore_patterns(".git", ".bench_build", "__pycache__", ".pytest_cache",
                                  ".hypothesis")
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
-TIMEOUT_S = 600.0  # per mutant; the whole suite takes under a minute
+TIMEOUT_S = 600.0  # per mutant; the whole oracle suite takes about half a minute
 MEMORY_BYTES = 4 * 2**30  # address space of each pytest child
 
 
@@ -81,7 +84,7 @@ def run_one(mutant, workdir):
         shutil.copytree(ROOT, root, ignore=SKIPPED)
         apply(root, mutant)
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                 "-m", "not byte_pin", "tests"]
         start = perf_counter()
         try:
@@ -94,6 +97,17 @@ def run_one(mutant, workdir):
         shutil.rmtree(top, ignore_errors=True)
 
 
+def sole_killers(killers):
+    """{row: the one test function that kills it} over {row: its killing test
+    ids}, for the rows whose killers are the cases of a single function."""
+    sole = {}
+    for name, ids in killers.items():
+        functions = {test_id.partition("[")[0] for test_id in ids}
+        if len(functions) == 1:
+            sole[name] = functions.pop()
+    return sole
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default=None, help="parent of the temporary copies")
@@ -102,7 +116,7 @@ def main(argv=None):
     if os.path.commonpath([parent, os.path.realpath(ROOT)]) == os.path.realpath(ROOT):
         parser.error("--workdir must lie outside the repository")
 
-    bad = 0
+    bad, killers = 0, {}
     for m in MUTANTS:
         outcome, failures, seconds = run_one(m, args.workdir)
         expected = "survived" if m.equivalent else "caught"
@@ -112,6 +126,12 @@ def main(argv=None):
         print(f"{'ok ' if ok else 'BAD'} {m.name:36s} {label:22s} {seconds:6.1f} s", flush=True)
         for failure in failures:
             print(f"      {failure}")
+        if outcome == "caught":
+            killers[m.name] = failures
+    sole = sole_killers(killers)
+    print(f"{len(sole)} rows killed by one test function alone:")
+    for name, function in sole.items():
+        print(f"    {name:36s} {function}")
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants as expected")
     return 1 if bad else 0
 

@@ -305,6 +305,28 @@ MUTANTS = [
         "                         next_sample - state.time)",
         "a third CFL bound per step: the same trace, more work"),
     Mutant(
+        "cfl-bound-never-cached", FLOW,
+        "    if key is not g:\n",
+        "    if True:\n",
+        "the bound is computed once per geometry; recomputed on every call it "
+        "gives the same limits, with two field-sized arrays per call and 15,859 "
+        "more bounds in the torus acceptance flow"),
+    Mutant(
+        "held-always-reruns", SURFACES,
+        "        if _workspaces.owner.get(n) is token:\n            return slots\n",
+        "",
+        "a deferred read while the workspace still holds its evaluation reads the "
+        "slots; rerunning the kernel gives the same bits and one more kernel run "
+        "per geometry whose fields are read"),
+    Mutant(
+        "stage-reads-shape", FLOW,
+        "def _velocity(surface):\n    _check_mean_convex(surface)\n",
+        "def _velocity(surface):\n    _check_mean_convex(surface)\n"
+        "    star_shaped_check(surface, STAR_FLOOR)\n",
+        "a flow stage reads only H and the graph factor; one that reads the "
+        "alignment runs both deferred groups on every stage geometry: the same "
+        "trace, more work and memory per step"),
+    Mutant(
         "sample-row-extra-integral", FLOW,
         "        bulk,\n",
         "        bulk_integral(surface),\n",

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from mutate import MEMORY_BYTES, ROOT, apply, bound_memory, outcome_of
+from mutate import MEMORY_BYTES, ROOT, apply, bound_memory, outcome_of, sole_killers
 from table import MUTANTS
 
 
@@ -59,3 +59,19 @@ def test_outcome_of_a_child(code, stdout, expected):
     stderr = "killed\n" if code < 0 else ""
     done = subprocess.CompletedProcess([], code, stdout=stdout, stderr=stderr)
     assert outcome_of(done) == expected
+
+
+def test_sole_killers_merge_parametrize_ids_into_their_function():
+    killers = {
+        "one-case": ["tests/test_a.py::test_b[x]"],
+        "two-cases": ["tests/test_a.py::test_b[x]", "tests/test_a.py::test_b[y]"],
+        "plain": ["tests/test_a.py::test_c"],
+        "two-functions": ["tests/test_a.py::test_b[x]", "tests/test_a.py::test_c"],
+        "one-name-two-files": ["tests/test_a.py::test_b", "tests/test_d.py::test_b"],
+        "no-test-named": [],
+    }
+    assert sole_killers(killers) == {
+        "one-case": "tests/test_a.py::test_b",
+        "two-cases": "tests/test_a.py::test_b",
+        "plain": "tests/test_a.py::test_c",
+    }

@@ -50,15 +50,10 @@ class AxisymmetricSphereGrid:
         return np.pi / (self.n_points - 1)
 
     @cached_property
-    def interior_cot(self):
-        """cot(theta) on the nodes strictly between the poles."""
-        inner = self.theta[1:-1]
-        return np.cos(inner) / np.sin(inner)
-
-    @cached_property
     def cot_full(self):
-        """interior_cot padded with 0 at the two poles."""
-        return np.concatenate(([0.0], self.interior_cot, [0.0]))
+        """cot(theta) on the nodes strictly between the poles, 0 at the two poles."""
+        inner = self.theta[1:-1]
+        return np.concatenate(([0.0], np.cos(inner) / np.sin(inner), [0.0]))
 
     @cached_property
     def stencil_divisors(self):

