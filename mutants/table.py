@@ -360,6 +360,13 @@ MUTANTS = [
         "        \"int_VH\", lambda g:",
         "a lookup under another integral's name returns that integral: the "
         "Heintze-Karcher gap reads the total mean curvature"),
+    # -- the mass integral far out ------------------------------------------------
+    Mutant(
+        "chmass-subtractive-u", BACKGROUND,
+        "    u = (2.0 * background.mass / rho) / (background.v_squared(rho) * fbar_sq)\n",
+        "    u = 1.0 / background.v_squared(rho) - 1.0 / fbar_sq\n",
+        "1/V^2 - 1/fbar^2 by subtraction cancels every digit as 2m/rho^3 nears "
+        "round-off: the mass estimate reads 0 from rho = 3e5 on"),
     # -- state derived, not stored ----------------------------------------------
     Mutant(
         "euler_char-from-genus-halved", BASE,

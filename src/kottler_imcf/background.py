@@ -226,8 +226,9 @@ def static_residual(background, sample_rho, potential=None):
 
     # Closed-form Ricci of the warped metric: Ric_rr and the ghat-coefficient
     # of the angular block.
-    ric_rr = -2.0 * (m + rho**3) / (rho**3 * f)
-    ric_ang = (m - 2.0 * rho**3) / rho
+    rho_cube = rho * rho * rho
+    ric_rr = -2.0 * (m + rho_cube) / (rho_cube * f)
+    ric_ang = (m - 2.0 * rho_cube) / rho
 
     hess_rr = w2 + 0.5 * (f1 / f) * w1
     hess_ang = f * rho * w1  # coefficient of ghat_ij
@@ -256,7 +257,9 @@ def ch_mass_integral(background, rho_eval):
     fbar = np.sqrt(fbar_sq)
     fbar_d1 = rho / fbar
 
-    u = 1.0 / background.v_squared(rho) - 1.0 / fbar_sq  # q_rhorho
+    # q_rhorho = 1/V^2 - 1/fbar^2, formed without the subtraction that cancels
+    # every digit once 2m/rho^3 nears round-off.
+    u = (2.0 * background.mass / rho) / (background.v_squared(rho) * fbar_sq)
 
     # One-form (div_gbar q - d Tr_gbar q) has radial component 2 fbar^2 u / rho;
     # the trace and lapse-gradient terms cancel for a purely radial q but are

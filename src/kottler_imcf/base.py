@@ -146,6 +146,9 @@ def _simpson_weights(x):
     Each coefficient repeats, in order, the floating-point operations of
     the reference rule in tests/test_base.py, so the weights, and the sphere
     goldens built on them, match it bit for bit; reordering moves them.
+    The one exception is h1^3, a product here where the reference calls pow
+    (whose loop depends on numpy's SIMD dispatch); the two cubes differ at
+    some node counts, but the weights agree at every count from 8 to 1999.
     """
     h = np.diff(x)
     n = len(x)
@@ -161,7 +164,7 @@ def _simpson_weights(x):
         h0, h1 = h[-2:-1], h[-1:]
         w[-1:] += (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
         w[-2:-1] += (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-        w[-3:-2] -= h1**3 / (6 * h0 * (h0 + h1))
+        w[-3:-2] -= h1 * h1 * h1 / (6 * h0 * (h0 + h1))
     return w
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -419,8 +420,8 @@ _CHECKS = (
     _Spec("hk_gap", _graph, "lower", 1e-6, lambda run: run.report.hk_gap,
           "Heintze-Karcher inequality"),
     _Spec("area_growth", _flow, "abs", lambda run: 1e-10 if run.slice else 1e-4,
-          lambda run: np.max(np.abs(
-              run.column("area") / (np.exp(run.trace.times) * run.column("area")[0]) - 1.0)),
+          lambda run: np.max(np.abs(run.column("area") / (
+              np.array([math.exp(t) for t in run.trace.times]) * run.column("area")[0]) - 1.0)),
           "exponential area growth"),
     _Spec("q_constant", lambda run: run.flow and run.slice, "abs", 1e-10,
           lambda run: np.max(np.abs(run.column("Q") - run.column("Q")[0])),

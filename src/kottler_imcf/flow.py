@@ -164,7 +164,7 @@ def step_slice_ode(state, dt):
     _check_finite("dt", dt, positive=False)
     if dt == 0.0:
         return state
-    new_r = state.surface.radius_field * np.exp(0.5 * dt)
+    new_r = state.surface.radius_field * math.exp(0.5 * dt)
     surface = GraphSurface(state.surface.background, new_r)
     return FlowState(state.time + dt, surface, state.step_count + 1)
 

@@ -199,6 +199,15 @@ def test_ch_mass_monotone_convergence():
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.05)
 
 
+@pytest.mark.parametrize("k,genus,mass", [(1, 0, 1.0), (0, 1, 0.5), (-1, 2, 1.0)])
+def test_ch_mass_holds_far_out(k, genus, mass):
+    # q_rhorho = 1/V^2 - 1/fbar^2 is 2m/rho^3 to leading order; formed by
+    # subtraction it loses every digit by rho = 3e5, so the estimate read 0.
+    b = make_background(k, genus, "point", mass=mass)
+    for rho in np.logspace(5.0, 20.0, 16):
+        assert abs(ch_mass_integral(b, rho) - mass) <= 1e-12, rho
+
+
 def test_ch_mass_preasymptotic_guard():
     b = make_background(1, 0, "point", mass=1.0)
     with pytest.raises(ExteriorError):
