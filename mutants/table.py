@@ -137,25 +137,28 @@ MUTANTS = [
         "lets the flow step past the stability limit"),
     Mutant(
         "cfl-cache-ignores-geometry", FLOW,
-        "    if key is not g:\n",
-        "    if bound is None:\n",
-        "a surface whose geometry is replaced keeps the bound of the old "
-        "geometry, so a step is checked against a stale limit"),
+        "    memo = g.derived\n",
+        "    memo = vars(surface).setdefault(\"_derived\", {})\n",
+        "a bound kept on the surface outlives its geometry: a surface whose "
+        "geometry is replaced keeps the old bound, so a step is checked against "
+        "a stale limit"),
     Mutant(
         "cfl-cache-stores-scaled-limit", FLOW,
-        "surface._cfl_bound = (g, bound)",
-        "surface._cfl_bound = (g, cfl * bound)",
-        "the cache holds the unscaled bound: a scaled one is scaled again by "
+        "memo[\"cfl_bound\"] = bound",
+        "memo[\"cfl_bound\"] = cfl * bound",
+        "the memo holds the unscaled bound: a scaled one is scaled again by "
         "every later call, and by a different step fraction"),
     Mutant(
         "cfl-check-only-on-miss", FLOW,
         "    _check_finite(\"cfl\", cfl)\n"
         "    g = surface.geometry\n"
-        "    key, bound = surface._cfl_bound\n"
-        "    if key is not g:\n",
+        "    memo = g.derived\n"
+        "    bound = memo.get(\"cfl_bound\")\n"
+        "    if bound is None:\n",
         "    g = surface.geometry\n"
-        "    key, bound = surface._cfl_bound\n"
-        "    if key is not g:\n"
+        "    memo = g.derived\n"
+        "    bound = memo.get(\"cfl_bound\")\n"
+        "    if bound is None:\n"
         "        _check_finite(\"cfl\", cfl)\n",
         "a bad step fraction must be rejected on every call, not only on the "
         "one that computes the bound: an infinite one lifts the limit"),
@@ -272,7 +275,8 @@ MUTANTS = [
     Mutant(
         "torus-grid-curvature-unchecked", BASE,
         "        if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:\n"
-        "            raise InvalidBaseError(\"a flat torus grid needs curvature_sign 0\")\n",
+        "            raise InvalidBaseError(\"a flat torus grid needs curvature_sign 0\", "
+        "\"curvature_sign\")\n",
         "",
         "the torus kernel drops k from V^2 = k + r^2 - 2m/r, so a torus grid "
         "under a curved base would give the potential of the wrong background"),
@@ -306,7 +310,7 @@ MUTANTS = [
         "a third CFL bound per step: the same trace, more work"),
     Mutant(
         "cfl-bound-never-cached", FLOW,
-        "    if key is not g:\n",
+        "    if bound is None:\n",
         "    if True:\n",
         "the bound is computed once per geometry; recomputed on every call it "
         "gives the same limits, with two field-sized arrays per call and 15,859 "
@@ -334,20 +338,16 @@ MUTANTS = [
     # -- one integral per geometry ----------------------------------------------
     Mutant(
         "integral-memo-on-surface", SURFACES,
-        "        memo = g.integrals\n",
+        "        memo = g.derived\n",
         "        memo = vars(self).setdefault(\"_integrals\", {})\n",
         "a memo kept on the surface outlives its geometry: a geometry swapped in "
         "by dataclasses.replace reads the old geometry's integrals"),
     Mutant(
         "integral-memo-class-level", SURFACES,
-        "    def integrals(self):\n"
-        "        \"\"\"name -> surface integral over this geometry (GraphSurface.integral);\n"
-        "        a geometry made by dataclasses.replace starts with none.\"\"\"\n"
-        "        return {}\n",
-        "    def integrals(self, shared={}):\n"
-        "        return shared\n",
-        "one memo for every geometry: each surface reads the integrals of "
-        "whichever surface was integrated first"),
+        "derived: dict = dataclass_field(default_factory=dict,",
+        "derived: dict = dataclass_field(default_factory=lambda shared={}: shared,",
+        "one memo for every geometry: each surface reads the integrals and the "
+        "CFL bound of whichever surface was evaluated first"),
     Mutant(
         "bulk-memoized", FUNCTIONALS,
         "    return integrate(surface.background.base, cube)\n",
@@ -406,6 +406,47 @@ MUTANTS = [
         "lambda values: True",
         "a repeated radius must be a config error at its line: the Richardson "
         "step divides by (r2/r1)^3 - 1, which is 0 when the two largest agree"),
+    # -- inputs the library rejects -------------------------------------------
+    Mutant(
+        "resolution-truncated", BASE,
+        "        if isinstance(grid_resolution, (float, np.floating))"
+        " and not grid_resolution.is_integer():\n"
+        "            raise InvalidBaseError(f\"resolution {grid_resolution!r} is not an integer\",\n"
+        "                                   \"grid_resolution\")\n",
+        "",
+        "int() truncates: a resolution of 33.7 would build a 33-node grid, and "
+        "an infinite one raises OverflowError, not a base error"),
+    Mutant(
+        "resolution-integrality-through-float", BASE,
+        "isinstance(grid_resolution, (float, np.floating)) and not grid_resolution.is_integer",
+        "not float(grid_resolution).is_integer",
+        "float() of an integer past float range raises OverflowError: a 400-digit "
+        "resolution must meet the grid bound as a base error, not crash the CLI"),
+    Mutant(
+        "base-error-names-another-argument", BASE,
+        "raise InvalidBaseError(\"area of a curved base is fixed by Gauss-Bonnet\", \"area\")",
+        "raise InvalidBaseError(\"area of a curved base is fixed by Gauss-Bonnet\", \"genus\")",
+        "the config check reports the key that the base error names: a wrong "
+        "name sends the user to a line that is not at fault"),
+    Mutant(
+        "chmass-non-finite-radius-admitted", BACKGROUND,
+        "    if not np.isfinite(rho):\n"
+        "        raise ValueError(f\"rho_eval must be finite, got {rho}\")\n",
+        "",
+        "a NaN radius passes the preasymptotic guard and returns NaN, and an "
+        "infinite one returns NaN with warnings"),
+    Mutant(
+        "trace-row-width-unchecked", CLI,
+        "            if len(values) != len(TRACE_COLUMNS):\n",
+        "            if False:\n",
+        "a short row parses into a narrower trace, whose column lookups fail "
+        "far from the line at fault"),
+    Mutant(
+        "trace-value-error-bare", CLI,
+        "            except ValueError:\n                raise ConfigError(",
+        "            except TypeError:\n                raise ConfigError(",
+        "a value that is not a number escapes as float()'s bare ValueError, "
+        "which names no line"),
     # -- rules of item 3's list ----------------------------------------------
     Mutant(
         "scale-down-always-multiplies", BASE,

@@ -250,6 +250,8 @@ def ch_mass_integral(background, rho_eval):
     the mass parameter as rho_eval -> infinity.
     """
     rho = float(rho_eval)
+    if not np.isfinite(rho):
+        raise ValueError(f"rho_eval must be finite, got {rho}")
     if rho < 5.0 * background.horizon_rho:
         raise ExteriorError(f"rho_eval {rho} below 5.0 x horizon radius: preasymptotic")
     k = background.curvature_sign

@@ -130,12 +130,12 @@ class BaseSurface:
     def __post_init__(self):
         # The torus kernel forms V^2 = rho^2 - 2m/rho, with k = 0.
         if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:
-            raise InvalidBaseError("a flat torus grid needs curvature_sign 0")
-        # Gauss-Bonnet must hold exactly by construction.
+            raise InvalidBaseError("a flat torus grid needs curvature_sign 0", "curvature_sign")
+        # Gauss-Bonnet must hold exactly by construction: make_base's area follows the genus.
         if self.curvature_sign * self.area != 2.0 * np.pi * self.euler_char:
             raise InvalidBaseError(
                 f"Gauss-Bonnet violated: k*area = {self.curvature_sign * self.area}, "
-                f"2*pi*chi = {2.0 * np.pi * self.euler_char}"
+                f"2*pi*chi = {2.0 * np.pi * self.euler_char}", "genus"
             )
 
 
@@ -198,11 +198,12 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         bases, whose area is forced by Gauss-Bonnet.
     """
     if curvature_sign not in (-1, 0, 1):
-        raise InvalidBaseError(f"curvature_sign must be -1, 0, or +1, got {curvature_sign}")
+        raise InvalidBaseError(f"curvature_sign must be -1, 0, or +1, got {curvature_sign}",
+                               "curvature_sign")
     expected = {1: genus == 0, 0: genus == 1, -1: genus >= 2}
     if not expected[curvature_sign]:
         raise InvalidBaseError(
-            f"genus {genus} incompatible with curvature sign {curvature_sign}"
+            f"genus {genus} incompatible with curvature sign {curvature_sign}", "genus"
         )
 
     if curvature_sign == 1:
@@ -212,17 +213,22 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
     else:
         w2 = 1.0 if area is None else float(area)
         if w2 <= 0:
-            raise InvalidBaseError("torus area must be positive")
+            raise InvalidBaseError("torus area must be positive", "area")
     if curvature_sign != 0 and area is not None and not np.isclose(area, w2):
-        raise InvalidBaseError("area of a curved base is fixed by Gauss-Bonnet")
+        raise InvalidBaseError("area of a curved base is fixed by Gauss-Bonnet", "area")
 
     point = grid_resolution == "point"
     if not point:
+        if isinstance(grid_resolution, (float, np.floating)) and not grid_resolution.is_integer():
+            raise InvalidBaseError(f"resolution {grid_resolution!r} is not an integer",
+                                   "grid_resolution")
         resolution = int(grid_resolution)
         if resolution < MIN_RESOLUTION:
-            raise InvalidBaseError(f"resolution {resolution} < {MIN_RESOLUTION}")
+            raise InvalidBaseError(f"resolution {resolution} < {MIN_RESOLUTION}",
+                                   "grid_resolution")
         if resolution > MAX_RESOLUTION.get(curvature_sign, resolution):
-            raise InvalidBaseError(f"resolution {resolution} > {MAX_RESOLUTION[curvature_sign]}")
+            raise InvalidBaseError(f"resolution {resolution} > {MAX_RESOLUTION[curvature_sign]}",
+                                   "grid_resolution")
 
     if point:
         grid = PointGrid(area=w2)
@@ -232,7 +238,7 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         grid = _torus_grid(resolution, np.sqrt(w2))
     else:
         raise InvalidBaseError(
-            f"hyperbolic bases support only the point grid, not {resolution}"
+            f"hyperbolic bases support only the point grid, not {resolution}", "grid_resolution"
         )
     return BaseSurface(curvature_sign=curvature_sign, area=w2, genus=genus, grid=grid)
 

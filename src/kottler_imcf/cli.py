@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -185,16 +185,13 @@ def _validate(config, lines):
     if (config.mass is None) == (config.horizon_radius is None):
         fail("give exactly one of 'mass', 'horizon_radius' in [background]",
              "mass" if "mass" in lines else "horizon_radius")
-    # The library guard: first the genus and a curved area on the point grid,
-    # then the scenario's own grid, which the [surface] rules below read.
-    for key, name, resolution, area in (
-            ("genus", "genus", "point", None),
-            ("area", "base_area", "point", config.base_area),
-            ("resolution", "resolution", config.resolution, config.base_area)):
-        try:
-            grid = make_base(config.curvature_sign, config.genus, resolution, area=area).grid
-        except InvalidBaseError as err:
-            fail(f"key {key!r}: {err}", name)
+    # The library guard, on the scenario's own grid, which the [surface] rules read.
+    try:
+        grid = make_base(config.curvature_sign, config.genus, config.resolution,
+                         area=config.base_area).grid
+    except InvalidBaseError as err:
+        key = {"grid_resolution": "resolution"}.get(err.argument, err.argument)
+        fail(f"key {key!r}: {err}", _KEYS["background", key].name)
     modes = _modes(config)
     surface = (["amplitude"] if config.amplitude != 0.0 else []) + list(modes)
     flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
@@ -296,7 +293,7 @@ def build_initial_surface(config, background):
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One audit check: `passed` is its rule applied to value, bound and tolerance."""
+    """One audit check of plain Python values: `passed` is its rule on value, bound, tolerance."""
 
     name: str
     value: float
@@ -364,9 +361,6 @@ class _Run:
         self.window_areas = None if window is None else [
             background.base.area * rho**2 for rho in window]
 
-    def column(self, name):
-        return self.trace.column(name)
-
 
 _audit, _slice, _graph, _flow = map(attrgetter, ("audit", "slice", "graph", "flow"))
 # The static residual's exterior radii over the horizon radius: a golden-ratio
@@ -420,24 +414,26 @@ _CHECKS = (
     _Spec("hk_gap", _graph, "lower", 1e-6, lambda run: run.report.hk_gap,
           "Heintze-Karcher inequality"),
     _Spec("area_growth", _flow, "abs", lambda run: 1e-10 if run.slice else 1e-4,
-          lambda run: np.max(np.abs(run.column("area") / (
-              np.array([math.exp(t) for t in run.trace.times]) * run.column("area")[0]) - 1.0)),
+          lambda run: np.max(np.abs(run.trace.column("area") / (
+              np.array([math.exp(t) for t in run.trace.times])
+              * run.trace.column("area")[0]) - 1.0)),
           "exponential area growth"),
     _Spec("q_constant", lambda run: run.flow and run.slice, "abs", 1e-10,
-          lambda run: np.max(np.abs(run.column("Q") - run.column("Q")[0])),
+          lambda run: np.max(np.abs(run.trace.column("Q") - run.trace.column("Q")[0])),
           "monotone functional constant on slice flows"),
     _Spec("q_monotone", lambda run: run.flow and run.graph, "upper",
-          lambda run: 1e-6 * max(1.0, abs(run.column("Q")[0])),
-          lambda run: _worst_step(run.column("Q"), np.max),
+          lambda run: 1e-6 * max(1.0, abs(run.trace.column("Q")[0])),
+          lambda run: _worst_step(run.trace.column("Q"), np.max),
           "monotone functional non-increasing along the flow"),
-    _Spec("q_limit", _flow, "lower", 1e-6, lambda run: float(np.min(run.column("Q"))) - run.q_inf,
+    _Spec("q_limit", _flow, "lower", 1e-6, lambda run: np.min(run.trace.column("Q")) - run.q_inf,
           "monotone functional stays above its limit"),
-    _Spec("mean_convex", _flow, "above", 0.0, lambda run: np.min(run.column("min_H")),
+    _Spec("mean_convex", _flow, "above", 0.0, lambda run: np.min(run.trace.column("min_H")),
           "mean-convexity preserved"),
-    _Spec("alignment_floor", _flow, "lower", 0.0, lambda run: np.min(run.column("min_align")),
-          "star-shapedness preserved", lambda run: run.column("min_align")[0] - 0.05),
+    _Spec("alignment_floor", _flow, "lower", 0.0,
+          lambda run: np.min(run.trace.column("min_align")),
+          "star-shapedness preserved", lambda run: run.trace.column("min_align")[0] - 0.05),
     _Spec("hawking_monotone", lambda run: run.flow and run.k == 1, "lower", 1e-6,
-          lambda run: _worst_step(run.column("hawking_mass"), np.min),
+          lambda run: _worst_step(run.trace.column("hawking_mass"), np.min),
           "Hawking mass non-decreasing along the flow"),
     _Spec("flow_complete", _flow, "lower", 0.0, lambda run: float(run.trace.complete),
           "flow reached its final time", 1.0),
@@ -483,32 +479,28 @@ def emit_trace_csv(trace, path):
 
 def parse_trace_csv(path):
     """Read a trace CSV back; round-trips emit_trace_csv bit-exactly."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != TRACE_COLUMNS:
             raise ConfigError(f"unexpected trace header {header}")
-        rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
+        for n, values in enumerate((line.strip().split(",") for line in fh), 2):
+            if values == [""]:  # a blank line
+                continue
+            if len(values) != len(TRACE_COLUMNS):
+                raise ConfigError(f"expected {len(TRACE_COLUMNS)} values, got {len(values)}", n)
+            try:
+                rows.append([float(x) for x in values])
+            except ValueError:
+                raise ConfigError(f"values {','.join(values)!r} are not all numbers", n) from None
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(TRACE_COLUMNS)))
     return FlowTrace(data=data)
 
 
 def emit_audit_json(result, path):
     """Write an audit result as deterministic JSON."""
-    payload = {
-        "scenario": result.scenario_id,
-        "passed": result.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "value": float(c.value),
-                "bound": float(c.bound),
-                "tolerance": float(c.tolerance),
-                "passed": bool(c.passed),
-                "tag": c.tag,
-            }
-            for c in result.checks
-        ],
-    }
+    payload = {"scenario": result.scenario_id, "passed": result.passed,
+               "checks": [asdict(c) for c in result.checks]}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -6,7 +6,11 @@ class KottlerError(Exception):
 
 
 class InvalidBaseError(KottlerError):
-    """Incompatible curvature sign / genus / grid combination."""
+    """An incompatible base; `argument` names the make_base argument it rejects."""
+
+    def __init__(self, message, argument):
+        super().__init__(message)
+        self.argument = argument
 
 
 class HorizonError(KottlerError):

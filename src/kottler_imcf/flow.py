@@ -132,15 +132,15 @@ def cfl_limit(surface, cfl=CFL):
     The diffusion coefficient of the linearized operator scales like
     graph_factor^2 / (H^2 lambda^2) per unit grid spacing squared, with
     lambda = r the metric scale of one grid cell.  The unscaled bound is
-    computed once per surface geometry and cached on the surface, keyed to
-    that geometry; every call checks ``cfl`` and returns ``cfl`` times it.
-    A point-grid surface is a slice: it has no spacing and steps by
-    ``step_slice_ode``.
+    computed once per geometry and kept in its memo (SurfaceGeometry.derived);
+    every call checks ``cfl`` and returns ``cfl`` times it.  A point-grid
+    surface is a slice: it has no spacing and steps by ``step_slice_ode``.
     """
     _check_finite("cfl", cfl)
     g = surface.geometry
-    key, bound = surface._cfl_bound
-    if key is not g:
+    memo = g.derived
+    bound = memo.get("cfl_bound")
+    if bound is None:
         grid = surface.background.base.grid
         if isinstance(grid, PointGrid):
             raise ValueError("a point-grid surface is a slice; it steps by step_slice_ode")
@@ -153,7 +153,7 @@ def cfl_limit(surface, cfl=CFL):
         # argmin finds the first NaN, as the reduction propagates it, at about a
         # third of its cost; a quotient of squares holds no -0, so the bits agree.
         bound = local.item(local.argmin())
-        surface._cfl_bound = (g, bound)
+        memo["cfl_bound"] = bound
     return cfl * bound
 
 

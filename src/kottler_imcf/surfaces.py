@@ -47,7 +47,10 @@ class SurfaceGeometry:
     functionals read, and the shape group's closure, which gives
     (traceless_sq, alignment) from the same potential.  The shape closure is
     made only when the measure group runs, so a flow stage, which reads
-    neither group, makes one closure per geometry.
+    neither group, makes one closure per geometry.  The scalars computed
+    from a geometry, its surface integrals (GraphSurface.integral) and its
+    unscaled CFL bound (flow.cfl_limit), are kept by name in its memo
+    ``derived``, each computed once; dataclasses.replace starts a new memo.
 
     On the torus the intermediates live in a per-thread workspace that the
     next evaluation reuses (_torus_workspace, _torus_geometry).  They hold
@@ -61,6 +64,7 @@ class SurfaceGeometry:
     graph_factor: np.ndarray
     measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
     min_mean_curvature: float = dataclass_field(init=False, compare=False)
+    derived: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # argmin finds the first NaN, as the reduction propagates it, at about
@@ -71,12 +75,6 @@ class SurfaceGeometry:
         if low == 0.0:
             low = np.minimum.reduce(h, axis=None).item()
         object.__setattr__(self, "min_mean_curvature", low)
-
-    @cached_property
-    def integrals(self):
-        """name -> surface integral over this geometry (GraphSurface.integral);
-        a geometry made by dataclasses.replace starts with none."""
-        return {}
 
     @cached_property
     def _measure_fields(self):
@@ -336,9 +334,6 @@ class GraphSurface:
     radius_field: np.ndarray
     is_constant: bool = dataclass_field(init=False, repr=False, compare=False)
     _geometry: SurfaceGeometry | None = dataclass_field(default=None, init=False, repr=False)
-    # (geometry, unscaled CFL bound), filled by flow.cfl_limit
-    _cfl_bound: tuple = dataclass_field(default=(None, None), init=False, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         shape = self.background.base.grid.weights.shape
@@ -375,7 +370,7 @@ class GraphSurface:
 
         Two threads that race on one name store the same bits."""
         g = self.geometry
-        memo = g.integrals
+        memo = g.derived
         if name not in memo:
             memo[name] = integrate(self.background.base, integrand(g))
         return memo[name]

@@ -214,6 +214,17 @@ def test_ch_mass_preasymptotic_guard():
         ch_mass_integral(b, 2.0)
 
 
+@pytest.mark.parametrize("rho", [np.nan, np.inf])
+def test_ch_mass_rejects_a_non_finite_radius(rho):
+    # NaN passed the preasymptotic guard (every comparison is False) and inf
+    # gave NaN with warnings; the extrapolation reads every radius.
+    b = make_background(1, 0, "point", mass=1.0)
+    with pytest.raises(ValueError, match="rho_eval must be finite"):
+        ch_mass_integral(b, rho)
+    with pytest.raises(ValueError, match="rho_eval must be finite"):
+        richardson_mass(b, (10.0, 20.0, rho))
+
+
 @pytest.mark.parametrize("k,genus,mass", [(1, 0, 1.0), (0, 1, 0.5), (-1, 2, 0.0)])
 def test_richardson_mass(k, genus, mass):
     b = make_background(k, genus, "point", mass=mass)

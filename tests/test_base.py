@@ -71,6 +71,43 @@ def test_curved_area_override_rejected():
         make_base(1, 0, 16, area=5.0)
 
 
+@pytest.mark.parametrize("args, area, argument", [
+    ((2, 0, 16), None, "curvature_sign"),
+    ((0, 0, 16), None, "genus"),
+    ((0, 1, 16), -1.0, "area"),
+    ((1, 0, 16), 5.0, "area"),
+    ((1, 0, 4), None, "grid_resolution"),
+    ((0, 1, MAX_RESOLUTION[0] + 1), None, "grid_resolution"),
+    ((-1, 2, 16), None, "grid_resolution"),
+    ((1, 0, 33.7), None, "grid_resolution"),
+], ids=["sign", "genus", "torus-area", "curved-area", "floor", "ceiling", "hyperbolic-grid",
+        "fraction"])
+def test_each_base_error_names_its_argument(args, area, argument):
+    with pytest.raises(InvalidBaseError) as err:
+        make_base(*args, area=area)
+    assert err.value.argument == argument
+
+
+@pytest.mark.parametrize("resolution", [33.7, np.inf, np.nan])
+def test_non_integral_resolution_rejected(resolution):
+    # int() would truncate 33.7 to a 33-node grid, and raise OverflowError or
+    # ValueError on inf and nan; an integral float is taken.
+    with pytest.raises(InvalidBaseError, match=f"^resolution {resolution!r} is not an integer$"):
+        make_base(1, 0, resolution)
+    with pytest.raises(InvalidBaseError, match="is not an integer$"):
+        make_base(1, 0, np.float32(resolution))
+    assert make_base(1, 0, 33.0).grid.n_points == 33
+
+
+def test_resolution_past_float_range_meets_the_grid_bound():
+    # An integer too large for a float is still an integer: the bounds judge it.
+    huge = 10**400
+    with pytest.raises(InvalidBaseError, match=f"^resolution {huge} > 65536$"):
+        make_base(1, 0, huge)
+    with pytest.raises(InvalidBaseError, match="only the point grid"):
+        make_base(-1, 2, huge)
+
+
 def test_gauss_bonnet_enforced():
     with pytest.raises(InvalidBaseError):
         BaseSurface(curvature_sign=1, area=1.0, genus=0, grid=make_base(1, 0, 16).grid)
