@@ -233,20 +233,6 @@ MUTANTS = [
         "return bool(np.min(surface.geometry.alignment) > floor)",
         "the star-shape floor is the last alignment that starts a flow; a "
         "node at the floor must not reject it"),
-    Mutant(
-        "bulk-horizon-guard-dropped", FUNCTIONALS,
-        "    if r.item(r.argmin()) < rho_m:  # argmin finds the first NaN: False, as "
-        "np.any(r < rho_m)\n"
-        "        raise ExteriorError(\"graph dips below the horizon radius\")\n",
-        "",
-        "a radius field lowered below the horizon after construction gives a "
-        "bulk integral that counts negative volume"),
-    Mutant(
-        "bulk-horizon-guard-edge", FUNCTIONALS,
-        "    if r.item(r.argmin()) < rho_m:",
-        "    if r.item(r.argmin()) <= rho_m:",
-        "a node on the horizon bounds zero volume, which the closed form "
-        "gives; only a node below it is an error"),
     # -- the torus shape operator and its workspace ----------------------------
     Mutant(
         "torus-cross-term-pairing", SURFACES,
@@ -332,9 +318,10 @@ MUTANTS = [
         "trace, more work and memory per step"),
     Mutant(
         "sample-row-extra-integral", FLOW,
-        "        bulk,\n",
-        "        bulk_integral(surface),\n",
-        "a sixth quadrature per sample row: the same trace, more work"),
+        "        surface.area(),\n",
+        "        surface.integral(\"row_area\", lambda g: g.area_density),\n",
+        "a sixth quadrature per sample row, under a name nothing else fills: "
+        "the same trace, more work"),
     # -- one integral per geometry ----------------------------------------------
     Mutant(
         "integral-memo-on-surface", SURFACES,
@@ -349,17 +336,25 @@ MUTANTS = [
         "one memo for every geometry: each surface reads the integrals and the "
         "CFL bound of whichever surface was evaluated first"),
     Mutant(
-        "bulk-memoized", FUNCTIONALS,
-        "    return integrate(surface.background.base, cube)\n",
-        "    return surface.integral(\"bulk\", lambda g: cube)\n",
-        "the bulk reads the radius field, which may change in place under one "
-        "geometry; it is integrated on every request"),
-    Mutant(
         "integral-memo-name-collision", FUNCTIONALS,
-        "        \"int_V_over_H\", lambda g:",
-        "        \"int_VH\", lambda g:",
+        "surface.integral(\"int_V_over_H\",",
+        "surface.integral(\"int_VH\",",
         "a lookup under another integral's name returns that integral: the "
         "Heintze-Karcher gap reads the total mean curvature"),
+    Mutant(
+        "bulk-memo-name-collision", FUNCTIONALS,
+        "    return surface.integral(\"bulk\", integrand)\n",
+        "    return surface.integral(\"int_VH\", integrand)\n",
+        "the bulk shares the geometry's memo with the geometry integrals: under "
+        "another's name it reads the total mean curvature, or gives it the "
+        "bulk, whichever is asked first"),
+    Mutant(
+        "radius-field-writable", SURFACES,
+        "        r.setflags(write=False)\n",
+        "",
+        "the field is checked, and the geometry and its memo computed, once: a "
+        "write through the surface could lower a node below the horizon or "
+        "leave a stale bulk in the memo"),
     # -- the mass integral far out ------------------------------------------------
     Mutant(
         "chmass-subtractive-u", BACKGROUND,
@@ -428,6 +423,13 @@ MUTANTS = [
         "raise InvalidBaseError(\"area of a curved base is fixed by Gauss-Bonnet\", \"genus\")",
         "the config check reports the key that the base error names: a wrong "
         "name sends the user to a line that is not at fault"),
+    Mutant(
+        "richardson-repeated-radius-admitted", BACKGROUND,
+        "    if len(set(rho_values)) != len(rho_values):\n"
+        "        raise ValueError(f\"rho_eval radii must be distinct, got {rho_values}\")\n",
+        "",
+        "two equal largest radii make the Richardson step divide by "
+        "(r2/r1)^3 - 1 = 0: a NaN mass with a RuntimeWarning"),
     Mutant(
         "chmass-non-finite-radius-admitted", BACKGROUND,
         "    if not np.isfinite(rho):\n"

@@ -282,9 +282,13 @@ def richardson_mass(background, rho_values):
     """Extrapolate ch_mass_integral over a doubling radius sequence.
 
     The leading error is O(rho^-3); one Richardson step on the two largest
-    radii removes it.
+    radii removes it, and so needs the radii distinct.
     """
     rho_values = sorted(float(r) for r in rho_values)
+    if not rho_values:
+        raise ValueError("rho_eval needs at least one radius")
+    if len(set(rho_values)) != len(rho_values):
+        raise ValueError(f"rho_eval radii must be distinct, got {rho_values}")
     if len(rho_values) < 2:
         return ch_mass_integral(background, rho_values[-1])
     vals = [ch_mass_integral(background, r) for r in rho_values]

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import PointGrid, integrate
+from .base import PointGrid
 from .errors import CFLError, FlowSingularError, NoiseFloorError
-from .functionals import _q, bulk_integral, compute_P, hawking_mass, total_mean_curvature
+from .functionals import bulk_integral, compute_P, compute_Q, hawking_mass, total_mean_curvature
 from .surfaces import GraphSurface, star_shaped_check
 
 __all__ = [
@@ -89,26 +89,22 @@ class FlowTrace:
 
 
 def _sample_row(state):
-    # The geometry integrals are the surface's memo; the bulk is computed once
-    # here, as evaluate_report does, and Q takes it with compute_Q's formula.
+    # Every integral is the surface's memo (GraphSurface.integral), so a row
+    # and the audit's report on one surface share them.
     surface = state.surface
     g = surface.geometry
-    background = surface.background
-    area = surface.area()
-    tmc = total_mean_curvature(surface)
-    bulk = bulk_integral(surface)
     row = (
         state.time,
-        area,
-        tmc,
-        bulk,
-        _q(background, area, tmc, bulk),
+        surface.area(),
+        total_mean_curvature(surface),
+        bulk_integral(surface),
+        compute_Q(surface),
         compute_P(surface),
         float(hawking_mass(surface)),
         float(g.min_mean_curvature),
         float(np.max(g.mean_curvature)),
         float(np.min(g.alignment)),
-        integrate(background.base, g.traceless_sq * g.area_density),
+        surface.integral("int_A0sq", lambda g: g.traceless_sq * g.area_density),
     )
     if not all(np.isfinite(row)):
         raise FlowSingularError(f"non-finite functional value at t = {state.time}")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import integrate
-from .errors import ExteriorError, FlowSingularError
+from .errors import FlowSingularError
 
 __all__ = [
     "FunctionalReport",
@@ -34,9 +33,7 @@ __all__ = [
 ]
 
 
-# -- surface integrals (the area is GraphSurface.area) ----------------------
-# Those of the geometry are kept in its memo (GraphSurface.integral); the bulk
-# reads the radius field, which may change in place, so every call computes it.
+# -- surface integrals, kept in the geometry's memo by GraphSurface.integral ----
 
 
 def bulk_integral(surface):
@@ -44,92 +41,24 @@ def bulk_integral(surface):
 
     The volume element of the ambient metric is rho^2 / V, so the
     V-weighted radial integrand is exactly rho^2 and the integral is a
-    cubic closed form in the radius field.
+    cubic closed form in the radius field, which is read-only
+    (GraphSurface) and so stays the geometry's.
     """
-    r = surface.radius_field
-    rho_m = surface.background.horizon_rho
-    if r.item(r.argmin()) < rho_m:  # argmin finds the first NaN: False, as np.any(r < rho_m)
-        raise ExteriorError("graph dips below the horizon radius")
-    cube = r * r  # products, not pow: numpy picks pow's loop by the CPU's SIMD
-    cube *= r
-    cube -= rho_m * rho_m * rho_m
-    cube /= 3.0
-    return integrate(surface.background.base, cube)
+    def integrand(g):
+        r = surface.radius_field
+        rho_m = surface.background.horizon_rho
+        cube = r * r  # products, not pow: numpy picks pow's loop by the CPU's SIMD
+        cube *= r
+        cube -= rho_m * rho_m * rho_m
+        cube /= 3.0
+        return cube
+
+    return surface.integral("bulk", integrand)
 
 
 def total_mean_curvature(surface):
     """The potential-weighted total mean curvature."""
-    return surface.integral(
-        "int_VH", lambda g: g.potential * g.mean_curvature * g.area_density
-    )
-
-
-def _willmore(surface):
-    return surface.integral(
-        "willmore", lambda g: (g.mean_curvature**2 - 4.0) * g.area_density
-    )
-
-
-def _hk_lhs(surface):
-    if surface.geometry.min_mean_curvature <= 0.0:
-        raise FlowSingularError("Heintze-Karcher gap needs a mean-convex surface")
-    return surface.integral(
-        "int_V_over_H", lambda g: g.potential / g.mean_curvature * g.area_density
-    )
-
-
-# -- scalar formulas over the integrals, shared with evaluate_report --------
-
-
-def _q(background, area, tmc, bulk):
-    if area <= 0.0:
-        raise ValueError("surface area must be positive")
-    return (tmc - 6.0 * bulk + 4.0 * background.chi_horizon_term) / np.sqrt(area)
-
-
-def _p(background, area, tmc):
-    if area <= 0.0:
-        raise ValueError("surface area must be positive")
-    w2 = background.base.area
-    return (
-        tmc - 2.0 * area**1.5 / np.sqrt(w2) + 4.0 * background.areal_horizon_term
-    ) / np.sqrt(area)
-
-
-def _hawking_mass(background, area, willmore):
-    genus = background.base.genus
-    return np.sqrt(area / (16.0 * np.pi)) * (1.0 - genus - willmore / (16.0 * np.pi))
-
-
-def _hk_gap(background, lhs, bulk):
-    return lhs - 1.5 * bulk - background.hk_horizon_term
-
-
-def _minkowski_deficit(background, area, tmc, bulk):
-    w2 = background.base.area
-    k = background.curvature_sign
-    horizon_term = background.chi_horizon_term / w2
-    return (
-        0.5 * tmc / w2
-        - 3.0 * bulk / w2
-        + 2.0 * horizon_term
-        - k * np.sqrt(area / w2)
-    )
-
-
-def _kottler_mass(k, a):
-    """The Kottler mass (1/2)(k sqrt(a) + a^{3/2}) of normalized area a = |S| / w2."""
-    return 0.5 * (k * np.sqrt(a) + a**1.5)
-
-
-def _areal_minkowski_deficit(background, area, tmc):
-    w2 = background.base.area
-    horizon_term = background.areal_horizon_term / w2
-    return (
-        0.25 * tmc / w2
-        - _kottler_mass(background.curvature_sign, area / w2)
-        + horizon_term
-    )
+    return surface.integral("int_VH", lambda g: g.potential * g.mean_curvature * g.area_density)
 
 
 # -- public functionals -----------------------------------------------------
@@ -141,12 +70,11 @@ def compute_Q(surface):
     Non-increasing along inverse mean curvature flow and constant, equal
     to 2 * k * sqrt(w2), precisely on Kottler slices.
     """
-    return _q(
-        surface.background,
-        surface.area(),
-        total_mean_curvature(surface),
-        bulk_integral(surface),
-    )
+    area = surface.area()
+    if area <= 0.0:
+        raise ValueError("surface area must be positive")
+    return (total_mean_curvature(surface) - 6.0 * bulk_integral(surface)
+            + 4.0 * surface.background.chi_horizon_term) / np.sqrt(area)
 
 
 def compute_P(surface):
@@ -156,7 +84,12 @@ def compute_P(surface):
     Euler-characteristic horizon weight by 1 - 2c; tends to the same
     limit 2 * k * sqrt(w2) and equals it identically on Kottler slices.
     """
-    return _p(surface.background, surface.area(), total_mean_curvature(surface))
+    background = surface.background
+    area = surface.area()
+    if area <= 0.0:
+        raise ValueError("surface area must be positive")
+    return (total_mean_curvature(surface) - 2.0 * area**1.5 / np.sqrt(background.base.area)
+            + 4.0 * background.areal_horizon_term) / np.sqrt(area)
 
 
 def hawking_mass(surface):
@@ -165,7 +98,10 @@ def hawking_mass(surface):
     Equals the mass parameter exactly on spherical Kottler slices and is
     non-decreasing along inverse mean curvature flow in static vacuum.
     """
-    return _hawking_mass(surface.background, surface.area(), _willmore(surface))
+    willmore = surface.integral("willmore",
+                                lambda g: (g.mean_curvature**2 - 4.0) * g.area_density)
+    genus = surface.background.base.genus
+    return np.sqrt(surface.area() / (16.0 * np.pi)) * (1.0 - genus - willmore / (16.0 * np.pi))
 
 
 def hk_gap(surface):
@@ -174,7 +110,11 @@ def hk_gap(surface):
     gap = int V/H - (3/2) int_Omega V - c kappa |bdry|;
     nonnegative on mean-convex surfaces, zero exactly on slices.
     """
-    return _hk_gap(surface.background, _hk_lhs(surface), bulk_integral(surface))
+    if surface.geometry.min_mean_curvature <= 0.0:
+        raise FlowSingularError("Heintze-Karcher gap needs a mean-convex surface")
+    lhs = surface.integral("int_V_over_H",
+                           lambda g: g.potential / g.mean_curvature * g.area_density)
+    return lhs - 1.5 * bulk_integral(surface) - surface.background.hk_horizon_term
 
 
 def minkowski_deficit(surface):
@@ -183,12 +123,19 @@ def minkowski_deficit(surface):
     Nonnegative for star-shaped mean-convex surfaces; vanishing forces
     the surface to be a Kottler slice.
     """
-    return _minkowski_deficit(
-        surface.background,
-        surface.area(),
-        total_mean_curvature(surface),
-        bulk_integral(surface),
+    background = surface.background
+    w2 = background.base.area
+    return (
+        0.5 * total_mean_curvature(surface) / w2
+        - 3.0 * bulk_integral(surface) / w2
+        + 2.0 * (background.chi_horizon_term / w2)
+        - background.curvature_sign * np.sqrt(surface.area() / w2)
     )
+
+
+def _kottler_mass(k, a):
+    """The Kottler mass (1/2)(k sqrt(a) + a^{3/2}) of normalized area a = |S| / w2."""
+    return 0.5 * (k * np.sqrt(a) + a**1.5)
 
 
 def areal_minkowski_deficit(surface):
@@ -196,8 +143,12 @@ def areal_minkowski_deficit(surface):
 
     Uses the area power in place of the bulk volume.
     """
-    return _areal_minkowski_deficit(
-        surface.background, surface.area(), total_mean_curvature(surface)
+    background = surface.background
+    w2 = background.base.area
+    return (
+        0.25 * total_mean_curvature(surface) / w2
+        - _kottler_mass(background.curvature_sign, surface.area() / w2)
+        + background.areal_horizon_term / w2
     )
 
 
@@ -264,24 +215,20 @@ class FunctionalReport:
 def evaluate_report(surface):
     """Evaluate every functional on one surface.
 
-    Each of the five surface integrals (area, total mean curvature, bulk,
-    Willmore, Heintze-Karcher left side) is computed once and fed to the
-    same scalar formulas as the standalone functionals, so every field
-    equals its standalone functional bit for bit.
+    Each field is its standalone functional, so it has that functional's
+    bits; the five surface integrals they read (area, total mean curvature,
+    bulk, Willmore, Heintze-Karcher left side) are each computed once, in
+    the geometry's memo.
     """
-    background = surface.background
-    area = surface.area()
-    tmc = total_mean_curvature(surface)
-    bulk = bulk_integral(surface)
     return FunctionalReport(
-        area=area,
-        total_mean_curvature=tmc,
-        bulk_integral=bulk,
-        horizon_term=background.hk_horizon_term,
-        q_value=_q(background, area, tmc, bulk),
-        p_value=_p(background, area, tmc),
-        hawking_mass=float(_hawking_mass(background, area, _willmore(surface))),
-        hk_gap=_hk_gap(background, _hk_lhs(surface), bulk),
-        minkowski_deficit=_minkowski_deficit(background, area, tmc, bulk),
-        areal_minkowski_deficit=_areal_minkowski_deficit(background, area, tmc),
+        area=surface.area(),
+        total_mean_curvature=total_mean_curvature(surface),
+        bulk_integral=bulk_integral(surface),
+        horizon_term=surface.background.hk_horizon_term,
+        q_value=compute_Q(surface),
+        p_value=compute_P(surface),
+        hawking_mass=float(hawking_mass(surface)),
+        hk_gap=hk_gap(surface),
+        minkowski_deficit=minkowski_deficit(surface),
+        areal_minkowski_deficit=areal_minkowski_deficit(surface),
     )

@@ -48,9 +48,10 @@ class SurfaceGeometry:
     (traceless_sq, alignment) from the same potential.  The shape closure is
     made only when the measure group runs, so a flow stage, which reads
     neither group, makes one closure per geometry.  The scalars computed
-    from a geometry, its surface integrals (GraphSurface.integral) and its
-    unscaled CFL bound (flow.cfl_limit), are kept by name in its memo
-    ``derived``, each computed once; dataclasses.replace starts a new memo.
+    from a geometry and its surface's read-only field, its surface integrals
+    (GraphSurface.integral, the bulk among them) and its unscaled CFL bound
+    (flow.cfl_limit), are kept by name in its memo ``derived``, each
+    computed once; dataclasses.replace starts a new memo.
 
     On the torus the intermediates live in a per-thread workspace that the
     next evaluation reuses (_torus_workspace, _torus_geometry).  They hold
@@ -328,7 +329,15 @@ def _slice_geometry(background, r):
 
 @dataclass
 class GraphSurface:
-    """A radial graph rho = r(theta) in a Kottler background."""
+    """A radial graph rho = r(theta) in a Kottler background.
+
+    The field is checked once, as the surface is made, and kept as a
+    read-only view: a write through ``radius_field`` raises ValueError, and
+    the caller's array stays writeable.  The geometry and its memo
+    (``integral``, which holds the bulk too) are computed from that field,
+    so writing into the caller's array or assigning another one to
+    ``radius_field``, like replacing ``_geometry``, is outside the contract.
+    """
 
     background: KottlerBackground
     radius_field: np.ndarray
@@ -356,7 +365,8 @@ class GraphSurface:
                 raise ExteriorError("surface must not dip below the horizon")
             if hi > lo:
                 raise ExteriorError("a non-constant surface must not touch the horizon")
-        self.radius_field = r
+        self.radius_field = r = r.view()
+        r.setflags(write=False)
         self.is_constant = bool(hi - lo == 0.0)
 
     @property

@@ -225,6 +225,19 @@ def test_ch_mass_rejects_a_non_finite_radius(rho):
         richardson_mass(b, (10.0, 20.0, rho))
 
 
+@pytest.mark.parametrize("rho_values, message", [
+    ((), "at least one radius"),
+    ((40.0, 40.0), "distinct"),
+    ((10.0, 40.0, 20.0, 40.0), "distinct"),
+])
+def test_richardson_mass_rejects_no_radius_and_a_repeated_one(rho_values, message):
+    # No radius was an IndexError, and two equal largest radii divide by
+    # (r2/r1)^3 - 1 = 0: a NaN with a RuntimeWarning.
+    b = make_background(1, 0, "point", mass=1.0)
+    with pytest.raises(ValueError, match=message):
+        richardson_mass(b, rho_values)
+
+
 @pytest.mark.parametrize("k,genus,mass", [(1, 0, 1.0), (0, 1, 0.5), (-1, 2, 0.0)])
 def test_richardson_mass(k, genus, mass):
     b = make_background(k, genus, "point", mass=mass)

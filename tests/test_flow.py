@@ -335,9 +335,8 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     # geometry evaluations, CFL bounds or sample-row quadratures to a shipped
     # flow shows here: two cfl_limit calls per step and 5 integrate calls per
     # row (area, int_VH, bulk, Willmore, traceless).  The first row's surface
-    # is the one the audit's report was evaluated on, whose area, int_VH and
-    # Willmore are already in its memo, so it integrates the bulk and the
-    # traceless term only.
+    # is the one the audit's report was evaluated on, whose memo already holds
+    # all but the traceless term, so it integrates that one only.
     counts = {"steps": 0, "evaluations": 0, "cfl": 0, "integrals": 0}
 
     def counted(module, name, key):
@@ -373,7 +372,7 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     assert trace.complete and result.passed
     del counts["integrals"]
     assert counts == {"steps": steps, "evaluations": evaluations, "cfl": 2 * steps}
-    assert per_row == [2] + [5] * (trace.n_samples - 1)
+    assert per_row == [1] + [5] * (trace.n_samples - 1)
 
 
 def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import kottler_imcf.functionals
 import kottler_imcf.surfaces
 from kottler_imcf import (
-    ExteriorError,
     FlowState,
     GraphSurface,
     TRACE_COLUMNS,
@@ -136,20 +134,6 @@ def test_bulk_integral_slices():
         expected = b.base.area * (rho**3 - b.horizon_rho**3) / 3.0
         assert bulk_integral(s) == pytest.approx(expected, rel=1e-14)
         assert bulk_integral(GraphSurface(b, b.horizon_rho)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bulk_integral_rejects_a_field_lowered_below_the_horizon():
-    # GraphSurface checks the horizon as it is made; a field lowered after
-    # that is caught by bulk_integral, whose closed form starts at the horizon.
-    b = make_background(1, 0, 33, mass=1.0)
-    s = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
-    r = s.radius_field.copy()
-    r[5] = b.horizon_rho
-    s.radius_field = r
-    bulk_integral(s)
-    r[5] = np.nextafter(b.horizon_rho, 0.0)
-    with pytest.raises(ExteriorError, match="below the horizon"):
-        bulk_integral(s)
 
 
 def test_bulk_integral_against_radial_quadrature():
@@ -294,16 +278,9 @@ def _report_surface(kind):
 @pytest.mark.parametrize("kind", ["sphere-129", "torus-32", "sphere-slice", "hyperbolic-point"])
 def test_evaluate_report_equals_functionals_exactly(kind, monkeypatch):
     # The report evaluates each of its five integrals (area, total mean
-    # curvature, bulk, Willmore, Heintze-Karcher left side) once, through
-    # the same scalar formulas as the standalone functionals.
-    calls = []
-
-    def counted(base, field):
-        calls.append(1)
-        return integrate(base, field)
-
-    for module in (kottler_imcf.functionals, kottler_imcf.surfaces):
-        monkeypatch.setattr(module, "integrate", counted)
+    # curvature, bulk, Willmore, Heintze-Karcher left side) once, and each
+    # field is its standalone functional.
+    calls = _count_integrals(monkeypatch)
     s = _report_surface(kind)
     report = evaluate_report(s)
     assert len(calls) == 5
@@ -328,31 +305,29 @@ def test_evaluate_report_equals_functionals_exactly(kind, monkeypatch):
 
 
 def _count_integrals(monkeypatch):
-    """A list that grows by one per integrate call, in every module that binds it."""
+    """A list that grows by one per integrate call; only surfaces calls it."""
     calls = []
 
     def counted(base, field):
         calls.append(1)
         return integrate(base, field)
 
-    for module in (kottler_imcf.functionals, kottler_imcf.surfaces, kottler_imcf.flow):
-        monkeypatch.setattr(module, "integrate", counted)
+    monkeypatch.setattr(kottler_imcf.surfaces, "integrate", counted)
     return calls
 
 
 # Every request on a surface, in this order, with the integrals it computes:
-# the report computes the five, later requests none of the four geometry
-# integrals again and the bulk once for each that reads it.
+# the report computes the five, and later requests none of them again.
 _REQUESTS = [
     ("evaluate_report", evaluate_report, 5),
     ("area", GraphSurface.area, 0),
     ("total_mean_curvature", total_mean_curvature, 0),
-    ("bulk_integral", bulk_integral, 1),
-    ("compute_Q", compute_Q, 1),
+    ("bulk_integral", bulk_integral, 0),
+    ("compute_Q", compute_Q, 0),
     ("compute_P", compute_P, 0),
     ("hawking_mass", hawking_mass, 0),
-    ("hk_gap", hk_gap, 1),
-    ("minkowski_deficit", minkowski_deficit, 1),
+    ("hk_gap", hk_gap, 0),
+    ("minkowski_deficit", minkowski_deficit, 0),
     ("areal_minkowski_deficit", areal_minkowski_deficit, 0),
 ]
 _KINDS = ["sphere-129", "torus-32", "sphere-slice", "hyperbolic-point"]
@@ -364,24 +339,23 @@ def _value_bits(value):
 
 
 def _geometry_references(s):
-    """The four geometry integrals, integrated here from the geometry's fields."""
+    """The five memo integrals, integrated here from the geometry and the field."""
     g, base = s.geometry, s.background.base
+    r, rho_m = s.radius_field, s.background.horizon_rho
     return {
         "area": integrate(base, g.area_density),
         "int_VH": integrate(base, g.potential * g.mean_curvature * g.area_density),
+        "bulk": integrate(base, (r * r * r - rho_m * rho_m * rho_m) / 3.0),
         "willmore": integrate(base, (g.mean_curvature**2 - 4.0) * g.area_density),
         "int_V_over_H": integrate(base, g.potential / g.mean_curvature * g.area_density),
     }
 
 
 def _geometry_integrals(s):
-    report = evaluate_report(s)
-    return {
-        "area": report.area,
-        "int_VH": report.total_mean_curvature,
-        "willmore": kottler_imcf.functionals._willmore(s),
-        "int_V_over_H": kottler_imcf.functionals._hk_lhs(s),
-    }
+    """The five integrals in the memo, after a report has filled it."""
+    evaluate_report(s)
+    return {name: s.geometry.derived[name]
+            for name in ("area", "int_VH", "bulk", "willmore", "int_V_over_H")}
 
 
 def _request_all(s, calls):
@@ -396,12 +370,13 @@ def _request_all(s, calls):
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_each_geometry_integral_once_and_the_bulk_once_per_request(kind, monkeypatch):
+    # The bulk is a geometry integral too: after the report no request integrates.
     s = _report_surface(kind)
     calls = _count_integrals(monkeypatch)
     _request_all(s, calls)
     before = len(calls)
     memo = _geometry_integrals(s)
-    assert len(calls) - before == 1  # the report's bulk
+    assert len(calls) == before
     for name, reference in _geometry_references(s).items():
         assert _value_bits(memo[name]) == _value_bits(reference), name
 
@@ -450,8 +425,8 @@ def test_a_replaced_geometry_integrates_again(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["sphere-129", "torus-32"])
 def test_a_sample_row_reads_the_memo(kind, monkeypatch):
     # A row integrates area, int_VH, bulk, Willmore and the traceless term;
-    # after the report, whose memo holds area, int_VH and Willmore, only the
-    # bulk and the traceless term.  Either way the row has the same bits.
+    # after the report, whose memo holds all but the traceless term, only
+    # that one.  Either way the row has the same bits.
     calls = _count_integrals(monkeypatch)
     fresh = _sample_row(FlowState(0.5, _report_surface(kind), 0))
     assert len(calls) == 5
@@ -459,5 +434,5 @@ def test_a_sample_row_reads_the_memo(kind, monkeypatch):
     evaluate_report(s)
     before = len(calls)
     row = _sample_row(FlowState(0.5, s, 0))
-    assert len(calls) - before == 2
+    assert len(calls) - before == 1
     assert np.array(row).tobytes() == np.array(fresh).tobytes()

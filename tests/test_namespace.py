@@ -1,12 +1,16 @@
 """The package's public names are its modules' public lists, declared once."""
 
+import ast
 import importlib
+import os
 import subprocess
 import sys
 
 import pytest
 
 MODULES = ("background", "base", "errors", "flow", "functionals", "surfaces")
+PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "kottler_imcf")
 
 # The package namespace: the modules' public names and the modules themselves.
 NAMESPACE = [
@@ -48,3 +52,38 @@ def test_package_namespace_is_the_union_of_the_module_lists():
 def test_every_listed_name_resolves(name):
     module = importlib.import_module(f"kottler_imcf.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _private_imports(tree):
+    """Each underscore name that a module's source takes from another package
+    module: by ``from .x import _y``, or as ``m._y`` of a module bound by
+    ``from . import x as m``."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "kottler_imcf"):
+            for alias in node.names:
+                if node.module is None:  # from . import x: a module
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", [*MODULES, "cli", "__init__"])
+def test_no_module_imports_a_private_name_of_another(name):
+    # A private name is its module's to change: a second module that reads it
+    # holds a second copy of a contract no public name states.
+    with open(os.path.join(PACKAGE_DIR, name + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert _private_imports(tree) == []
+
+
+def test_the_private_import_check_finds_both_forms():
+    tree = ast.parse("from .functionals import _q, compute_P\n"
+                     "from . import background as bg\n"
+                     "bg._MAX_HORIZON_RHO, bg.make_background\n")
+    assert _private_imports(tree) == ["functionals._q", "bg._MAX_HORIZON_RHO"]
