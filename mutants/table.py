@@ -145,36 +145,23 @@ MUTANTS = [
     Mutant(
         "cfl-cache-stores-scaled-limit", FLOW,
         "memo[\"cfl_bound\"] = bound",
-        "memo[\"cfl_bound\"] = cfl * bound",
+        "memo[\"cfl_bound\"] = CFL * bound",
         "the memo holds the unscaled bound: a scaled one is scaled again by "
-        "every later call, and by a different step fraction"),
-    Mutant(
-        "cfl-check-only-on-miss", FLOW,
-        "    _check_finite(\"cfl\", cfl)\n"
-        "    g = surface.geometry\n"
-        "    memo = g.derived\n"
-        "    bound = memo.get(\"cfl_bound\")\n"
-        "    if bound is None:\n",
-        "    g = surface.geometry\n"
-        "    memo = g.derived\n"
-        "    bound = memo.get(\"cfl_bound\")\n"
-        "    if bound is None:\n"
-        "        _check_finite(\"cfl\", cfl)\n",
-        "a bad step fraction must be rejected on every call, not only on the "
-        "one that computes the bound: an infinite one lifts the limit"),
+        "every later call, so a second call returns a smaller limit"),
     # -- stepper inputs -------------------------------------------------------
     Mutant(
         "predicate-admits-inf", FLOW,
         "if not (value < math.inf and",
         "if not (value <= math.inf and",
-        "an infinite step fraction lifts the CFL bound, and an infinite t_end "
-        "never ends"),
+        "an infinite t_end or sample_interval never ends a flow, and an "
+        "infinite slice step makes the radius infinite"),
     Mutant(
         "predicate-admits-nan", FLOW,
         "if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):",
         "if value >= math.inf or (value <= 0.0 if positive else value < 0.0):",
         "every comparison is False on NaN, so the inverted form admits it: a "
-        "NaN step fraction makes every CFL bound NaN"),
+        "NaN t_end or sample_interval never ends a flow, and a NaN dt makes "
+        "the whole field NaN"),
     Mutant(
         "step-dt-check-dropped", FLOW,
         "    _check_finite(\"dt\", dt)\n",
@@ -185,18 +172,6 @@ MUTANTS = [
         "    _check_finite(\"dt\", dt)\n",
         "    _check_finite(\"dt\", dt, positive=False)\n",
         "dt = 0 is counted as a step and never reaches t_end"),
-    Mutant(
-        "cfl_limit-cfl-check-dropped", FLOW,
-        "    \"\"\"\n    _check_finite(\"cfl\", cfl)\n",
-        "    \"\"\"\n",
-        "cfl = inf makes the limit inf, and a step 50x over the stability "
-        "limit passes"),
-    Mutant(
-        "run_flow-cfl-check-dropped", FLOW,
-        "    _check_finite(\"sample_interval\", sample_interval)\n    _check_finite(\"cfl\", cfl)\n",
-        "    _check_finite(\"sample_interval\", sample_interval)\n",
-        "a slice flow never reads the step fraction, so a NaN one runs to the "
-        "end unless run_flow checks it before any work"),
     Mutant(
         "slice-dt-check-dropped", FLOW,
         "    _check_finite(\"dt\", dt, positive=False)\n",
@@ -290,8 +265,8 @@ MUTANTS = [
     # -- pinned work counts ---------------------------------------------------
     Mutant(
         "flow-extra-cfl-bound", FLOW,
-        "dt = min(cfl_limit(state.surface, cfl), next_sample - state.time)",
-        "dt = min(cfl_limit(state.surface, cfl), cfl_limit(state.surface, cfl),\n"
+        "dt = min(cfl_limit(state.surface), next_sample - state.time)",
+        "dt = min(cfl_limit(state.surface), cfl_limit(state.surface),\n"
         "                         next_sample - state.time)",
         "a third CFL bound per step: the same trace, more work"),
     Mutant(
@@ -430,6 +405,20 @@ MUTANTS = [
         "",
         "two equal largest radii make the Richardson step divide by "
         "(r2/r1)^3 - 1 = 0: a NaN mass with a RuntimeWarning"),
+    Mutant(
+        "static-residual-guard-absolute", BACKGROUND,
+        "if np.any(rho <= background.horizon_rho * (1.0 + 1e-8)):",
+        "if np.any(rho <= background.horizon_rho + 1e-8):",
+        "an absolute margin rejects the audit's own sample radii, from 1.05 "
+        "horizon radii on, below a horizon radius of 2e-7, and admits points "
+        "on the horizon of a large one"),
+    Mutant(
+        "out-error-escapes", CLI,
+        "    except OSError as err:\n        raise KottlerError(f\"cannot write --out",
+        "    except () as err:\n        raise KottlerError(f\"cannot write --out",
+        "an --out at or below a regular file, or an output path taken by a "
+        "directory, is a traceback with exit 1, which README keeps for a "
+        "failed check"),
     Mutant(
         "chmass-non-finite-radius-admitted", BACKGROUND,
         "    if not np.isfinite(rho):\n"

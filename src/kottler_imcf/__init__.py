@@ -2,7 +2,7 @@
 Kottler (ADS-Schwarzschild, toroidal, and hyperbolic) black-hole
 backgrounds."""
 
-# Each module's __all__ (errors.py: its eight classes) is the one list of its public names.
+# Each module's __all__ (errors.py: its seven classes) is the one list of its public names.
 from .base import *  # noqa: F401,F403
 from .background import *  # noqa: F401,F403
 from .errors import *  # noqa: F401,F403

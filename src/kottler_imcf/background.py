@@ -207,7 +207,7 @@ def static_residual(background, sample_rho, potential=None):
     derivatives of the potential W (the background's V by default).
     """
     rho = np.atleast_1d(np.asarray(sample_rho, dtype=float))
-    if np.any(rho <= background.horizon_rho + 1e-8):
+    if np.any(rho <= background.horizon_rho * (1.0 + 1e-8)):
         raise ExteriorError("sample points must lie strictly outside the horizon")
 
     k = background.curvature_sign

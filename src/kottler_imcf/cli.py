@@ -8,8 +8,8 @@ A scenario lives in a flat key = value config file with sections
     audit        run surface and background checks without a flow
     chmass       print the boundary-mass convergence table
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage or config error,
-3 numerical abort.
+Exit codes: 0 all checks pass, 1 check failure, 2 usage or config error
+or an unusable --out, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import background as bg
 from .errors import (
-    CFLError,
     ConfigError,
     ExteriorError,
     FlowSingularError,
@@ -37,14 +37,14 @@ from .errors import (
 )
 from .flow import TRACE_COLUMNS, FlowTrace, run_flow
 from .functionals import (
-    asymptotic_limit_targets,
+    asymptotic_limit,
     evaluate_report,
     penrose_conjecture_deficit,
     reverse_penrose_deficit,
     surface_gravity_bound_deficit,
 )
 from .surfaces import GraphSurface
-from .base import MIN_RESOLUTION, AxisymmetricSphereGrid, FlatTorusGrid, PointGrid, make_base
+from .base import MIN_RESOLUTION, AxisymmetricSphereGrid, FlatTorusGrid, PointGrid
 
 __all__ = [
     "CheckResult",
@@ -185,13 +185,16 @@ def _validate(config, lines):
     if (config.mass is None) == (config.horizon_radius is None):
         fail("give exactly one of 'mass', 'horizon_radius' in [background]",
              "mass" if "mass" in lines else "horizon_radius")
-    # The library guard, on the scenario's own grid, which the [surface] rules read.
+    # The library guards, on the scenario's background, whose grid the [surface] rules read.
     try:
-        grid = make_base(config.curvature_sign, config.genus, config.resolution,
-                         area=config.base_area).grid
+        background = build_background(config)
     except InvalidBaseError as err:
         key = {"grid_resolution": "resolution"}.get(err.argument, err.argument)
         fail(f"key {key!r}: {err}", _KEYS["background", key].name)
+    except HorizonError as err:
+        key = "mass" if config.mass is not None else "horizon_radius"
+        fail(f"key {key!r}: {err}", key)
+    grid, rho_m = background.base.grid, background.horizon_rho
     modes = _modes(config)
     surface = (["amplitude"] if config.amplitude != 0.0 else []) + list(modes)
     flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
@@ -205,13 +208,6 @@ def _validate(config, lines):
         at = "sample_interval" if "sample_interval" in lines else "t_end"
         fail(f"key 'sample_interval': t_end / sample_interval = {rows:.3g} sample rows, "
              f"above {_MAX_SAMPLE_ROWS}", at)
-    try:
-        rho_m = bg.make_background(config.curvature_sign, config.genus, "point", mass=config.mass,
-                                   horizon_rho=config.horizon_radius,
-                                   area=config.base_area).horizon_rho
-    except HorizonError as err:
-        key = "mass" if config.mass is not None else "horizon_radius"
-        fail(f"key {key!r}: {err}", key)
     if config.radius is not None:
         if config.radius <= rho_m:
             fail(f"radius {config.radius} must exceed horizon radius {rho_m:.6g}", "radius")
@@ -236,14 +232,10 @@ def _validate(config, lines):
 
 
 def build_background(config):
-    return bg.make_background(
-        config.curvature_sign,
-        config.genus,
-        config.resolution,
-        mass=config.mass,
-        horizon_rho=config.horizon_radius,
-        area=config.base_area,
-    )
+    """The scenario's background; parse_config builds it too, to check the rules it reads."""
+    return bg.make_background(config.curvature_sign, config.genus, config.resolution,
+                              mass=config.mass, horizon_rho=config.horizon_radius,
+                              area=config.base_area)
 
 
 def _torus_modes_vanish(grid, mode1=1, mode2=0):
@@ -356,7 +348,7 @@ class _Run:
         self.slice = surface is not None and surface.is_constant
         self.graph = surface is not None and not surface.is_constant
         self.report = None if surface is None else evaluate_report(surface)
-        self.q_inf = asymptotic_limit_targets(background.base)[0]
+        self.q_inf = asymptotic_limit(background.base)
         window = _radius_window(background)
         self.window_areas = None if window is None else [
             background.base.area * rho**2 for rho in window]
@@ -528,18 +520,33 @@ def _report(result, quiet):
     return 0 if result.passed else 1
 
 
+@contextmanager
+def _out_errors():
+    """An OSError of --out's directory or files, as one line naming the path (exit 2)."""
+    try:
+        yield
+    except OSError as err:
+        raise KottlerError(f"cannot write --out {err.filename}: {err.strerror}") from None
+
+
+def _make_out(args):
+    """Make --out's directory: once per run, before any work that it would lose."""
+    if args.out is not None:
+        with _out_errors():
+            os.makedirs(args.out, exist_ok=True)
+
+
 def _write_outputs(args, trace, result):
     if args.out is None:
         return
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, result.scenario_id)
-    if trace is not None:
-        emit_trace_csv(trace, stem + "_trace.csv")
-    emit_audit_json(result, stem + "_audit.json")
+    with _out_errors():
+        if trace is not None:
+            emit_trace_csv(trace, stem + "_trace.csv")
+        emit_audit_json(result, stem + "_audit.json")
 
 
-def _cmd_background(args):
-    config = _load_config(args)
+def _cmd_background(config, args):
     background = build_background(config)
     print(f"curvature_sign  {background.curvature_sign:+d}")
     print(f"genus           {background.base.genus}")
@@ -555,8 +562,8 @@ def _cmd_background(args):
     return 0
 
 
-def _cmd_flow_or_audit(args):
-    config = _load_config(args)
+def _cmd_flow_or_audit(config, args):
+    _make_out(args)
     trace, result = run_scenario(config, with_flow=args.command == "flow")
     _write_outputs(args, trace, result)
     code = _report(result, args.quiet)
@@ -566,13 +573,13 @@ def _cmd_flow_or_audit(args):
     return code
 
 
-def _cmd_chmass(args):
-    config = _load_config(args)
+def _cmd_chmass(config, args):
     background = build_background(config)
     try:
         estimates = [bg.ch_mass_integral(background, rho) for rho in config.rho_eval]
     except ExteriorError as err:
         raise ConfigError(f"key 'rho_eval': {err}") from None
+    _make_out(args)
     print(f"{'rho_eval':>12}  {'mass_estimate':>22}  {'abs_error':>12}")
     for rho, est in zip(config.rho_eval, estimates):
         print(f"{rho:>12.6g}  {est:>22.17g}  {abs(est - background.mass):>12.3e}")
@@ -605,11 +612,11 @@ def main(argv=None):
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_config(args), args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (FlowSingularError, CFLError, ExteriorError, HorizonError) as err:
+    except (FlowSingularError, ExteriorError, HorizonError) as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3
     except KottlerError as err:

@@ -25,10 +25,6 @@ class FlowSingularError(KottlerError):
     """Mean curvature dropped below the floor; the smooth flow cannot continue."""
 
 
-class CFLError(KottlerError):
-    """Requested time step violates the explicit stability bound."""
-
-
 class ConfigError(KottlerError):
     """Malformed or inconsistent scenario configuration."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import PointGrid
-from .errors import CFLError, FlowSingularError, NoiseFloorError
+from .errors import FlowSingularError, NoiseFloorError
 from .functionals import bulk_integral, compute_P, compute_Q, hawking_mass, total_mean_curvature
 from .surfaces import GraphSurface, star_shaped_check
 
@@ -34,9 +34,9 @@ __all__ = [
     "asymptotic_rate_fit",
 ]
 
-# The step fraction of the CFL bound, the one flow control a caller sets;
-# a step aborts where H is at or below H_FLOOR, and a flow does not start
-# where the radial alignment drops below STAR_FLOOR.
+# The step fraction of the CFL bound; a step aborts where H is at or below
+# H_FLOOR, and a flow does not start where the radial alignment drops below
+# STAR_FLOOR.
 CFL = 0.2
 H_FLOOR = 1e-6
 STAR_FLOOR = 0.1
@@ -115,24 +115,22 @@ def _check_finite(name, value, positive=True):
     """Raise ValueError unless value is finite and positive (or nonnegative).
 
     Each comparison is False on NaN, so NaN is rejected too.  An infinite
-    step fraction would lift the CFL bound, and a step that is not positive
-    would never reach t_end.
+    t_end, or a step that is not positive, would never end a flow.
     """
     if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
 
 
-def cfl_limit(surface, cfl=CFL):
+def cfl_limit(surface):
     """Largest stable explicit time step for the graphical flow.
 
     The diffusion coefficient of the linearized operator scales like
     graph_factor^2 / (H^2 lambda^2) per unit grid spacing squared, with
     lambda = r the metric scale of one grid cell.  The unscaled bound is
     computed once per geometry and kept in its memo (SurfaceGeometry.derived);
-    every call checks ``cfl`` and returns ``cfl`` times it.  A point-grid
-    surface is a slice: it has no spacing and steps by ``step_slice_ode``.
+    every call returns CFL times it.  A point-grid surface is a slice: it
+    has no spacing and steps by ``step_slice_ode``.
     """
-    _check_finite("cfl", cfl)
     g = surface.geometry
     memo = g.derived
     bound = memo.get("cfl_bound")
@@ -150,7 +148,7 @@ def cfl_limit(surface, cfl=CFL):
         # third of its cost; a quotient of squares holds no -0, so the bits agree.
         bound = local.item(local.argmin())
         memo["cfl_bound"] = bound
-    return cfl * bound
+    return CFL * bound
 
 
 def step_slice_ode(state, dt):
@@ -177,18 +175,18 @@ def _velocity(surface):
     return g.graph_factor / g.mean_curvature
 
 
-def step_graph_pde(state, dt, *, cfl=CFL):
+def step_graph_pde(state, dt):
     """One explicit midpoint step of the graphical flow equation."""
     surface = state.surface
     v1 = _velocity(surface)
-    limit = cfl_limit(surface, cfl)
+    limit = cfl_limit(surface)
     # The limit is checked before dt: where it rounds to 0 (a graph factor
     # whose square overflows), so does run_flow's dt, and the flow is singular.
     if not limit > 0.0:
         raise FlowSingularError(f"stability limit {limit:.3e} is not positive")
     _check_finite("dt", dt)
     if dt > limit * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
+        raise ValueError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
     # Each velocity is a fresh array, so it becomes the next radius field in place.
     r = surface.radius_field
     v1 *= 0.5 * dt
@@ -200,17 +198,16 @@ def step_graph_pde(state, dt, *, cfl=CFL):
     return FlowState(state.time + dt, new_surface, state.step_count + 1)
 
 
-def run_flow(initial, t_end, sample_interval, *, cfl=CFL):
+def run_flow(initial, t_end, sample_interval):
     """Drive a flow to t_end, sampling functionals at fixed intervals.
 
     Constant graphs take the exact ODE path directly between sample
     times; all other graphs take explicit steps of at most
-    ``cfl_limit(surface, cfl)``.  On a flow abort the partial trace is
+    ``cfl_limit(surface)``.  On a flow abort the partial trace is
     returned with ``complete`` False.
     """
     _check_finite("t_end", t_end)
     _check_finite("sample_interval", sample_interval)
-    _check_finite("cfl", cfl)
     if not star_shaped_check(initial, STAR_FLOOR):
         raise FlowSingularError(f"initial surface fails the star-shape floor {STAR_FLOOR}")
 
@@ -226,13 +223,13 @@ def run_flow(initial, t_end, sample_interval, *, cfl=CFL):
             if ode_path:
                 state = step_slice_ode(state, next_sample - state.time)
             else:
-                dt = min(cfl_limit(state.surface, cfl), next_sample - state.time)
-                state = step_graph_pde(state, dt, cfl=cfl)
+                dt = min(cfl_limit(state.surface), next_sample - state.time)
+                state = step_graph_pde(state, dt)
             if state.time >= next_sample - 1e-12:
                 rows.append(_sample_row(state))
                 sample_index += 1
                 next_sample = min(sample_index * sample_interval, t_end)
-    except (FlowSingularError, CFLError) as err:
+    except FlowSingularError as err:
         abort_reason = str(err)
 
     return FlowTrace(data=np.array(rows, dtype=float), abort_reason=abort_reason)

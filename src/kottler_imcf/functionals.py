@@ -28,7 +28,7 @@ __all__ = [
     "surface_gravity_bound_deficit",
     "reverse_penrose_deficit",
     "penrose_conjecture_deficit",
-    "asymptotic_limit_targets",
+    "asymptotic_limit",
     "evaluate_report",
 ]
 
@@ -190,10 +190,9 @@ def penrose_conjecture_deficit(background):
     return background.mass - _kottler_mass(background.curvature_sign, a)
 
 
-def asymptotic_limit_targets(base):
-    """Large-time limits of (Q, P) on any flow: both 2 * k * sqrt(w2)."""
-    target = 2.0 * base.curvature_sign * np.sqrt(base.area)
-    return target, target
+def asymptotic_limit(base):
+    """Large-time limit of Q, and of P, on any flow: 2 * k * sqrt(w2)."""
+    return 2.0 * base.curvature_sign * np.sqrt(base.area)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,18 @@ def test_static_residual_rejects_horizon_touch():
         static_residual(b, [1.0])
 
 
+@pytest.mark.parametrize("rho_h", [1e-9, 1.0, 1e100])
+def test_static_residual_guard_is_relative_to_the_horizon(rho_h):
+    # The audit samples from 1.05 rho_h on, at every accepted horizon radius;
+    # an absolute margin would reject all of them below rho_h = 2e-7.  The
+    # values at 1e100 overflow, which is not what this test reads.
+    b = make_background(1, 0, "point", horizon_rho=rho_h)
+    with np.errstate(all="ignore"):
+        static_residual(b, [1.05 * rho_h])
+    with pytest.raises(ExteriorError, match="strictly outside the horizon"):
+        static_residual(b, [rho_h * (1.0 + 1e-9)])
+
+
 def test_ch_mass_monotone_convergence():
     b = make_background(1, 0, "point", mass=1.0)
     vals = [ch_mass_integral(b, r) for r in (10.0, 20.0, 40.0, 80.0)]

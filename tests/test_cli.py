@@ -667,6 +667,39 @@ def test_cli_retired_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, comman
     assert flows == [] and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["flow", "audit", "chmass"])
+@pytest.mark.parametrize("where", ["a-file", "below-a-file"])
+def test_cli_out_that_cannot_be_a_directory_exit_two(tmp_path, monkeypatch, capsys, command,
+                                                     where):
+    # The directory is made before any work or output; an --out at or below a
+    # regular file is one error line naming it, not a traceback (exit 1) after
+    # chmass has printed its table.
+    flows = _count_flows(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker) if where == "a-file" else str(blocker / "sub")
+    config = os.path.join(ROOT, "scenarios", "slice-rigidity-hyperbolic.cfg")
+    assert main([command, "--config", config, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
+    assert flows == []
+
+
+@pytest.mark.parametrize("command", ["flow", "audit", "chmass"])
+def test_cli_out_file_that_cannot_be_written_exit_two(tmp_path, capsys, command):
+    # The audit JSON's path is taken by a directory: one error line naming it.
+    scenario = "slice-rigidity-hyperbolic"
+    target = tmp_path / f"{scenario}_audit.json"
+    target.mkdir()
+    config = os.path.join(ROOT, "scenarios", scenario + ".cfg")
+    assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_coarse_sphere_flow_fails_its_area_growth(tmp_path, capsys):
     # At 9 nodes the flow's area error, 5.0e-4, is above its 1e-4 tolerance,
     # so the run fails with exit 1; no flag can widen that tolerance

@@ -12,7 +12,6 @@ import kottler_imcf.base
 import kottler_imcf.flow
 import kottler_imcf.surfaces
 from kottler_imcf import (
-    CFLError,
     FlowState,
     FlowSingularError,
     FlowTrace,
@@ -82,8 +81,8 @@ def test_cfl_violation_rejected():
     g = b.base.grid
     s = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side))
     state = FlowState(0.0, s, 0)
-    limit = cfl_limit(s, 0.2)
-    with pytest.raises(CFLError):
+    limit = cfl_limit(s)
+    with pytest.raises(ValueError, match="exceeds stability limit"):
         step_graph_pde(state, 10.0 * limit)
 
 
@@ -104,7 +103,7 @@ def test_cfl_guard_at_its_edge(kind):
     limit = cfl_limit(s)
     state = FlowState(0.0, s, 0)
     assert step_graph_pde(state, limit).time == limit
-    with pytest.raises(CFLError):
+    with pytest.raises(ValueError, match="exceeds stability limit"):
         step_graph_pde(state, limit * (1.0 + 1e-9))
 
 
@@ -132,35 +131,15 @@ def test_h_floor_abort():
             assert step_graph_pde(state, cfl_limit(s)).step_count == 1
 
 
-@pytest.mark.parametrize("dt_scale, kwargs", [
-    (50.0, {"cfl": np.inf}),
-    (0.5, {"cfl": np.nan}),
-    (0.5, {"cfl": 0.0}),
-    (-1.0, {}),
-    (0.0, {}),
-    (np.nan, {}),
-    (np.inf, {}),
-], ids=["cfl-inf", "cfl-nan", "cfl-zero", "dt-negative", "dt-zero", "dt-nan", "dt-inf"])
-def test_step_graph_pde_rejects_bad_inputs(dt_scale, kwargs):
-    # Unchecked, cfl = inf admits a step 50x over the limit, a negative dt
-    # steps back in time and dt = 0 counts as a step.
+@pytest.mark.parametrize("dt_scale", [-1.0, 0.0, np.nan, np.inf],
+                         ids=["dt-negative", "dt-zero", "dt-nan", "dt-inf"])
+def test_step_graph_pde_rejects_bad_inputs(dt_scale):
+    # Unchecked, a negative dt steps back in time and dt = 0 counts as a step.
     s = _edge_surface("sphere-33")
     state = FlowState(0.0, s, 0)
     dt = dt_scale * cfl_limit(s)
     with pytest.raises(ValueError):
-        step_graph_pde(state, dt, **kwargs)
-
-
-@pytest.mark.parametrize("cfl", [np.inf, np.nan, 0.0, -0.2])
-def test_cfl_limit_rejects_bad_step_fractions(cfl):
-    # Before and after the surface's bound is cached: the bound is computed
-    # once per geometry, the step fraction is checked on every call.
-    s = _edge_surface("sphere-33")
-    with pytest.raises(ValueError):
-        cfl_limit(s, cfl)
-    cfl_limit(s)
-    with pytest.raises(ValueError, match="cfl must be finite and positive"):
-        cfl_limit(s, cfl)
+        step_graph_pde(state, dt)
 
 
 def _bound_reference(surface):
@@ -173,16 +152,20 @@ def _bound_reference(surface):
 @pytest.mark.parametrize("kind", ["torus-16", "sphere-33"])
 @pytest.mark.parametrize("scale_first", [True, False], ids=["scaled-first", "unit-first"])
 def test_cfl_limit_scales_one_bound(kind, scale_first):
-    # Every step fraction scales the same unscaled bound, whichever call
-    # computed it: the bits are those of c * cfl_limit(s, 1.0).
-    for c in (0.2, 0.1, 0.05, 0.3, 1.0, 1e-3):
-        s = _edge_surface(kind)
-        if scale_first:
-            limit, unit = cfl_limit(s, c), cfl_limit(s, 1.0)
-        else:
-            unit, limit = cfl_limit(s, 1.0), cfl_limit(s, c)
-        assert unit == _bound_reference(s)
-        assert np.float64(limit).view(np.uint64) == np.float64(c * unit).view(np.uint64), c
+    # Whether the scaled limit or the unscaled reference bound is taken first
+    # on a fresh surface, the memo holds the bits of the reference bound, and
+    # the first call, which computes it, and the second, which reads it, both
+    # have the bits of CFL times it.
+    s = _edge_surface(kind)
+    if scale_first:
+        first, unit = cfl_limit(s), _bound_reference(s)
+    else:
+        unit, first = _bound_reference(s), cfl_limit(s)
+    assert np.float64(s.geometry.derived["cfl_bound"]).view(np.uint64) == \
+        np.float64(unit).view(np.uint64)
+    expected = np.float64(CFL * unit).view(np.uint64)
+    for call, limit in (("first", first), ("second", cfl_limit(s))):
+        assert np.float64(limit).view(np.uint64) == expected, call
 
 
 def test_replaced_geometry_gets_its_own_bound():
@@ -396,25 +379,17 @@ def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
     assert counts == {"geometries": 4065, "kernels": 4065}
 
 
-@pytest.mark.parametrize("t_end, sample_interval, controls, amplitude", [
-    (np.inf, 0.25, {}, 0.2),
-    (np.nan, 0.25, {}, 0.2),
-    (1.0, np.inf, {}, 0.2),
-    (1.0, np.nan, {}, 0.2),
-    (1.0, 0.25, {"cfl": 0.0}, 0.2),
-    (1.0, 0.25, {"cfl": -1.0}, 0.2),
-    (1.0, 0.25, {"cfl": np.nan}, 0.2),
-    (1.0, 0.25, {"cfl": np.inf}, 0.2),
-    (1.0, 0.25, {"cfl": np.nan}, 0.0),
-], ids=["t_end-inf", "t_end-nan", "interval-inf", "interval-nan", "cfl-zero", "cfl-negative",
-        "cfl-nan", "cfl-inf", "slice-cfl-nan"])
-def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval, controls,
-                                                     amplitude):
-    # A slice flow never reads the step fraction, so run_flow checks it itself.
+@pytest.mark.parametrize("t_end, sample_interval", [
+    (np.inf, 0.25),
+    (np.nan, 0.25),
+    (1.0, np.inf),
+    (1.0, np.nan),
+], ids=["t_end-inf", "t_end-nan", "interval-inf", "interval-nan"])
+def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval):
     b = make_background(1, 0, 17, mass=1.0)
-    surface = GraphSurface(b, 2.0 + amplitude * np.cos(b.base.grid.theta))
+    surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
     with pytest.raises(ValueError):
-        run_flow(surface, t_end, sample_interval, **controls)
+        run_flow(surface, t_end, sample_interval)
 
 
 def _order(traces, name):
@@ -437,9 +412,21 @@ def test_sphere_flow_self_convergence_second_order():
         assert 1.8 <= order <= 2.2, (name, order)
 
 
+def _stepped_trace(surface, fraction):
+    """The one-row trace at t = 0.5 of `surface` stepped by step_graph_pde,
+    each step `fraction` of cfl_limit and none across t = 0.25, as run_flow
+    samples at 0.25."""
+    state = FlowState(0.0, surface, 0)
+    for t_sample in (0.25, 0.5):
+        while state.time < t_sample - 1e-12:
+            dt = min(fraction * cfl_limit(state.surface), t_sample - state.time)
+            state = step_graph_pde(state, dt)
+    return FlowTrace(data=np.array([kottler_imcf.flow._sample_row(state)]))
+
+
 @pytest.mark.parametrize("grid", ["sphere", "torus"])
 def test_flow_dt_halving_second_order(grid):
-    # Halving the CFL number halves every CFL-limited step: the RK2 time
+    # Halving the step fraction halves every CFL-limited step: the RK2 time
     # error at t = 0.5 falls by 4x on a fixed grid.
     if grid == "sphere":
         surface = _sphere_input(65)
@@ -447,7 +434,7 @@ def test_flow_dt_halving_second_order(grid):
         b = make_background(0, 1, 16, mass=0.5)
         g = b.base.grid
         surface = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side))
-    traces = [run_flow(surface, 0.5, 0.25, cfl=cfl) for cfl in (0.2, 0.1, 0.05)]
+    traces = [_stepped_trace(surface, fraction) for fraction in (1.0, 0.5, 0.25)]
     assert all(trace.complete and trace.times[-1] == 0.5 for trace in traces)
     for name in ("area", "Q", "hawking_mass", "int_A0sq", "min_H"):
         order = _order(traces, name)
@@ -563,13 +550,13 @@ def test_torus64_allocation_peaks():
 
 
 def test_a_second_cfl_limit_on_one_geometry_allocates_no_field():
-    # The bound is computed once per geometry: a later call, at any step
-    # fraction, scales the cached bound, where the first allocates two arrays
-    # the size of the field (test_torus64_allocation_peaks).
+    # The bound is computed once per geometry: a later call scales the cached
+    # bound, where the first allocates two arrays the size of the field
+    # (test_torus64_allocation_peaks).
     surface = _torus64_state().surface
     surface.geometry  # evaluated outside the gauge
     first = _traced_peak(lambda: cfl_limit(surface))
-    later = _traced_peak(lambda: cfl_limit(surface, 0.1))
+    later = _traced_peak(lambda: cfl_limit(surface))
     assert later < surface.radius_field.nbytes < first
 
 

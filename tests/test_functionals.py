@@ -12,7 +12,7 @@ from kottler_imcf import (
     GraphSurface,
     TRACE_COLUMNS,
     areal_minkowski_deficit,
-    asymptotic_limit_targets,
+    asymptotic_limit,
     bulk_integral,
     compute_P,
     compute_Q,
@@ -200,16 +200,12 @@ def test_penrose_conjecture_equality_on_horizons(k, genus, mass):
 
 
 def test_asymptotic_limit_targets():
-    assert asymptotic_limit_targets(make_background(1, 0, "point", mass=1.0).base) == (
-        pytest.approx(4.0 * np.sqrt(np.pi)),
-        pytest.approx(4.0 * np.sqrt(np.pi)),
-    )
-    assert asymptotic_limit_targets(make_background(0, 1, "point", mass=0.5).base) == (
-        0.0,
-        0.0,
-    )
-    q, p = asymptotic_limit_targets(make_background(-1, 2, "point", mass=0.0).base)
-    assert q == pytest.approx(-4.0 * np.sqrt(np.pi))
+    # The one limit of Q and of P, 2 k sqrt(w2).
+    assert asymptotic_limit(make_background(1, 0, "point", mass=1.0).base) == pytest.approx(
+        4.0 * np.sqrt(np.pi))
+    assert asymptotic_limit(make_background(0, 1, "point", mass=0.5).base) == 0.0
+    assert asymptotic_limit(make_background(-1, 2, "point", mass=0.0).base) == pytest.approx(
+        -4.0 * np.sqrt(np.pi))
 
 
 def test_deficits_positive_off_slices():

@@ -14,11 +14,11 @@ PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 # The package namespace: the modules' public names and the modules themselves.
 NAMESPACE = [
-    "AxisymmetricSphereGrid", "BaseSurface", "CFLError", "ConfigError", "ExteriorError",
+    "AxisymmetricSphereGrid", "BaseSurface", "ConfigError", "ExteriorError",
     "FlatTorusGrid", "FlowSingularError", "FlowState", "FlowTrace", "FunctionalReport",
     "GraphSurface", "HorizonError", "InvalidBaseError", "KottlerBackground", "KottlerError",
     "NoiseFloorError", "PointGrid", "SurfaceGeometry", "TRACE_COLUMNS",
-    "areal_minkowski_deficit", "asymptotic_limit_targets", "asymptotic_rate_fit", "background",
+    "areal_minkowski_deficit", "asymptotic_limit", "asymptotic_rate_fit", "background",
     "base", "bulk_integral", "cfl_limit", "ch_mass_integral", "compute_P", "compute_Q",
     "compute_geometry", "critical_mass", "errors", "evaluate_report", "flow", "functionals",
     "hawking_mass", "hk_constant", "hk_gap", "horizon_radius", "integrate", "make_background",
