@@ -116,7 +116,7 @@ def test_torus_flow_trace_digest(torus_flow):
     # a line: any change to a bit of the torus kernel's output shows here.
     text = "\n".join(",".join(f"{x:.17g}" for x in row) for row in torus_flow[0].data)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "412234574055e060c8a51fa841baf4155844b0e23dc2f23f68d4b13293529731"
+        "ca202f592942b41e289846ee53b2f2d277e1f069a87dd0a7cd9366534d91cd2c"
     )
 
 

@@ -143,10 +143,9 @@ def test_step_graph_pde_rejects_bad_inputs(dt_scale):
 
 
 def _bound_reference(surface):
-    """min over nodes of (spacing r)^2 H^2 / graph_factor^2, in that operand order."""
-    g = surface.geometry
-    local = np.square(surface.background.base.grid.spacing * surface.radius_field)
-    return np.min(local * np.square(g.mean_curvature) / np.square(g.graph_factor))
+    """min over nodes of (spacing r H)^2, in that operand order."""
+    spacing = surface.background.base.grid.spacing
+    return np.min(np.square(spacing * surface.radius_field * surface.geometry.mean_curvature))
 
 
 @pytest.mark.parametrize("kind", ["torus-16", "sphere-33"])
@@ -182,6 +181,40 @@ def test_replaced_geometry_gets_its_own_bound():
     assert cfl_limit(s) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["sphere-33", "torus-16"])
+def test_graph_step_integrates_the_slice_mode_exactly(kind):
+    # On a constant graph v = r/2 to round-off, so k(r) = v - r/2 vanishes and
+    # the step is e^{dt/2} r, the exact slice step, at the full stability
+    # limit.  A plain midpoint step misses it by about dt^3/48 relative.
+    if kind == "sphere-33":
+        state = _slice_state(k=1, genus=0, mass=1.0, resolution=33, rho=2.0)
+    else:
+        state = _slice_state(resolution=16, rho=3.0)
+    dt = cfl_limit(state.surface)
+    stepped = step_graph_pde(state, dt).surface.radius_field
+    exact = step_slice_ode(state, dt).surface.radius_field
+    assert np.all(np.abs(stepped - exact) <= 4.0 * np.spacing(exact)), kind
+
+
+def test_torus_flow_with_a_two_dimensional_mode_is_stable(monkeypatch):
+    # The acceptance torus input does not depend on theta_2, so its theta_2
+    # modes are never seeded; this one seeds a mode in both directions, whose
+    # stability limit is about 0.26 of the bound on a 64^2 grid.  At CFL the
+    # flow runs to t = 1, and its min_H stays within 1e-5 of the same flow at
+    # half the step: the two differ by 4.7e-7, and by 4.5e-3 at 0.265 of the
+    # bound, just past the limit.
+    b = make_background(0, 1, 64, mass=0.5)
+    g = b.base.grid
+    phase = 2.0 * np.pi / g.side
+    surface = GraphSurface(b, 3.0 + 0.1 * np.sin(phase * g.theta1)
+                           + 0.05 * np.cos(phase * (g.theta1 + 2.0 * g.theta2)))
+    trace = run_flow(surface, 1.0, 0.125)
+    monkeypatch.setattr(kottler_imcf.flow, "CFL", 0.5 * CFL)
+    half = run_flow(surface, 1.0, 0.125)
+    assert trace.complete and half.complete and trace.times[-1] == 1.0
+    assert np.max(np.abs(trace.column("min_H") - half.column("min_H"))) <= 1e-5
+
+
 def test_point_grid_surface_steps_as_a_slice():
     b = make_background(-1, 2, "point", mass=1.0)
     state = FlowState(0.0, GraphSurface(b, 2.0), 0)
@@ -198,20 +231,24 @@ def test_slice_ode_rejects_bad_steps(dt):
         step_slice_ode(_slice_state(), dt)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("field, value, reason", [
     ("mean_curvature", 0.0, "at or below floor"),
-    ("graph_factor", 1e170, "not positive"),
+    ("graph_factor", 1e170, "non-finite mean curvature"),
 ], ids=["zero-h", "overflowing-graph-factor-squared"])
 def test_zero_cfl_limit_aborts_the_flow_as_singular(field, value, reason):
-    # Where H = 0, or a graph factor's square overflows while H stays above
-    # the floor, the CFL limit, and so run_flow's dt, is 0: the step reports
-    # the lost mean convexity or the zero limit, not a bad dt, and the flow
-    # ends as an abort.
+    # Where H = 0 the CFL limit, and so run_flow's dt, is 0: the step reports
+    # the lost mean convexity, not a bad dt.  The bound holds no graph factor,
+    # so a graph factor of 1e170 leaves the limit positive; its speed throws
+    # the node out to about 1e167 at the half step, where the kernel's square
+    # of it overflows and H is not finite.  Either way the flow ends as an
+    # abort.
     s = _with_node(_edge_surface("sphere-33"), field, value)
-    assert cfl_limit(s) == 0.0
+    limit = cfl_limit(s)
+    assert (limit == 0.0) == (field == "mean_curvature")
     with pytest.raises(FlowSingularError, match=reason):
-        step_graph_pde(FlowState(0.0, s, 0), 0.0)
+        step_graph_pde(FlowState(0.0, s, 0), limit)
     trace = run_flow(s, 1.0, 0.5)
     assert not trace.complete and reason in trace.abort_reason
 
@@ -310,9 +347,9 @@ def test_run_flow_pde_area_growth_and_traceless_decay():
 
 
 @pytest.mark.parametrize("scenario, steps, evaluations", [
-    ("sphere-perturbed", 1037, 2075),
-    ("torus-perturbed", 2032, 4065),
-])
+    ("sphere-perturbed", 274, 549),
+    ("torus-perturbed", 258, 517),
+], ids=["sphere-perturbed", "torus-perturbed"])
 def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     # Deterministic work, not wall time: a change that adds RK2 steps,
     # geometry evaluations, CFL bounds or sample-row quadratures to a shipped
@@ -376,7 +413,7 @@ def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
     with open(os.path.join(SCENARIO_DIR, "torus-perturbed.cfg"), encoding="utf-8") as fh:
         trace, result = run_scenario(parse_config(fh.read()))
     assert trace.complete and result.passed
-    assert counts == {"geometries": 4065, "kernels": 4065}
+    assert counts == {"geometries": 517, "kernels": 517}
 
 
 @pytest.mark.parametrize("t_end, sample_interval", [
@@ -505,10 +542,12 @@ def _torus64_state():
     return FlowState(0.0, surface, 0)
 
 
-# Measured 68,208 B, 201,584 B and 66,776 B with numpy 2.4; the bounds leave
-# 5%.  That is the two returned 32 KiB arrays of a geometry evaluation; of a
-# step, its two velocities and the two geometries they make, each 4 x 32 KiB;
-# and the two 32 KiB arrays of a surface's first cfl_limit.
+# Set 5% above 68,208 B, 201,584 B and 66,776 B, measured with numpy 2.4 for
+# the two returned 32 KiB arrays of a geometry evaluation; a plain midpoint
+# step that kept its half-step surface, so two velocities and two geometries
+# at once; and a bound built in two 32 KiB arrays.  The integrating-factor
+# step frees its half-step surface before the last evaluation and peaks at
+# 133,896 B, and the one-array bound at 33,064 B.
 GEOMETRY_PEAK_BOUND = 71_700
 STEP_PEAK_BOUND = 211_700
 CFL_PEAK_BOUND = 70_200
@@ -551,7 +590,7 @@ def test_torus64_allocation_peaks():
 
 def test_a_second_cfl_limit_on_one_geometry_allocates_no_field():
     # The bound is computed once per geometry: a later call scales the cached
-    # bound, where the first allocates two arrays the size of the field
+    # bound, where the first allocates an array the size of the field
     # (test_torus64_allocation_peaks).
     surface = _torus64_state().surface
     surface.geometry  # evaluated outside the gauge
