@@ -217,31 +217,43 @@ MUTANTS = [
         "return bool(np.min(surface.geometry.alignment) > floor)",
         "the star-shape floor is the last alignment that starts a flow; a "
         "node at the floor must not reject it"),
-    # -- the torus shape operator and its workspace ----------------------------
-    Mutant(
-        "torus-cross-term-pairing", SURFACES,
-        "a_sq = s11**2 + s22**2 + 2.0 * s12 * s21",
-        "a_sq = s11**2 + s22**2 + 2.0 * s12 * s12",
-        "S = gamma^{-1} h is not symmetric as a matrix: tr(S^2) pairs S12 with "
-        "S21, and S12^2 is |A|^2 only on a diagonal metric"),
+    # -- the torus closed form and its workspace -------------------------------
     Mutant(
         "torus-cross-term-sign", SURFACES,
-        "    mean_curv -= f_r\n",
-        "    mean_curv += f_r\n",
-        "the slot holds -i12, so H subtracts the cross term 2 (-i12) h12; adding "
-        "it flips the term's sign wherever r1 r2 is not 0"),
+        "    b -= np.multiply(a, r12, a)\n",
+        "    b += np.multiply(a, r12, a)\n",
+        "N subtracts r2^2 r11 + r1^2 r22 - 2 r1 r2 r12; the wrong sign of "
+        "2 r1 r2 r12 bends H wherever r1 r2 r12 is not 0"),
     Mutant(
-        "torus-shape-i12-sign", SURFACES,
-        "            s11 = i11 * h11 - neg_i12 * h12\n"
-        "            s12 = i11 * h12 - neg_i12 * h22\n"
-        "            s21 = i22 * h12 - neg_i12 * h11\n"
-        "            s22 = i22 * h22 - neg_i12 * h12\n",
-        "            s11 = i11 * h11 + neg_i12 * h12\n"
-        "            s12 = i11 * h12 + neg_i12 * h22\n"
-        "            s21 = i22 * h12 + neg_i12 * h11\n"
-        "            s22 = i22 * h22 + neg_i12 * h12\n",
-        "the shape group reads -i12 from the slot; adding it as if it were "
-        "i12 gives the shape operator of the mirrored metric"),
+        "torus-c-constant", SURFACES,
+        "    sqrt_d += sqrt_d\n",
+        "    sqrt_d += d\n",
+        "c = 3 + r f'/(2f) puts 2 f r G into N's bracket as 2 (D + G); with 2 "
+        "in place of the 3, one f r G drops out and H is short off the slices"),
+    Mutant(
+        "torus-mass-term-coefficient", SURFACES,
+        "    g *= 3.0 * background.mass\n",
+        "    g *= 2.0 * background.mass\n",
+        "f r c G is 4 f r G + 3 m G, as r^3 = f r + 2m; 2m in place of 3m is the "
+        "term of a lighter mass"),
+    Mutant(
+        "torus-denominator-power", SURFACES,
+        "    den = np.multiply(d, sqrt_d, a)\n",
+        "    den = np.multiply(d, d, a)\n",
+        "H = N / (r D sqrt(D)): gamma^{-1} gives 1/D and h gives 1/n_f = r/sqrt(D); "
+        "D^2 for D^(3/2) scales H by 1/sqrt(D), about 1/9 at r = 3"),
+    Mutant(
+        "torus-shape-det-cross-sign", SURFACES,
+        "            det_m = m11 * m22 - m12 * m12\n",
+        "            det_m = m11 * m22 + m12 * m12\n",
+        "det(M) = M11 M22 - M12^2; with the plus, |A0|^2 misses 4 f M12^2 / D^2 "
+        "wherever the field varies along both axes"),
+    Mutant(
+        "torus-shape-m12-sign", SURFACES,
+        "            m12 = fac * r1 * r2 - r12\n",
+        "            m12 = fac * r1 * r2 + r12\n",
+        "M12 = fac r1 r2 - r12, as h = M / n_f; adding r12 gives the shape "
+        "of the mirrored cross derivative"),
     Mutant(
         "torus-grid-curvature-unchecked", BASE,
         "        if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:\n"

@@ -28,8 +28,8 @@ __all__ = [
 
 MIN_RESOLUTION = 8
 # The largest grid per curvature sign: far above any shipped one (sphere 128,
-# torus 64), and low enough that an audit over it fits in memory: 270 MiB on
-# the torus (its kernel's workspace is 19 fields of 8 MiB), 40 MiB on the sphere.
+# torus 64), and low enough that an audit over it fits in memory: 200 MiB on
+# the torus (its kernel's workspace is 11 fields of 8 MiB), 40 MiB on the sphere.
 MAX_RESOLUTION = {1: 65_536, 0: 1_024}
 
 

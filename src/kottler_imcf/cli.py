@@ -22,6 +22,7 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "CheckResult",
     "AuditResult",
     "parse_config",
-    "build_background",
     "build_initial_surface",
     "run_scenario",
     "emit_trace_csv",
@@ -127,6 +127,14 @@ class ScenarioConfig:
     sample_interval: float = _key("flow", _positive, 0.25)
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
 
+    @cached_property
+    def background(self):
+        """The scenario's background, built once: parse_config's checks build it
+        first, and every command reads that one."""
+        return bg.make_background(self.curvature_sign, self.genus, self.resolution,
+                                  mass=self.mass, horizon_rho=self.horizon_radius,
+                                  area=self.base_area)
+
 
 _KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
          for f in fields(ScenarioConfig)}
@@ -187,7 +195,7 @@ def _validate(config, lines):
              "mass" if "mass" in lines else "horizon_radius")
     # The library guards, on the scenario's background, whose grid the [surface] rules read.
     try:
-        background = build_background(config)
+        background = config.background
     except InvalidBaseError as err:
         key = {"grid_resolution": "resolution"}.get(err.argument, err.argument)
         fail(f"key {key!r}: {err}", _KEYS["background", key].name)
@@ -229,13 +237,6 @@ def _validate(config, lines):
                 where = f"when resolution {grid.n} divides both 2*mode1 and 2*mode2"
         if ignored:
             fail(f"[surface] key(s) {', '.join(ignored)} have no effect {where}", ignored[0])
-
-
-def build_background(config):
-    """The scenario's background; parse_config builds it too, to check the rules it reads."""
-    return bg.make_background(config.curvature_sign, config.genus, config.resolution,
-                              mass=config.mass, horizon_rho=config.horizon_radius,
-                              area=config.base_area)
 
 
 def _torus_modes_vanish(grid, mode1=1, mode2=0):
@@ -449,7 +450,7 @@ def _evaluate(run):
 
 def run_scenario(config, with_flow=True):
     """Build the scenario, optionally run its flow, and evaluate every check that applies."""
-    background = build_background(config)
+    background = config.background
     surface = None if config.radius is None else build_initial_surface(config, background)
     run = _Run(background, surface,
                flow=surface is not None and with_flow and config.t_end is not None)
@@ -547,7 +548,7 @@ def _write_outputs(args, trace, result):
 
 
 def _cmd_background(config, args):
-    background = build_background(config)
+    background = config.background
     print(f"curvature_sign  {background.curvature_sign:+d}")
     print(f"genus           {background.base.genus}")
     print(f"base_area       {background.base.area:.17g}")
@@ -574,7 +575,7 @@ def _cmd_flow_or_audit(config, args):
 
 
 def _cmd_chmass(config, args):
-    background = build_background(config)
+    background = config.background
     try:
         estimates = [bg.ch_mass_integral(background, rho) for rho in config.rho_eval]
     except ExteriorError as err:

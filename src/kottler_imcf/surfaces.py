@@ -53,12 +53,17 @@ class SurfaceGeometry:
     (flow.cfl_limit), are kept by name in its memo ``derived``, each
     computed once; dataclasses.replace starts a new memo.
 
-    On the torus the intermediates live in a per-thread workspace that the
-    next evaluation reuses (_torus_workspace, _torus_geometry).  They hold
-    V^2 formed without k, which is 0 on every torus, and -i12 in place of the
-    inverse metric's i12.  A read after a later evaluation, or from another
-    thread, reruns the kernel into private slots, which gives the same bits.
-    Every field is a new array: none shares memory with the workspace.
+    On the torus, H and the graph factor come in closed form, without the
+    metric's inverse (_torus_kernel): with f = V^2, formed without k, which
+    is 0 on every torus, and D = f r^2 + |grad r|^2, the graph factor is
+    sqrt(D)/r.  The kernel leaves f, D, sqrt(D) and the five centred
+    differences of r in a per-thread workspace that the next evaluation
+    reuses (_torus_workspace, _torus_geometry), and the deferred groups
+    build their fields from these: the area density r sqrt(D)/V and
+    |A0|^2 = H^2/2 - 2 f det(M)/D^2.  A read after a later evaluation, or
+    from another thread, reruns the kernel into private slots, which gives
+    the same bits.  Every field is a new array: none shares memory with the
+    workspace.
     """
 
     mean_curvature: np.ndarray
@@ -172,8 +177,8 @@ _STAGGER = 72 * 8
 
 
 def _torus_workspace(n):
-    """The torus kernel's 19 float64 slots, split from one page-aligned buffer."""
-    shapes = [(n, n)] * 8 + [(n + 2, n)] * 3 + [(n, n)] * 8
+    """The torus kernel's 11 float64 slots, split from one page-aligned buffer."""
+    shapes = [(n, n)] * 8 + [(n + 2, n)] * 3
     sizes = [8 * math.prod(shape) for shape in shapes]
     starts, end = [], 0  # end: the first page boundary after the last slot
     for k, size in enumerate(sizes):
@@ -194,29 +199,31 @@ class _ThreadWorkspaces(threading.local):
 _workspaces = _ThreadWorkspaces()
 
 
-_TWO, _HALF = np.array(2.0), np.array(0.5)  # 0-d: numpy converts a Python float per call
-
-
 def _torus_kernel(background, grid, r, slots):
-    # At 64x64 this kernel is bound by memory and per-call cost, not
+    # H and the graph factor in closed form, without the metric's inverse.
+    # With f = V^2, the centred differences r_i, r_ij, G = |grad r|^2 and
+    # D = f r^2 + G, the induced metric is gamma = r^2 I + grad r grad r^T / f,
+    # so det(gamma) = r^2 D / f, gamma^{-1} = (I - grad r grad r^T / D) / r^2
+    # (Sherman-Morrison), and the graph factor n_f = sqrt(f + G / r^2) is
+    # sqrt(D) / r.  The second fundamental form is h = M / n_f, with
+    # M = f r I - hess r + (2/r + f'/(2f)) grad r grad r^T, so that
+    #   H = tr(gamma^{-1} h) = N / (r D sqrt(D)),
+    #   N = f r (2 f r^2 + c G - r lap r) - (r2^2 r11 + r1^2 r22 - 2 r1 r2 r12),
+    # with c = 3 + r f'/(2f) = 3 + (r^2 + m/r)/f.  As r^3 = f r + 2m, the term
+    # f r c G is 4 f r G + 3 m G, and N = f r (2 (D + G) - r lap r) + 3 m G - X
+    # holds no division.  Every step is a correctly rounded ufunc in a fixed
+    # order, whose bits the byte pins hold (2x is x + x, exactly).
+    #
+    # At 64x64 the kernel is bound by memory and per-call cost, not
     # arithmetic.  A fresh 32 KiB array is a heap allocation whose release can
-    # trim the heap, so every intermediate goes into the 19 page-staggered
-    # slots of a workspace (_torus_workspace), and only H and the graph
-    # factor are new arrays.  The first eight slots end holding V^2,
-    # det(gamma), gamma^{-1} (i11, i22 and -i12) and h (h11, h12, h22), which
-    # the deferred groups read (_torus_geometry); the rest are scratch.  Each
-    # expression has the bits of the reference kernel, which goldens and tests
-    # pin: a + (-x) and -x + a are a - x, 2r is r + r, and k + r^2 is r^2, as
-    # k = 0 on every torus (BaseSurface).  Nothing is written into r.
-    (f, det, g22, g11, g12, r11, fac_r1, r22, c, right, left,
-     r_sq, two_r, f1, r1, r2, r12, fac, f_r) = slots
+    # trim the heap, so every intermediate goes into the 11 page-staggered
+    # slots of a workspace (_torus_workspace), and only H and the graph factor
+    # are new arrays.  The first eight slots end holding f, D, sqrt(D), r1, r2,
+    # r11, r22 and r12, which the deferred groups read (_torus_geometry); the
+    # last three hold the periodic neighbours, then scratch.  V^2 is r^2 - 2m/r,
+    # as k = 0 on every torus (BaseSurface).  Nothing is written into r.
+    f, d, sqrt_d, r1, r2, r11, r22, r12, c, right, left = slots
     (by_2h, two_h), (by_h_sq, h_sq), (by_4h_sq, four_h_sq) = grid.stencil_scales
-    two_m = background.v_squared_terms[1]
-    # V^2 = r^2 - 2m/r and f1 = 2r + 2m/r^2.
-    np.square(r, r_sq)
-    np.subtract(r_sq, np.divide(two_m, r, f1), f)
-    np.add(r, r, two_r)
-    np.add(two_r, np.divide(two_m, r_sq, f1), f1)
 
     # Periodic neighbours: c holds r with one more row on either side (row 0
     # is row n, row n+1 is row 1), and right and left hold c[:, j+1] and
@@ -227,6 +234,7 @@ def _torus_kernel(background, grid, r, slots):
     left[:, 1:], left[:, 0] = c[:, :-1], c[:, -1]
     by_2h(np.subtract(c[2:], c[:-2], r1), two_h, r1)
     by_2h(np.subtract(right[1:-1], left[1:-1], r2), two_h, r2)
+    two_r = np.add(r, r, d)
     for d2, up, down in ((r11, c[2:], c[:-2]), (r22, right[1:-1], left[1:-1])):
         np.add(np.subtract(up, two_r, d2), down, d2)
         by_h_sq(d2, h_sq, d2)
@@ -235,45 +243,34 @@ def _torus_kernel(background, grid, r, slots):
     r12 += left[:-2]
     by_4h_sq(r12, four_h_sq, r12)
 
-    # g11 and g22 start as r1^2 and r2^2, whose sum is |grad r|^2.
-    np.multiply(r1, r1, g11)
-    np.multiply(r2, r2, g22)
-    n_f = g11 + g22
-    n_f /= r_sq
-    np.sqrt(np.add(f, n_f, n_f), n_f)
-    for g in (g11, g22):
-        g /= f
-        g += r_sq
-    np.divide(np.multiply(r1, r2, g12), f, g12)
-    np.subtract(np.multiply(g11, g22, det), np.square(g12, fac), det)
-    i11 = np.divide(g22, det, g22)
-    i22 = np.divide(g11, det, g11)
-    neg_i12 = np.divide(g12, det, g12)
-
-    np.divide(_TWO, r, fac)
-    np.multiply(_HALF, f1, f1)
-    f1 /= f
-    fac += f1
-    np.multiply(f, r, f_r)
-    np.multiply(fac, r1, fac_r1)
-    h11 = np.subtract(f_r, r11, r11)
-    h11 += np.multiply(fac_r1, r1, r1)
-    h11 /= n_f
-    h12 = np.multiply(fac_r1, r2, fac_r1)
-    h12 -= r12
-    h12 /= n_f
-    h22 = np.subtract(f_r, r22, r22)
-    fac *= r2
-    fac *= r2
-    h22 += fac
-    h22 /= n_f
-
-    # H = i11 h11 + i22 h22 + 2 i12 h12; f_r is spent and holds the last two terms.
-    mean_curv = i11 * h11
-    mean_curv += np.multiply(i22, h22, f_r)
-    np.multiply(np.add(neg_i12, neg_i12, f_r), h12, f_r)
-    mean_curv -= f_r
-    return mean_curv, n_f
+    # The neighbours are spent; their first n rows are scratch from here on.
+    a, b, g = c[:-2], right[:-2], left[:-2]
+    r_sq = np.multiply(r, r, sqrt_d)
+    np.subtract(r_sq, np.divide(background.v_squared_terms[1], r, a), f)
+    np.add(np.multiply(r1, r1, a), np.multiply(r2, r2, b), g)
+    np.add(np.multiply(f, r_sq, d), g, d)
+    # X = r2^2 r11 + r1^2 r22 - 2 r1 r2 r12 in b; a and b start as r1^2 and r2^2.
+    b *= r11
+    b += np.multiply(a, r22, a)
+    np.multiply(np.add(r1, r1, a), r2, a)
+    b -= np.multiply(a, r12, a)
+    # N into the new array H: f r (2 (D + G) - r lap r) + 3 m G - X.
+    lap = np.add(r11, r22, a)
+    lap *= r
+    np.add(d, g, sqrt_d)
+    sqrt_d += sqrt_d
+    sqrt_d -= lap
+    mean_curv = np.multiply(f, r)
+    mean_curv *= sqrt_d
+    g *= 3.0 * background.mass
+    mean_curv += g
+    mean_curv -= b
+    # H = N / (D sqrt(D) r) and n_f = sqrt(D) / r.
+    np.sqrt(d, sqrt_d)
+    den = np.multiply(d, sqrt_d, a)
+    den *= r
+    mean_curv /= den
+    return mean_curv, np.divide(sqrt_d, r)
 
 
 def _torus_geometry(background, grid, r):
@@ -296,23 +293,24 @@ def _torus_geometry(background, grid, r):
         return private
 
     def measure():
-        f, det = held()[:2]
+        f, _, sqrt_d = held()[:3]
         v = np.sqrt(f)
 
         def shape():
-            # |A|^2 = tr(S^2) with shape operator S = gamma^{-1} h (not
-            # symmetric as a matrix, so the cross terms pair S12 with S21).
-            # The slots hold -i12, so each i12 term is subtracted.
-            i11, i22, neg_i12, h11, h12, h22 = held()[2:8]
-            s11 = i11 * h11 - neg_i12 * h12
-            s12 = i11 * h12 - neg_i12 * h22
-            s21 = i22 * h12 - neg_i12 * h11
-            s22 = i22 * h22 - neg_i12 * h12
-            a_sq = s11**2 + s22**2 + 2.0 * s12 * s21
-            traceless_sq = np.maximum(a_sq - 0.5 * mean_curv**2, 0.0)
+            # |A|^2 = H^2 - 2 det(S) for the shape operator S = gamma^{-1} h, so
+            # the traceless part is H^2/2 - 2 det(h)/det(gamma), and
+            # det(h)/det(gamma) = f det(M) / D^2 (see _torus_kernel).
+            f, d, _, r1, r2, r11, r22, r12 = held()[:8]
+            f_r = f * r
+            fac = (2.0 + (r * r + background.mass / r) / f) / r
+            m11 = f_r - r11 + fac * r1 * r1
+            m22 = f_r - r22 + fac * r2 * r2
+            m12 = fac * r1 * r2 - r12
+            det_m = m11 * m22 - m12 * m12
+            traceless_sq = np.maximum(0.5 * mean_curv**2 - 2.0 * f * det_m / (d * d), 0.0)
             return traceless_sq, v / n_f
 
-        return v, np.sqrt(det), shape
+        return v, r * sqrt_d / v, shape
 
     return SurfaceGeometry(mean_curvature=mean_curv, graph_factor=n_f, measure=measure)
 

@@ -17,7 +17,6 @@ from kottler_imcf.base import integrate
 from kottler_imcf.cli import (
     AuditResult,
     CheckResult,
-    build_background,
     build_initial_surface,
     emit_audit_json,
     emit_trace_csv,
@@ -95,7 +94,7 @@ def test_radius_rule_uses_the_background_horizon(background):
     # The config rule and the built background share one horizon radius, to
     # the bit: the next float above it is a valid radius, the radius itself is not.
     head = f"[background]\n{background}\nresolution = point\n[surface]\n"
-    rho = build_background(parse_config(head)).horizon_rho
+    rho = parse_config(head).background.horizon_rho
     assert parse_config(head + f"radius = {float(np.nextafter(rho, np.inf))!r}\n").radius > rho
     with pytest.raises(ConfigError, match="must exceed horizon radius"):
         parse_config(head + f"radius = {rho!r}\n")
@@ -121,7 +120,7 @@ mass = 0.3849001794597505
 resolution = point
 """
     c = parse_config(text)
-    b = build_background(c)
+    b = c.background
     assert b.horizon_rho == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-9)
     assert b.surface_gravity == pytest.approx(np.sqrt(3.0), abs=1e-9)
 
@@ -129,7 +128,7 @@ resolution = point
 def test_build_initial_surface_kinds():
     c = parse_config(MINIMAL.replace("radius = 2.0",
                                      "radius = 3.0\namplitude = 0.1\nmode1 = 1"))
-    b = build_background(c)
+    b = c.background
     s = build_initial_surface(c, b)
     assert not s.is_constant
     g = b.base.grid
@@ -726,6 +725,23 @@ def test_cli_quiet_on_every_subcommand(capsys, command):
     assert capsys.readouterr().out.encode() == expected
 
 
+@pytest.mark.parametrize("command", ["background", "flow", "audit", "chmass"])
+def test_cli_builds_one_background_per_run(tmp_path, monkeypatch, capsys, command):
+    # parse_config builds the background to check the rules it reads, and the
+    # command reads that one: make_base and the horizon solve run once.
+    calls, make_background = [], kottler_imcf.cli.bg.make_background
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return make_background(*args, **kwargs)
+
+    monkeypatch.setattr(kottler_imcf.cli.bg, "make_background", counted)
+    out = [] if command == "background" else ["--out", str(tmp_path)]
+    config = os.path.join(ROOT, "scenarios", "torus-uniqueness.cfg")
+    assert main([command, "--config", config, "--quiet", *out]) == 0
+    assert len(calls) == 1
+
+
 def _line_of(text, line):
     return text.splitlines().index(line) + 1
 
@@ -820,7 +836,7 @@ def test_cli_resolution_above_the_grid_bound_exit_two(tmp_path, capsys, scenario
     assert captured.err == (
         f"config error: line {line}: key 'resolution': resolution {value} > {bound}\n")
     accepted = parse_config(_scenario_with(scenario, "background", "resolution", str(bound)))
-    assert build_background(accepted).base.grid.weights.size in (bound, bound**2)
+    assert accepted.background.base.grid.weights.size in (bound, bound**2)
 
 
 @pytest.mark.parametrize("text, line, message", [
@@ -924,7 +940,7 @@ def test_cli_torus_modes_that_vary_on_the_grid_still_run(tmp_path, mode1, mode2,
     # its surface is not mean-convex, so the audit aborts (exit 3).
     text = _torus_with_modes(mode1, mode2)
     config = parse_config(text)
-    surface = build_initial_surface(config, build_background(config))
+    surface = build_initial_surface(config, config.background)
     assert np.ptp(surface.radius_field) > config.amplitude
     assert main(["audit", "--config", _write(tmp_path, text)]) == code
 
@@ -935,7 +951,7 @@ def test_base_rules_accept_their_edges():
     parse_config("[background]\ncurvature_sign = 0\nmass = 0.5\narea = 5.0\n")
     config = parse_config("[background]\ncurvature_sign = -1\ngenus = 3\nmass = 1.0\n"
                           f"area = {8.0 * np.pi!r}\nresolution = point\n")
-    assert build_background(config).base.area == 8.0 * np.pi
+    assert config.background.base.area == 8.0 * np.pi
 
 
 def test_cli_sphere_mode_zero_is_a_slice(tmp_path, capsys):

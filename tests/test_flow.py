@@ -542,15 +542,15 @@ def _torus64_state():
     return FlowState(0.0, surface, 0)
 
 
-# Set 5% above 68,208 B, 201,584 B and 66,776 B, measured with numpy 2.4 for
-# the two returned 32 KiB arrays of a geometry evaluation; a plain midpoint
-# step that kept its half-step surface, so two velocities and two geometries
-# at once; and a bound built in two 32 KiB arrays.  The integrating-factor
-# step frees its half-step surface before the last evaluation and peaks at
-# 133,896 B, and the one-array bound at 33,064 B.
-GEOMETRY_PEAK_BOUND = 71_700
-STEP_PEAK_BOUND = 211_700
-CFL_PEAK_BOUND = 70_200
+# Set 5% above 67,584 B, 133,416 B and 33,064 B, measured with numpy 2.4:
+# the two returned 32 KiB arrays of a geometry evaluation, one
+# integrating-factor step, which frees its half-step surface before the last
+# evaluation, and a bound built in one 32 KiB array.  A plain midpoint step
+# that kept its half-step surface, so two velocities and two geometries at
+# once, peaked at 201,584 B, and a bound built in two arrays at 66,776 B.
+GEOMETRY_PEAK_BOUND = 71_000
+STEP_PEAK_BOUND = 140_100
+CFL_PEAK_BOUND = 34_800
 
 
 def _traced_peak(fn):

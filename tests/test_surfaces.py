@@ -182,10 +182,9 @@ def test_compute_geometry_idempotent_cache():
     assert np.array_equal(s.geometry.mean_curvature, g1.mean_curvature)
 
 
-def _roll_torus_geometry(background, grid, r):
-    # The torus kernel as first written, with one np.roll copy per
-    # stencil neighbour: the reference the sliced kernel must match bit
-    # for bit.
+def _roll_stencils(grid, r):
+    # The torus kernel's centred differences, with one np.roll copy per
+    # stencil neighbour: r1, r2, r11, r22 and r12.
     def d1(axis):
         return (np.roll(r, -1, axis=axis) - np.roll(r, 1, axis=axis)) / (2.0 * h)
 
@@ -193,16 +192,23 @@ def _roll_torus_geometry(background, grid, r):
         return (np.roll(r, -1, axis=axis) - 2.0 * r + np.roll(r, 1, axis=axis)) / h**2
 
     h = grid.spacing
-    f = background.v_squared(r)
-    v = np.sqrt(f)
-    f1 = 2.0 * r + 2.0 * background.mass / r**2
-    r1, r2, r11, r22 = d1(0), d1(1), d2(0), d2(1)
     r12 = (
         np.roll(np.roll(r, -1, 0), -1, 1)
         - np.roll(np.roll(r, -1, 0), 1, 1)
         - np.roll(np.roll(r, 1, 0), -1, 1)
         + np.roll(np.roll(r, 1, 0), 1, 1)
     ) / (4.0 * h**2)
+    return d1(0), d1(1), d2(0), d2(1), r12
+
+
+def _roll_torus_geometry(background, grid, r):
+    # The torus kernel as first written: the induced metric, its inverse and
+    # h_ij, term by term.  An oracle for the closed form, to round-off
+    # (test_torus_closed_form_matches_the_metric_inverse).
+    f = background.v_squared(r)
+    v = np.sqrt(f)
+    f1 = 2.0 * r + 2.0 * background.mass / r**2
+    r1, r2, r11, r22, r12 = _roll_stencils(grid, r)
 
     grad_sq = r1**2 + r2**2
     n_f = np.sqrt(f + grad_sq / r**2)
@@ -235,6 +241,47 @@ def _roll_torus_geometry(background, grid, r):
     }
 
 
+def _closed_form_torus_geometry(background, grid, r):
+    # The torus kernel's closed form (derived in its comment), one numpy
+    # expression per quantity over np.roll stencils: the reference the
+    # kernel must match bit for bit.
+    m = background.mass
+    f = background.v_squared(r)
+    v = np.sqrt(f)
+    r1, r2, r11, r22, r12 = _roll_stencils(grid, r)
+
+    grad_sq = r1 * r1 + r2 * r2
+    d = f * r**2 + grad_sq
+    cross = r2 * r2 * r11 + r1 * r1 * r22 - 2.0 * r1 * r2 * r12
+    numerator = f * r * (2.0 * (d + grad_sq) - (r11 + r22) * r) + grad_sq * (3.0 * m) - cross
+    sqrt_d = np.sqrt(d)
+    mean_curv = numerator / (d * sqrt_d * r)
+    n_f = sqrt_d / r
+
+    fac = (2.0 + (r * r + m / r) / f) / r
+    m11 = f * r - r11 + fac * r1 * r1
+    m22 = f * r - r22 + fac * r2 * r2
+    m12 = fac * r1 * r2 - r12
+    det_m = m11 * m22 - m12 * m12
+    return {
+        "potential": v,
+        "area_density": r * sqrt_d / v,
+        "mean_curvature": mean_curv,
+        "traceless_sq": np.maximum(0.5 * mean_curv**2 - 2.0 * f * det_m / (d * d), 0.0),
+        "alignment": v / n_f,
+        "graph_factor": n_f,
+    }
+
+
+def _torus_case(n, area, modes):
+    b = make_background(0, 1, n, mass=0.5, area=area)
+    g = b.base.grid
+    if modes == "noise":
+        return b, 3.0 + 1e-2 * np.random.default_rng(n).standard_normal((n, n))
+    phase = 2.0 * np.pi * (modes[0] * g.theta1 + modes[1] * g.theta2) / g.side
+    return b, 3.0 + 0.1 * np.sin(phase)
+
+
 # On area 1 the stencil scales of n = 8 and 64 are powers of two, which the
 # kernel multiplies by their reciprocals; at n = 33 and 48, and on area 2.5, it
 # divides (test_torus_stencil_scales_divide_exactly).
@@ -243,16 +290,35 @@ def _roll_torus_geometry(background, grid, r):
 @pytest.mark.parametrize("modes", [(1, 0), (0, 1), (1, 1), "noise"])
 @pytest.mark.byte_pin
 def test_torus_geometry_matches_roll_reference_bitwise(n, area, modes):
-    b = make_background(0, 1, n, mass=0.5, area=area)
+    b, r = _torus_case(n, area, modes)
     g = b.base.grid
-    if modes == "noise":
-        r = 3.0 + 1e-2 * np.random.default_rng(n).standard_normal((n, n))
-    else:
-        phase = 2.0 * np.pi * (modes[0] * g.theta1 + modes[1] * g.theta2) / g.side
-        r = 3.0 + 0.1 * np.sin(phase)
     fast = _torus_geometry(b, g, r)
-    for name, expected in _roll_torus_geometry(b, g, r).items():
+    for name, expected in _closed_form_torus_geometry(b, g, r).items():
         assert np.array_equal(getattr(fast, name), expected), name
+
+
+# Measured over the cases below: at most 6.0e-16 of max |H| (H), 3.9e-16 of the
+# field's max (the other fields), and 5.9e-16 of max H^2/2 (|A0|^2, which is
+# H^2/2 less a term of the same size).
+CLOSED_FORM_BOUND = 2e-15
+
+
+@pytest.mark.parametrize("n", [8, 33, 48, 64])
+@pytest.mark.parametrize("area", [1.0, 2.5])
+@pytest.mark.parametrize("modes", [(1, 0), (0, 1), (1, 1), "noise"])
+def test_torus_closed_form_matches_the_metric_inverse(n, area, modes):
+    # The closed form against the metric, its inverse and h_ij formed term by
+    # term: equal to round-off on every field, measured against each field's
+    # scale, as H crosses 0 on the noise fields.
+    b, r = _torus_case(n, area, modes)
+    g = b.base.grid
+    fast = _torus_geometry(b, g, r)
+    reference = _roll_torus_geometry(b, g, r)
+    scale = {name: np.max(np.abs(field)) for name, field in reference.items()}
+    scale["traceless_sq"] = 0.5 * scale["mean_curvature"] ** 2
+    for name, expected in reference.items():
+        error = np.max(np.abs(getattr(fast, name) - expected))
+        assert error <= CLOSED_FORM_BOUND * scale[name], (name, error / scale[name])
 
 
 def _sphere_derivatives(r, spacing):
@@ -505,8 +571,8 @@ def _mode_torus(n, modes, amplitude=0.1):
 @pytest.mark.byte_pin
 def test_mode_torus_geometry_matches_roll_reference_bitwise(n, modes):
     s = _mode_torus(n, modes)
-    reference = _roll_torus_geometry(s.background, s.background.base.grid,
-                                     s.radius_field)
+    reference = _closed_form_torus_geometry(s.background, s.background.base.grid,
+                                            s.radius_field)
     for name, expected in reference.items():
         assert np.array_equal(getattr(s.geometry, name), expected), name
 
@@ -550,8 +616,8 @@ def _noise_torus(n, seed):
 
 
 def _assert_roll_reference_bits(surface, geometry):
-    reference = _roll_torus_geometry(surface.background, surface.background.base.grid,
-                                     surface.radius_field)
+    reference = _closed_form_torus_geometry(surface.background, surface.background.base.grid,
+                                            surface.radius_field)
     for name in GEOMETRY_FIELDS:
         assert np.array_equal(getattr(geometry, name), reference[name]), name
 
