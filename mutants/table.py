@@ -177,7 +177,7 @@ MUTANTS = [
         "    _check_finite(\"dt\", dt, positive=False)\n",
         "",
         "the exact slice step accepts a negative dt"),
-    # -- the integrating-factor midpoint step ---------------------------------
+    # -- the integrating-factor SSPRK(4,3) step --------------------------------
     Mutant(
         "cfl-bound-graph-factor-restored", FLOW,
         "        local *= g.mean_curvature\n",
@@ -187,23 +187,44 @@ MUTANTS = [
         "on the torus acceptance flow"),
     Mutant(
         "step-half-stage-factor-dropped", FLOW,
-        "    v1 *= quarter\n",
+        "    v *= quarter\n",
         "",
-        "without e^{dt/4} the half stage evaluates k at the midpoint value of "
-        "u, an r short by that factor, so the step falls to first order"),
+        "without e^{dt/4} each stage E evaluates k at the value of u, an r "
+        "short by that factor, so the step falls to first order"),
     Mutant(
         "step-full-stage-factor-dropped", FLOW,
-        "    v2 *= 0.5 * dt * quarter\n",
-        "    v2 *= 0.5 * dt\n",
-        "the full stage weighs k(r_half) by e^{dt/4}; without it each step "
-        "errs by about dt^2 k / 4, and the step falls to first order"),
+        "np.multiply(r, 2.0 / 3.0 * quarter)",
+        "np.multiply(r, 2.0 / 3.0)",
+        "r3 sits at t + dt/2, so r enters it carried there by e^{dt/4}; "
+        "without it r3 is short by about (2/3)(dt/4) r, and even a constant "
+        "graph misses its slice step"),
     Mutant(
         "step-slice-growth-truncated", FLOW,
-        "np.multiply(r, math.exp(0.5 * dt), out=v1)",
-        "np.multiply(r, 1.0 + 0.5 * dt + 0.125 * dt * dt, out=v1)",
-        "the slice mode is exact only where r grows by e^{dt/2}; its quadratic "
-        "Taylor polynomial is the plain midpoint step's growth, short by "
-        "dt^3/48 relative"),
+        "quarter = math.exp(0.25 * dt)",
+        "quarter = 1.0 + 0.25 * dt + 0.03125 * dt * dt",
+        "the slice mode is exact only where every stage grows by e^{dt/4}; its "
+        "quadratic Taylor polynomial is short by dt^3/384 relative per stage"),
+    Mutant(
+        "step-convex-weights-swapped", FLOW,
+        "    x *= math.exp(-0.5 * dt) / 3.0\n"
+        "    x += np.multiply(r, 2.0 / 3.0 * quarter)",
+        "    x *= 2.0 * math.exp(-0.5 * dt) / 3.0\n"
+        "    x += np.multiply(r, quarter / 3.0)",
+        "r3 takes 2/3 of r and 1/3 of E(r2); swapped, the weights still sum to "
+        "1, so a constant graph steps exactly, but the step loses third order"),
+    Mutant(
+        "step-r3-decay-dropped", FLOW,
+        "    x *= math.exp(-0.5 * dt) / 3.0\n",
+        "    x *= 1.0 / 3.0\n",
+        "E(r2) lands at t + dt, so r3, at t + dt/2, takes it back by e^{-dt/2}; "
+        "without it a constant graph outgrows its slice step"),
+    Mutant(
+        "step-stage-skipped", FLOW,
+        "    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # r2\n",
+        "",
+        "with r2 skipped, E(r1) stands in for E(r2), half a step behind it: "
+        "three evaluations a step, and even a constant graph misses its slice "
+        "step"),
     # -- the flow's floors ----------------------------------------------------
     Mutant(
         "h_floor-edge-admitted", FLOW,

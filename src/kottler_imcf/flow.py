@@ -7,12 +7,14 @@ by the graphical flow equation
     dr/dt = v(r) = graph_factor / H,
 
 stepped under a parabolic CFL restriction by an integrating-factor
-midpoint scheme: explicit midpoint (RK2) on u = e^{-t/2} r, whose
-right-hand side is e^{-t/2} k(r) with k(r) = v(r) - r/2.  The slice mode
-r' = r/2, which a constant graph follows and which dominates every late
-flow, is integrated exactly, so the step is bounded by stability and the
-error of the deviation from a slice, not by the growth of r.  Traces
-record scalar functionals, not surfaces, at fixed sample times.
+third-order scheme: the four-stage strong-stability-preserving Runge-Kutta
+method SSPRK(4,3) (Kraaijevanger 1991; Spiteri & Ruuth 2002) on
+u = e^{-t/2} r, whose right-hand side is e^{-t/2} k(r) with
+k(r) = v(r) - r/2.  The slice mode r' = r/2, which a constant graph
+follows and which dominates every late flow, is integrated exactly, so
+the step is bounded by stability and the error of the deviation from a
+slice, not by the growth of r.  Traces record scalar functionals, not
+surfaces, at fixed sample times.
 """
 
 from __future__ import annotations
@@ -40,8 +42,12 @@ __all__ = [
 
 # The step fraction of the CFL bound; a step aborts where H is at or below
 # H_FLOOR, and a flow does not start where the radial alignment drops below
-# STAR_FLOOR.
-CFL = 0.1
+# STAR_FLOOR.  SSPRK(4,3)'s real stability interval, [-5.15, 0], is 2.57
+# times the midpoint step's, and CFL is 2.57 times the midpoint's 0.1: 38%
+# of the measured stability threshold of a 64^2 torus with a 2D mode (about
+# 0.66) and 25% of sphere 128's (about 1.0).  At it each trace column's
+# time error is at most a tenth of its spatial error.
+CFL = 0.25
 H_FLOOR = 1e-6
 STAR_FLOOR = 0.1
 
@@ -181,41 +187,56 @@ def _velocity(surface):
     return g.graph_factor / g.mean_curvature
 
 
+def _stage(v, x, dt, quarter):
+    """E(x) = e^{dt/4} (x + (dt/2) k(x)), the forward-Euler half step of
+    u = e^{-t/2} r, written into v = v(x), a fresh velocity array; quarter
+    is e^{dt/4}."""
+    # k is formed as (2v - x) / 2: doubling is exact, so 2v - x is 2k to the
+    # bit, with no array for x / 2.
+    v *= 2.0
+    v -= x
+    v *= 0.25 * dt
+    v += x
+    v *= quarter
+    return v
+
+
 def step_graph_pde(state, dt):
-    """One integrating-factor midpoint step of the graphical flow equation.
+    """One integrating-factor SSPRK(4,3) step of the graphical flow equation.
 
-    With k(r) = v(r) - r/2, the stages are
+    With E(x) = e^{dt/4} (x + (dt/2) k(x)) and k(r) = v(r) - r/2, the stages
+    are
 
-        r_half = e^{dt/4} (r + (dt/2) k(r))
-        r_new  = e^{dt/2} r + dt e^{dt/4} k(r_half),
+        r1    = E(r)
+        r2    = E(r1)
+        r3    = (2/3) e^{dt/4} r + (1/3) e^{-dt/2} E(r2)
+        r_new = E(r3),
 
-    the midpoint step of u = e^{-t/2} r, so a constant graph grows by
-    e^{dt/2} as ``step_slice_ode`` grows it.  The two exponentials are
-    scalar libm calls.
+    the four-stage third-order strong-stability-preserving Runge-Kutta step
+    of u = e^{-t/2} r: four geometry evaluations, the first of them the
+    input surface's own.  Its real stability interval is [-5.15, 0].  A
+    constant graph grows by e^{dt/2} as ``step_slice_ode`` grows it.  The
+    exponentials are scalar libm calls.  Every stage is a validated
+    GraphSurface whose mean curvature is checked against the floor.
     """
     surface = state.surface
-    v1 = _velocity(surface)
+    background = surface.background
+    x = _velocity(surface)  # v(r), which becomes r1
     _check_finite("dt", dt)
     limit = cfl_limit(surface)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
-    # Each velocity is a fresh array, so it becomes the next radius field in
-    # place.  k is formed as (2v - r) / 2: doubling is exact, so 2v - r is 2k
-    # to the bit, with no array for r / 2.
+    # Each stage is written into its fresh velocity array, and rebinding x
+    # frees the stage before it, so one stage field is held at a time.
     r = surface.radius_field
     quarter = math.exp(0.25 * dt)
-    v1 *= 2.0
-    v1 -= r
-    v1 *= 0.25 * dt
-    v1 += r
-    v1 *= quarter
-    v2 = _velocity(GraphSurface(surface.background, v1))
-    v2 *= 2.0
-    v2 -= v1
-    v2 *= 0.5 * dt * quarter
-    # The half-step surface is spent, so its field takes e^{dt/2} r.
-    v2 += np.multiply(r, math.exp(0.5 * dt), out=v1)
-    new_surface = GraphSurface(surface.background, v2)
+    x = _stage(x, r, dt, quarter)  # r1
+    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # r2
+    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # E(r2)
+    x *= math.exp(-0.5 * dt) / 3.0
+    x += np.multiply(r, 2.0 / 3.0 * quarter)  # r3
+    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # r_new
+    new_surface = GraphSurface(background, x)
     _check_mean_convex(new_surface)  # mean-convexity must survive the step
     return FlowState(state.time + dt, new_surface, state.step_count + 1)
 

@@ -25,7 +25,7 @@ from kottler_imcf import (
     step_graph_pde,
     step_slice_ode,
 )
-from kottler_imcf.cli import parse_config, run_scenario
+from kottler_imcf.cli import build_initial_surface, parse_config, run_scenario
 from kottler_imcf.flow import CFL, H_FLOOR, STAR_FLOOR
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -185,7 +185,8 @@ def test_replaced_geometry_gets_its_own_bound():
 def test_graph_step_integrates_the_slice_mode_exactly(kind):
     # On a constant graph v = r/2 to round-off, so k(r) = v - r/2 vanishes and
     # the step is e^{dt/2} r, the exact slice step, at the full stability
-    # limit.  A plain midpoint step misses it by about dt^3/48 relative.
+    # limit (it reads 0 and 1 ulp).  A plain midpoint step misses it by about
+    # dt^3/48 relative.
     if kind == "sphere-33":
         state = _slice_state(k=1, genus=0, mass=1.0, resolution=33, rho=2.0)
     else:
@@ -199,10 +200,10 @@ def test_graph_step_integrates_the_slice_mode_exactly(kind):
 def test_torus_flow_with_a_two_dimensional_mode_is_stable(monkeypatch):
     # The acceptance torus input does not depend on theta_2, so its theta_2
     # modes are never seeded; this one seeds a mode in both directions, whose
-    # stability limit is about 0.26 of the bound on a 64^2 grid.  At CFL the
+    # stability limit is about 0.66 of the bound on a 64^2 grid.  At CFL the
     # flow runs to t = 1, and its min_H stays within 1e-5 of the same flow at
-    # half the step: the two differ by 4.7e-7, and by 4.5e-3 at 0.265 of the
-    # bound, just past the limit.
+    # half the step: the two differ by 4.8e-9, by 8.9e-8 at 0.66 of the bound,
+    # and by 2.7e-2 at 0.68, just past the limit.
     b = make_background(0, 1, 64, mass=0.5)
     g = b.base.grid
     phase = 2.0 * np.pi / g.side
@@ -347,13 +348,14 @@ def test_run_flow_pde_area_growth_and_traceless_decay():
 
 
 @pytest.mark.parametrize("scenario, steps, evaluations", [
-    ("sphere-perturbed", 274, 549),
-    ("torus-perturbed", 258, 517),
+    ("sphere-perturbed", 111, 445),
+    ("torus-perturbed", 104, 417),
 ], ids=["sphere-perturbed", "torus-perturbed"])
 def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
-    # Deterministic work, not wall time: a change that adds RK2 steps,
-    # geometry evaluations, CFL bounds or sample-row quadratures to a shipped
-    # flow shows here: two cfl_limit calls per step and 5 integrate calls per
+    # Deterministic work, not wall time: a change that adds steps, geometry
+    # evaluations, CFL bounds or sample-row quadratures to a shipped flow
+    # shows here: four evaluations per step, the first of them the input
+    # surface's own, two cfl_limit calls per step and 5 integrate calls per
     # row (area, int_VH, bulk, Willmore, traceless).  The first row's surface
     # is the one the audit's report was evaluated on, whose memo already holds
     # all but the traceless term, so it integrates that one only.
@@ -392,6 +394,7 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     assert trace.complete and result.passed
     del counts["integrals"]
     assert counts == {"steps": steps, "evaluations": evaluations, "cfl": 2 * steps}
+    assert evaluations == 4 * steps + 1
     assert per_row == [1] + [5] * (trace.n_samples - 1)
 
 
@@ -413,7 +416,7 @@ def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
     with open(os.path.join(SCENARIO_DIR, "torus-perturbed.cfg"), encoding="utf-8") as fh:
         trace, result = run_scenario(parse_config(fh.read()))
     assert trace.complete and result.passed
-    assert counts == {"geometries": 517, "kernels": 517}
+    assert counts == {"geometries": 417, "kernels": 417}
 
 
 @pytest.mark.parametrize("t_end, sample_interval", [
@@ -462,20 +465,62 @@ def _stepped_trace(surface, fraction):
 
 
 @pytest.mark.parametrize("grid", ["sphere", "torus"])
-def test_flow_dt_halving_second_order(grid):
-    # Halving the step fraction halves every CFL-limited step: the RK2 time
-    # error at t = 0.5 falls by 4x on a fixed grid.
+def test_flow_dt_halving_third_order(grid):
+    # Halving the step fraction halves every CFL-limited step: the SSPRK(4,3)
+    # time error at t = 0.5 falls by 8x on a fixed grid.  The order is read
+    # only from differences at least 100 ulps above round-off: on sphere 65
+    # the finer differences of Q and hawking_mass are 2e-14 and 4e-14, so its
+    # columns are area, int_A0sq and min_H.  The orders read 2.95-3.00 on
+    # sphere 65 and 2.94-3.01 on torus 16.
     if grid == "sphere":
         surface = _sphere_input(65)
+        names = ("area", "int_A0sq", "min_H")
     else:
         b = make_background(0, 1, 16, mass=0.5)
         g = b.base.grid
         surface = GraphSurface(b, 3.0 + 0.1 * np.sin(2.0 * np.pi * g.theta1 / g.side))
+        names = ("area", "Q", "hawking_mass", "int_A0sq", "min_H")
     traces = [_stepped_trace(surface, fraction) for fraction in (1.0, 0.5, 0.25)]
     assert all(trace.complete and trace.times[-1] == 0.5 for trace in traces)
-    for name in ("area", "Q", "hawking_mass", "int_A0sq", "min_H"):
+    for name in names:
+        mid, fine = (trace.column(name)[-1] for trace in traces[1:])
+        assert abs(mid - fine) >= 100.0 * np.spacing(abs(mid)), name
         order = _order(traces, name)
-        assert 1.8 <= order <= 2.2, (name, order)
+        assert 2.7 <= order <= 3.3, (name, order)
+
+
+def _scenario_trace(monkeypatch, text, resolution, fraction):
+    """The columns after t of a shipped scenario's trace, with its resolution
+    and the step fraction CFL replaced."""
+    monkeypatch.setattr(kottler_imcf.flow, "CFL", fraction)
+    line = next(line for line in text.splitlines() if line.startswith("resolution = "))
+    config = parse_config(text.replace(line, f"resolution = {resolution}"))
+    trace = run_flow(build_initial_surface(config, config.background),
+                     config.t_end, config.sample_interval)
+    assert trace.complete
+    return trace.data[:, 1:]
+
+
+@pytest.mark.parametrize("scenario", ["sphere-perturbed", "torus-perturbed"])
+def test_shipped_flow_time_error_is_a_tenth_of_its_spatial_error(monkeypatch, scenario):
+    # The accuracy criterion that sets CFL.  Per trace column, in the norm
+    # max over samples of |difference| / max(|value|, 1), the time error (the
+    # difference from the same flow at CFL/8) is at most a tenth of the
+    # spatial error (|f_n - f_{n/2}| / 3, the grids being second order).  The
+    # worst columns read 5.1e-6 and 5.5e-5 of it; the integrating-factor
+    # midpoint step at 0.1 read 0.012 and 0.005.
+    with open(os.path.join(SCENARIO_DIR, scenario + ".cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    n = parse_config(text).resolution
+    shipped = _scenario_trace(monkeypatch, text, n, CFL)
+    coarse = _scenario_trace(monkeypatch, text, n // 2, CFL)
+    fine_step = _scenario_trace(monkeypatch, text, n, CFL / 8.0)
+
+    def error(other):
+        return np.max(np.abs(shipped - other) / np.maximum(np.abs(shipped), 1.0), axis=0)
+
+    ratio = error(fine_step) / (error(coarse) / 3.0)
+    assert np.all(ratio <= 0.1), dict(zip(TRACE_COLUMNS[1:], ratio))
 
 
 def _synthetic_trace(model):
@@ -489,8 +534,9 @@ def _synthetic_trace(model):
 
 def test_torus_flow_self_convergence_second_order():
     # The acceptance torus input at n = 16, 32, 64: the differences of the
-    # t = 0.5 values between successive resolutions fall by 4x (order 2),
-    # since both the stencils and the CFL-bound step are O(h^2).
+    # t = 0.5 values between successive resolutions fall by 4x (order 2), as
+    # the stencils are O(h^2) and the CFL-bound step, with dt ~ h^2, is
+    # O(dt^3) = O(h^6).
     traces = []
     for n in (16, 32, 64):
         b = make_background(0, 1, n, mass=0.5)
@@ -542,14 +588,15 @@ def _torus64_state():
     return FlowState(0.0, surface, 0)
 
 
-# Set 5% above 67,584 B, 133,416 B and 33,064 B, measured with numpy 2.4:
+# Set 5% above 67,584 B, 133,184 B and 33,064 B, measured with numpy 2.4:
 # the two returned 32 KiB arrays of a geometry evaluation, one
-# integrating-factor step, which frees its half-step surface before the last
-# evaluation, and a bound built in one 32 KiB array.  A plain midpoint step
-# that kept its half-step surface, so two velocities and two geometries at
-# once, peaked at 201,584 B, and a bound built in two arrays at 66,776 B.
+# integrating-factor SSPRK(4,3) step, which holds one stage field while it
+# evaluates the next velocity, and a bound built in one 32 KiB array.  A step
+# that also held its first stage's field through the last evaluation peaked
+# at 166,048 B, a plain midpoint step that kept its half-step surface at
+# 201,584 B, and a bound built in two arrays at 66,776 B.
 GEOMETRY_PEAK_BOUND = 71_000
-STEP_PEAK_BOUND = 140_100
+STEP_PEAK_BOUND = 139_900
 CFL_PEAK_BOUND = 34_800
 
 
@@ -564,7 +611,7 @@ def _traced_peak(fn):
 
 def test_torus64_allocation_peaks():
     # A repeatable gauge of the torus kernel's temporaries: bytes allocated at
-    # the peak of one geometry evaluation, one RK2 step and the cfl_limit call
+    # the peak of one geometry evaluation, one flow step and the cfl_limit call
     # that computes a surface's bound (tracemalloc counts numpy's buffers).
     # Written out of place, one fresh array per
     # operation, they peaked at 956,616 B and 1,418,304 B; in place but with
