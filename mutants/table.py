@@ -302,8 +302,14 @@ MUTANTS = [
         "        float(np.max(g.mean_curvature)),\n",
         "        float(np.max(g.mean_curvature)),\n"
         "        float(g.min_mean_curvature),\n",
-        "min_H feeds the mean-convexity check and the late-time fits; a swap "
-        "leaves every value finite and every flow complete"),
+        "min_H feeds the mean-convexity check and the acceptance tests' "
+        "late-time fits; a swap leaves every value finite and every flow complete"),
+    Mutant(
+        "flow-end-slack-absolute", FLOW,
+        "    slack = min(1e-12, 1e-6 * next_sample)\n",
+        "    slack = 1e-12\n",
+        "a t_end at or below an absolute slack takes no step, and its one-row "
+        "trace at t = 0 reads complete"),
     # -- pinned work counts ---------------------------------------------------
     Mutant(
         "flow-extra-cfl-bound", FLOW,
@@ -468,18 +474,6 @@ MUTANTS = [
         "",
         "a NaN radius passes the preasymptotic guard and returns NaN, and an "
         "infinite one returns NaN with warnings"),
-    Mutant(
-        "trace-row-width-unchecked", CLI,
-        "            if len(values) != len(TRACE_COLUMNS):\n",
-        "            if False:\n",
-        "a short row parses into a narrower trace, whose column lookups fail "
-        "far from the line at fault"),
-    Mutant(
-        "trace-value-error-bare", CLI,
-        "            except ValueError:\n                raise ConfigError(",
-        "            except TypeError:\n                raise ConfigError(",
-        "a value that is not a number escapes as float()'s bare ValueError, "
-        "which names no line"),
     # -- rules of item 3's list ----------------------------------------------
     Mutant(
         "scale-down-always-multiplies", BASE,

@@ -100,7 +100,8 @@ def mass_from_radius(curvature_sign, horizon_rho):
 
 
 def hk_constant(area, euler_char):
-    """c = |bdry| / (3|bdry| + 2*pi*chi); lies in (0, 1)."""
+    """c = |bdry| / (3|bdry| + 2*pi*chi): 1/3 on the torus, below it on the
+    sphere, above it on hyperbolic bases, and above 1 where |bdry| < -pi*chi."""
     denom = 3.0 * area + 2.0 * np.pi * euler_char
     if denom <= 0.0:
         raise HorizonError("3|bdry| + 2*pi*chi must be positive")

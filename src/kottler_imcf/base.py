@@ -246,13 +246,10 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
 def integrate(base, field):
     """Quadrature of a scalar field over the cross-section.
 
-    ``field`` may be a scalar (treated as constant) or an array of node
-    samples matching the grid shape.
+    ``field`` is an array of node samples matching the grid shape.
     """
     grid = base.grid
     field = np.asarray(field, dtype=float)
-    if field.ndim == 0:
-        return float(field) * base.area
     if field.shape != grid.weights.shape:
         raise ValueError(
             f"field shape {field.shape} does not match grid shape {grid.weights.shape}"

@@ -36,7 +36,7 @@ from .errors import (
     InvalidBaseError,
     KottlerError,
 )
-from .flow import TRACE_COLUMNS, FlowTrace, run_flow
+from .flow import TRACE_COLUMNS, run_flow
 from .functionals import (
     asymptotic_limit,
     evaluate_report,
@@ -54,7 +54,6 @@ __all__ = [
     "build_initial_surface",
     "run_scenario",
     "emit_trace_csv",
-    "parse_trace_csv",
     "emit_audit_json",
     "main",
 ]
@@ -468,26 +467,6 @@ def emit_trace_csv(trace, path):
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for row in trace.data:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def parse_trace_csv(path):
-    """Read a trace CSV back; round-trips emit_trace_csv bit-exactly."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != TRACE_COLUMNS:
-            raise ConfigError(f"unexpected trace header {header}")
-        for n, values in enumerate((line.strip().split(",") for line in fh), 2):
-            if values == [""]:  # a blank line
-                continue
-            if len(values) != len(TRACE_COLUMNS):
-                raise ConfigError(f"expected {len(TRACE_COLUMNS)} values, got {len(values)}", n)
-            try:
-                rows.append([float(x) for x in values])
-            except ValueError:
-                raise ConfigError(f"values {','.join(values)!r} are not all numbers", n) from None
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(TRACE_COLUMNS)))
-    return FlowTrace(data=data)
 
 
 def emit_audit_json(result, path):

@@ -32,7 +32,3 @@ class ConfigError(KottlerError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class NoiseFloorError(KottlerError):
-    """Signal is below the noise floor; a rate fit would be meaningless."""

@@ -14,7 +14,6 @@ import pytest
 
 from kottler_imcf import (
     GraphSurface,
-    asymptotic_rate_fit,
     compute_Q,
     hawking_mass,
     hk_gap,
@@ -32,6 +31,7 @@ from kottler_imcf import (
 from kottler_imcf.cli import parse_config, run_scenario
 
 from perturbed_potential import PerturbedPotential
+from rate_fit import asymptotic_rate_fit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(ROOT, "scenarios")

@@ -139,7 +139,6 @@ def test_resolution_bound_per_grid_kind(k, genus):
 
 def test_constant_integrates_exactly():
     for base in (make_base(1, 0, 41), make_base(0, 1, 16), make_base(-1, 2, "point")):
-        assert integrate(base, 1.0) == pytest.approx(base.area, abs=1e-14)
         ones = np.ones(base.grid.weights.shape)
         assert integrate(base, ones) == pytest.approx(base.area, rel=1e-15)
 

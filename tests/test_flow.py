@@ -16,9 +16,7 @@ from kottler_imcf import (
     FlowSingularError,
     FlowTrace,
     GraphSurface,
-    NoiseFloorError,
     TRACE_COLUMNS,
-    asymptotic_rate_fit,
     cfl_limit,
     make_background,
     run_flow,
@@ -27,6 +25,8 @@ from kottler_imcf import (
 )
 from kottler_imcf.cli import build_initial_surface, parse_config, run_scenario
 from kottler_imcf.flow import CFL, H_FLOOR, STAR_FLOOR
+
+from rate_fit import NoiseFloorError, asymptotic_rate_fit
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "scenarios")
@@ -278,7 +278,7 @@ def test_horizon_slice_has_geometry_and_flows_for_every_mass(k, genus):
         s = GraphSurface(b, b.horizon_rho)
         assert np.all(s.geometry.mean_curvature >= 0.0)
         trace = run_flow(s, 1.0, 0.5)
-        assert trace.complete and trace.n_samples == 3, (k, mass, trace.abort_reason)
+        assert trace.complete and len(trace.data) == 3, (k, mass, trace.abort_reason)
 
 
 def _with_alignment_node(surface, value, node=5):
@@ -395,7 +395,7 @@ def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
     del counts["integrals"]
     assert counts == {"steps": steps, "evaluations": evaluations, "cfl": 2 * steps}
     assert evaluations == 4 * steps + 1
-    assert per_row == [1] + [5] * (trace.n_samples - 1)
+    assert per_row == [1] + [5] * (len(trace.data) - 1)
 
 
 def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
@@ -430,6 +430,21 @@ def test_run_flow_rejects_controls_that_never_finish(t_end, sample_interval):
     surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
     with pytest.raises(ValueError):
         run_flow(surface, t_end, sample_interval)
+
+
+@pytest.mark.parametrize("t_end, sample_interval, rows", [(1e-13, 0.25, 2), (5e-13, 1e-13, 6)],
+                         ids=["t_end-below-the-slack", "interval-below-the-slack"])
+def test_run_flow_reaches_a_t_end_at_or_below_the_absolute_slack(t_end, sample_interval, rows):
+    # The sample slack is 1e-12 on every shipped flow; an absolute 1e-12
+    # would count these flows done at t = 0, take no step and call the
+    # one-row trace complete.
+    b = make_background(1, 0, 32, mass=1.0)
+    surface = GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta))
+    trace = run_flow(surface, t_end, sample_interval)
+    assert trace.complete and len(trace.data) == rows
+    assert trace.times[-1] == t_end
+    assert np.all(np.diff(trace.times) > 0.0)
+    assert trace.column("area")[-1] > trace.column("area")[0]
 
 
 def _order(traces, name):
