@@ -42,8 +42,8 @@ MUTANTS = [
         "the potential of half the mass"),
     Mutant(
         "stencil-divisor-h-squared", BASE,
-        "return np.array(2.0 * h), np.array(h**2)",
-        "return np.array(2.0 * h), np.array(2.0 * h**2)",
+        "return tuple(_division_by(c) for c in (2.0 * h, h**2))",
+        "return tuple(_division_by(c) for c in (2.0 * h, 2.0 * h**2))",
         "the sphere kernel divides r_tt by the cached h^2; twice it halves "
         "the second derivative"),
     Mutant(
@@ -131,23 +131,10 @@ MUTANTS = [
         "either side of 0; only the constant horizon slice may touch it"),
     Mutant(
         "cfl-min-as-max", FLOW,
-        "bound = local.item(local.argmin())",
-        "bound = local.item(local.argmax())",
+        "return CFL * local.item(local.argmin())",
+        "return CFL * local.item(local.argmax())",
         "the stable step is set by the most restrictive node; the least one "
         "lets the flow step past the stability limit"),
-    Mutant(
-        "cfl-cache-ignores-geometry", FLOW,
-        "    memo = g.derived\n",
-        "    memo = vars(surface).setdefault(\"_derived\", {})\n",
-        "a bound kept on the surface outlives its geometry: a surface whose "
-        "geometry is replaced keeps the old bound, so a step is checked against "
-        "a stale limit"),
-    Mutant(
-        "cfl-cache-stores-scaled-limit", FLOW,
-        "memo[\"cfl_bound\"] = bound",
-        "memo[\"cfl_bound\"] = CFL * bound",
-        "the memo holds the unscaled bound: a scaled one is scaled again by "
-        "every later call, so a second call returns a smaller limit"),
     # -- stepper inputs -------------------------------------------------------
     Mutant(
         "predicate-admits-inf", FLOW,
@@ -157,31 +144,42 @@ MUTANTS = [
         "infinite slice step makes the radius infinite"),
     Mutant(
         "predicate-admits-nan", FLOW,
-        "if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):",
-        "if value >= math.inf or (value <= 0.0 if positive else value < 0.0):",
+        "if not (value < math.inf and value > 0.0):",
+        "if value >= math.inf or value <= 0.0:",
         "every comparison is False on NaN, so the inverted form admits it: a "
         "NaN t_end or sample_interval never ends a flow, and a NaN dt makes "
         "the whole field NaN"),
     Mutant(
         "step-dt-check-dropped", FLOW,
-        "    _check_finite(\"dt\", dt)\n",
-        "",
-        "a negative dt steps the flow back in time"),
+        "    x = _velocity(surface)  # v(r), which becomes r1\n    _check_finite(\"dt\", dt)\n",
+        "    x = _velocity(surface)  # v(r), which becomes r1\n",
+        "a negative dt steps the flow back in time, and an infinite one is "
+        "cut to the limit instead of rejected"),
     Mutant(
         "step-dt-zero-admitted", FLOW,
-        "    _check_finite(\"dt\", dt)\n",
-        "    _check_finite(\"dt\", dt, positive=False)\n",
+        "    x = _velocity(surface)  # v(r), which becomes r1\n    _check_finite(\"dt\", dt)\n",
+        "    x = _velocity(surface)  # v(r), which becomes r1\n"
+        "    if dt != 0.0:\n        _check_finite(\"dt\", dt)\n",
         "dt = 0 is counted as a step and never reaches t_end"),
     Mutant(
         "slice-dt-check-dropped", FLOW,
-        "    _check_finite(\"dt\", dt, positive=False)\n",
-        "",
-        "the exact slice step accepts a negative dt"),
+        "        raise ValueError(\"slice ODE step requires a constant graph\")\n"
+        "    _check_finite(\"dt\", dt)\n",
+        "        raise ValueError(\"slice ODE step requires a constant graph\")\n",
+        "the exact slice step accepts a negative dt, and dt = 0 counts as a step"),
+    Mutant(
+        "step-limit-ignored", FLOW,
+        "    dt = min(dt, cfl_limit(surface))\n",
+        "    cfl_limit(surface)\n",
+        "the step computes its stability limit and takes the requested dt: "
+        "run_flow's request to the next sample time is then far past the "
+        "limit, and the flow goes unstable"),
     # -- the integrating-factor SSPRK(4,3) step --------------------------------
     Mutant(
         "cfl-bound-graph-factor-restored", FLOW,
-        "        local *= g.mean_curvature\n",
-        "        local *= g.mean_curvature\n        local /= g.graph_factor\n",
+        "    local *= surface.geometry.mean_curvature\n",
+        "    local *= surface.geometry.mean_curvature\n"
+        "    local /= surface.geometry.graph_factor\n",
         "the graph factor cancels from the linearized speed; dividing the bound "
         "by its square again gives a trace as good, at about 13 times the steps "
         "on the torus acceptance flow"),
@@ -313,17 +311,9 @@ MUTANTS = [
     # -- pinned work counts ---------------------------------------------------
     Mutant(
         "flow-extra-cfl-bound", FLOW,
-        "dt = min(cfl_limit(state.surface), next_sample - state.time)",
-        "dt = min(cfl_limit(state.surface), cfl_limit(state.surface),\n"
-        "                         next_sample - state.time)",
-        "a third CFL bound per step: the same trace, more work"),
-    Mutant(
-        "cfl-bound-never-cached", FLOW,
-        "    if bound is None:\n",
-        "    if True:\n",
-        "the bound is computed once per geometry; recomputed on every call it "
-        "gives the same limits, with a field-sized array per call and 1,230 "
-        "more bounds in the torus acceptance flow"),
+        "    dt = min(dt, cfl_limit(surface))\n",
+        "    dt = min(dt, cfl_limit(surface), cfl_limit(surface))\n",
+        "a second CFL bound per step: the same trace, more work"),
     Mutant(
         "held-always-reruns", SURFACES,
         "        if _workspaces.owner.get(n) is token:\n            return slots\n",
@@ -356,8 +346,8 @@ MUTANTS = [
         "integral-memo-class-level", SURFACES,
         "derived: dict = dataclass_field(default_factory=dict,",
         "derived: dict = dataclass_field(default_factory=lambda shared={}: shared,",
-        "one memo for every geometry: each surface reads the integrals and the "
-        "CFL bound of whichever surface was evaluated first"),
+        "one memo for every geometry: each surface reads the integrals of "
+        "whichever surface was evaluated first"),
     Mutant(
         "integral-memo-name-collision", FUNCTIONALS,
         "surface.integral(\"int_V_over_H\",",

@@ -56,11 +56,10 @@ class AxisymmetricSphereGrid:
         return np.concatenate(([0.0], np.cos(inner) / np.sin(inner), [0.0]))
 
     @cached_property
-    def stencil_divisors(self):
-        """2h and h^2, the divisors of the centered r_t and r_tt, as 0-d arrays:
-        numpy converts a Python float operand on every call, a 0-d array not."""
+    def stencil_scales(self):
+        """2h and h^2, the divisors of the centered r_t and r_tt, as _division_by pairs."""
         h = self.spacing
-        return np.array(2.0 * h), np.array(h**2)
+        return tuple(_division_by(c) for c in (2.0 * h, h**2))
 
     @cached_property
     def ext_index(self):

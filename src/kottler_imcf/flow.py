@@ -116,14 +116,14 @@ def _sample_row(state):
     return row
 
 
-def _check_finite(name, value, positive=True):
-    """Raise ValueError unless value is finite and positive (or nonnegative).
+def _check_finite(name, value):
+    """Raise ValueError unless value is finite and positive.
 
     Each comparison is False on NaN, so NaN is rejected too.  An infinite
     t_end, or a step that is not positive, would never end a flow.
     """
-    if not (value < math.inf and (value > 0.0 if positive else value >= 0.0)):
-        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    if not (value < math.inf and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
 
 
 def cfl_limit(surface):
@@ -134,37 +134,29 @@ def cfl_limit(surface):
     one grid direction.  So a perturbation moves the speed by
     delta v = delta r_tt / (H^2 gamma_tt): the graph factor cancels, and
     the linearized operator diffuses with coefficient 1 / (H r)^2 per unit
-    grid spacing squared.  The unscaled bound is min over nodes of
-    (spacing r H)^2.  It is computed once per geometry and kept in its memo
-    (SurfaceGeometry.derived); every call returns CFL times it.  A
-    point-grid surface is a slice: it has no spacing and steps by
-    ``step_slice_ode``.
+    grid spacing squared.  The limit is CFL times min over nodes of
+    (spacing r H)^2, computed on every call; ``step_graph_pde`` makes the
+    one call of each step.  A point-grid surface is a slice: it has no
+    spacing and steps by ``step_slice_ode``.
     """
-    g = surface.geometry
-    memo = g.derived
-    bound = memo.get("cfl_bound")
-    if bound is None:
-        grid = surface.background.base.grid
-        if isinstance(grid, PointGrid):
-            raise ValueError("a point-grid surface is a slice; it steps by step_slice_ode")
-        # (spacing r H)^2 in that operand order, in one array.
-        local = np.multiply(grid.spacing, surface.radius_field)
-        local *= g.mean_curvature
-        np.square(local, out=local)
-        # argmin finds the first NaN, as the reduction propagates it, at about a
-        # third of its cost; a square holds no -0, so the bits agree.
-        bound = local.item(local.argmin())
-        memo["cfl_bound"] = bound
-    return CFL * bound
+    grid = surface.background.base.grid
+    if isinstance(grid, PointGrid):
+        raise ValueError("a point-grid surface is a slice; it steps by step_slice_ode")
+    # (spacing r H)^2 in that operand order, in one array.
+    local = np.multiply(grid.spacing, surface.radius_field)
+    local *= surface.geometry.mean_curvature
+    np.square(local, out=local)
+    # argmin finds the first NaN, as the reduction propagates it, at about a
+    # third of its cost; a square holds no -0, so the bits agree.
+    return CFL * local.item(local.argmin())
 
 
 def step_slice_ode(state, dt):
-    """Advance a constant graph by the exact slice solution."""
+    """Advance a constant graph by the exact slice solution over a finite,
+    positive dt."""
     if not state.surface.is_constant:
         raise ValueError("slice ODE step requires a constant graph")
-    _check_finite("dt", dt, positive=False)
-    if dt == 0.0:
-        return state
+    _check_finite("dt", dt)
     new_r = state.surface.radius_field * math.exp(0.5 * dt)
     surface = GraphSurface(state.surface.background, new_r)
     return FlowState(state.time + dt, surface, state.step_count + 1)
@@ -214,18 +206,14 @@ def step_graph_pde(state, dt):
     exponentials are scalar libm calls.  Every stage is a validated
     GraphSurface whose mean curvature is checked against the floor.
 
-    The guard repeats ``run_flow``'s ``cfl_limit`` request as a memo read: it
-    protects callers that step directly, such as the tests and the
-    benchmark's per-step timing, and passing the bound in would take a
-    parameter or a second step path.
+    The requested dt must be finite and positive; the step takes
+    min(dt, cfl_limit) and returns the state at the time it reached.
     """
     surface = state.surface
     background = surface.background
     x = _velocity(surface)  # v(r), which becomes r1
     _check_finite("dt", dt)
-    limit = cfl_limit(surface)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")
+    dt = min(dt, cfl_limit(surface))
     # Each stage is written into its fresh velocity array, and rebinding x
     # frees the stage before it, so one stage field is held at a time.
     r = surface.radius_field
@@ -245,12 +233,12 @@ def run_flow(initial, t_end, sample_interval):
     """Drive a flow to t_end, sampling functionals at fixed intervals.
 
     Constant graphs take the exact ODE path directly between sample
-    times; all other graphs take explicit steps of at most
-    ``cfl_limit(surface)``.  A time within a slack of a sample time has
-    reached it: 1e-12, or a millionth of the first sample gap if that is
-    smaller, so a complete trace ends at t_end even where t_end is at or
-    below 1e-12.  On a flow abort the partial trace is returned with
-    ``complete`` False.
+    times; all other graphs request a step to the next sample time, which
+    ``step_graph_pde`` cuts to its stability limit.  A time within a slack
+    of a sample time has reached it: 1e-12, or a millionth of the first
+    sample gap if that is smaller, so a complete trace ends at t_end even
+    where t_end is at or below 1e-12.  On a flow abort the partial trace is
+    returned with ``complete`` False.
     """
     _check_finite("t_end", t_end)
     _check_finite("sample_interval", sample_interval)
@@ -270,8 +258,7 @@ def run_flow(initial, t_end, sample_interval):
             if ode_path:
                 state = step_slice_ode(state, next_sample - state.time)
             else:
-                dt = min(cfl_limit(state.surface), next_sample - state.time)
-                state = step_graph_pde(state, dt)
+                state = step_graph_pde(state, next_sample - state.time)
             if state.time >= next_sample - slack:
                 rows.append(_sample_row(state))
                 sample_index += 1

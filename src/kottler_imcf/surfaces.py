@@ -47,10 +47,9 @@ class SurfaceGeometry:
     functionals read, and the shape group's closure, which gives
     (traceless_sq, alignment) from the same potential.  The shape closure is
     made only when the measure group runs, so a flow stage, which reads
-    neither group, makes one closure per geometry.  The scalars computed
-    from a geometry and its surface's read-only field, its surface integrals
-    (GraphSurface.integral, the bulk among them) and its unscaled CFL bound
-    (flow.cfl_limit), are kept by name in its memo ``derived``, each
+    neither group, makes one closure per geometry.  The surface integrals
+    of a geometry and its surface's read-only field (GraphSurface.integral,
+    the bulk among them) are kept by name in its memo ``derived``, each
     computed once; dataclasses.replace starts a new memo.
 
     On the torus, H and the graph factor come in closed form, without the
@@ -113,7 +112,7 @@ def _sphere_geometry(background, grid, r):
     # scalars as 0-d arrays.  Each expression keeps its operand order, as goldens
     # and tests pin these bits (c - a*b is -a*b + c, 2r is r + r, exactly).
     k, two_m = background.v_squared_terms
-    two_h, h_sq = grid.stencil_divisors
+    (by_2h, two_h), (by_h_sq, h_sq) = grid.stencil_scales
     r_sq = r**2
     # V^2 = k + r^2 - 2m/r from r_sq, in KottlerBackground.v_squared's operand order.
     f = k + r_sq
@@ -126,10 +125,10 @@ def _sphere_geometry(background, grid, r):
     # r[1] - r[1] (or r[-2] - r[-2]), exactly 0 for a finite field.
     ext = r[grid.ext_index]
     r_t = ext[2:] - ext[:-2]
-    r_t /= two_h
+    by_2h(r_t, two_h, r_t)
     r_tt = ext[2:] - two_r
     r_tt += ext[:-2]
-    r_tt /= h_sq
+    by_h_sq(r_tt, h_sq, r_tt)
     grad_sq = r_t**2
     n_f = grad_sq / r_sq
     n_f = np.sqrt(np.add(f, n_f, out=n_f), out=n_f)

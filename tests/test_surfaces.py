@@ -832,13 +832,21 @@ def test_scale_down_divides_where_the_reciprocal_is_not_exact(c, x):
 @pytest.mark.parametrize("n, area, power_of_two", [
     (8, 1.0, True), (64, 1.0, True), (64, 4.0, True),
     (33, 1.0, False), (48, 1.0, False), (64, 2.5, False),
+    pytest.param(33, None, False, id="sphere-33"),
+    pytest.param(129, None, False, id="sphere-129"),
 ])
 def test_torus_stencil_scales_divide_exactly(n, area, power_of_two):
     # The cases take scales that are powers of two and scales that are not;
-    # either way a cached scale has the bits of the division.
-    grid = make_background(0, 1, n, mass=0.5, area=area).base.grid
+    # either way a cached scale has the bits of the division.  A sphere grid
+    # (area None), whose spacing pi / (n - 1) is never a power of two, has
+    # the first two scales, 2h and h^2.
+    if area is None:
+        grid = make_background(1, 0, n, mass=1.0).base.grid
+    else:
+        grid = make_background(0, 1, n, mass=0.5, area=area).base.grid
     h = grid.spacing
     x = np.linspace(1.0, 2.0, 1001)
+    assert len(grid.stencil_scales) == (2 if area is None else 3)
     for (ufunc, operand), c in zip(grid.stencil_scales, (2.0 * h, h**2, 4.0 * h**2)):
         assert (math.frexp(c)[0] == 0.5) == power_of_two
         assert np.array_equal(_bits(ufunc(x, operand)), _bits(x / c))
