@@ -39,12 +39,17 @@ __all__ = [
     "run_flow",
 ]
 
-# The step fraction of the CFL bound; a step aborts where H is at or below
-# H_FLOOR, and a flow does not start where the radial alignment drops below
-# STAR_FLOOR.  SSPRK(4,3)'s real stability interval, [-5.15, 0], is 2.57
-# times the midpoint step's, and CFL is 2.57 times the midpoint's 0.1: 38%
-# of the measured stability threshold of a 64^2 torus with a 2D mode (about
-# 0.66) and 25% of sphere 128's (about 1.0).  At it each trace column's
+# The step fraction of the CFL bound on the torus; each grid scales it by its
+# step_ratio.  A step aborts where H is at or below H_FLOOR, and a flow does
+# not start where the radial alignment drops below STAR_FLOOR.  SSPRK(4,3)'s
+# real stability interval, [-5.15, 0], is 2.57 times the midpoint step's,
+# and CFL is 2.57 times the midpoint's 0.1.  Measured from the spectrum of
+# the linearized speed, the stable step is about 0.65 of the bound near a
+# torus slice (5.15/8, the five-point stencil's two axes) and about 1.06 of
+# it near a sphere slice, whose stencil has one axis.  So the torus, at 0.25,
+# steps at 39% of its limit and the sphere, at 1.5 times that, at 35%; with
+# a 2D mode a 64^2 torus breaks at about 0.66 of the bound and sphere 128
+# with a cos 3 theta mode at 1.05-1.1.  At these steps each trace column's
 # time error is at most a tenth of its spatial error.
 CFL = 0.25
 H_FLOOR = 1e-6
@@ -134,10 +139,14 @@ def cfl_limit(surface):
     one grid direction.  So a perturbation moves the speed by
     delta v = delta r_tt / (H^2 gamma_tt): the graph factor cancels, and
     the linearized operator diffuses with coefficient 1 / (H r)^2 per unit
-    grid spacing squared.  The limit is CFL times min over nodes of
-    (spacing r H)^2, computed on every call; ``step_graph_pde`` makes the
-    one call of each step.  A point-grid surface is a slice: it has no
-    spacing and steps by ``step_slice_ode``.
+    grid spacing squared.  The limit is CFL times the grid's step_ratio
+    times min over nodes of (spacing r H)^2, in that operand order,
+    computed on every call; ``step_graph_pde`` makes the one call of each
+    step.  The ratio is 1 on the torus and 1.5 on the sphere: the torus
+    diffuses along two grid axes, the axisymmetric sphere along one, so the
+    sphere's stable step is about 1.6 times the torus's in units of the
+    bound (CFL gives the measured limits).  A point-grid surface is a
+    slice: it has no spacing and steps by ``step_slice_ode``.
     """
     grid = surface.background.base.grid
     if isinstance(grid, PointGrid):
@@ -148,7 +157,7 @@ def cfl_limit(surface):
     np.square(local, out=local)
     # argmin finds the first NaN, as the reduction propagates it, at about a
     # third of its cost; a square holds no -0, so the bits agree.
-    return CFL * local.item(local.argmin())
+    return CFL * grid.step_ratio * local.item(local.argmin())
 
 
 def step_slice_ode(state, dt):

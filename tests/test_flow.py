@@ -149,13 +149,14 @@ def _bound_reference(surface):
 @pytest.mark.parametrize("scale_first", [True, False], ids=["scaled-first", "unit-first"])
 def test_cfl_limit_scales_one_bound(kind, scale_first):
     # Whether the limit or the unscaled reference bound is taken first on a
-    # fresh surface, every call has the bits of CFL times the reference.
+    # fresh surface, every call has the bits of CFL times the grid's step
+    # ratio times the reference.
     s = _edge_surface(kind)
     if scale_first:
         first, unit = cfl_limit(s), _bound_reference(s)
     else:
         unit, first = _bound_reference(s), cfl_limit(s)
-    expected = np.float64(CFL * unit).view(np.uint64)
+    expected = np.float64(CFL * s.background.base.grid.step_ratio * unit).view(np.uint64)
     for call, limit in (("first", first), ("second", cfl_limit(s))):
         assert np.float64(limit).view(np.uint64) == expected, call
 
@@ -169,7 +170,7 @@ def test_replaced_geometry_gets_its_own_bound():
     _with_node(s, "mean_curvature", 0.5 * h[5])
     after = cfl_limit(s)
     assert after < before
-    assert after == CFL * _bound_reference(s)
+    assert after == CFL * s.background.base.grid.step_ratio * _bound_reference(s)
     s = _with_node(s, "mean_curvature", 0.0)
     assert cfl_limit(s) == 0.0
 
@@ -198,6 +199,16 @@ def _two_mode_torus(n):
                         + 0.05 * np.cos(phase * (g.theta1 + 2.0 * g.theta2)))
 
 
+def _assert_flow_matches_its_half_step(monkeypatch, surface):
+    """The flow of surface to t = 1 completes at CFL, and its min_H stays
+    within 1e-5 of the same flow at half the step."""
+    trace = run_flow(surface, 1.0, 0.125)
+    monkeypatch.setattr(kottler_imcf.flow, "CFL", 0.5 * CFL)
+    half = run_flow(surface, 1.0, 0.125)
+    assert trace.complete and half.complete and trace.times[-1] == 1.0
+    assert np.max(np.abs(trace.column("min_H") - half.column("min_H"))) <= 1e-5
+
+
 def test_torus_flow_with_a_two_dimensional_mode_is_stable(monkeypatch):
     # The acceptance torus input does not depend on theta_2, so its theta_2
     # modes are never seeded; this one seeds a mode in both directions, whose
@@ -205,12 +216,57 @@ def test_torus_flow_with_a_two_dimensional_mode_is_stable(monkeypatch):
     # flow runs to t = 1, and its min_H stays within 1e-5 of the same flow at
     # half the step: the two differ by 4.8e-9, by 8.9e-8 at 0.66 of the bound,
     # and by 2.7e-2 at 0.68, just past the limit.
-    surface = _two_mode_torus(64)
-    trace = run_flow(surface, 1.0, 0.125)
-    monkeypatch.setattr(kottler_imcf.flow, "CFL", 0.5 * CFL)
-    half = run_flow(surface, 1.0, 0.125)
-    assert trace.complete and half.complete and trace.times[-1] == 1.0
-    assert np.max(np.abs(trace.column("min_H") - half.column("min_H"))) <= 1e-5
+    _assert_flow_matches_its_half_step(monkeypatch, _two_mode_torus(64))
+
+
+def test_sphere_flow_with_a_higher_mode_is_stable(monkeypatch):
+    # The sphere twin of the torus test above: sphere 128 steps at 1.5 times
+    # the torus's step fraction of the bound.  A cos 3 theta mode flows to
+    # t = 1 at CFL, and its min_H stays within 1e-5 of the same flow at half
+    # the step: the two differ by 7.6e-10, by 1.7e-8 at 1.0 of the bound, by
+    # 2.0e-7 at 1.05 and by 1.1e-3 at 1.1, where the step breaks.
+    b = make_background(1, 0, 128, mass=1.0)
+    surface = GraphSurface(b, 2.0 + 0.1 * np.cos(3.0 * b.base.grid.theta))
+    _assert_flow_matches_its_half_step(monkeypatch, surface)
+
+
+def _spectral_radius(surface, eps=1e-7):
+    """The largest |eigenvalue| of the central-difference Jacobian of
+    k(r) = v(r) - r/2 at the surface's radius field."""
+    shape = surface.radius_field.shape
+    r = surface.radius_field.ravel()
+
+    def k(x):
+        g = GraphSurface(surface.background, x.reshape(shape)).geometry
+        return (g.graph_factor / g.mean_curvature).ravel() - 0.5 * x
+
+    columns = []
+    for j in range(r.size):
+        d = np.zeros(r.size)
+        d[j] = eps
+        columns.append((k(r + d) - k(r - d)) / (2.0 * eps))
+    return np.max(np.abs(np.linalg.eigvals(np.column_stack(columns))))
+
+
+@pytest.mark.parametrize("kind, share", [("sphere-33", 0.3527), ("torus-16", 0.3875)])
+def test_each_grid_steps_at_its_share_of_the_stability_limit(kind, share):
+    # SSPRK(4,3) is stable to dt = 5.15 / lambda_max, with lambda_max the
+    # spectral radius of the linearized k.  Near a slice that limit is 1.063
+    # of the bound on the sphere, whose stencil has one axis, and 0.645 of it
+    # on the torus, about 5.15/8 for the two axes of the five-point stencil.  So
+    # with the step ratios 1.5 and 1 each grid steps at about the same share
+    # of its own limit.  Without the sphere's ratio the sphere's share reads
+    # 0.235, and with it on the torus the torus's reads 0.58; no flow test
+    # sees either as unstable.
+    if kind == "sphere-33":
+        b = make_background(1, 0, 33, mass=1.0)
+        surface = GraphSurface(b, 2.0 + 1e-3 * np.cos(b.base.grid.theta))
+    else:
+        b = make_background(0, 1, 16, mass=0.5)
+        g = b.base.grid
+        surface = GraphSurface(b, 3.0 + 1e-3 * np.sin(2.0 * np.pi * g.theta1 / g.side))
+    measured = cfl_limit(surface) * _spectral_radius(surface) / 5.15
+    assert measured == pytest.approx(share, rel=0.02), measured
 
 
 def test_point_grid_surface_steps_as_a_slice():
@@ -345,7 +401,7 @@ def test_run_flow_pde_area_growth_and_traceless_decay():
 
 
 @pytest.mark.parametrize("scenario, steps, evaluations", [
-    ("sphere-perturbed", 111, 445),
+    ("sphere-perturbed", 78, 313),
     ("torus-perturbed", 104, 417),
 ], ids=["sphere-perturbed", "torus-perturbed"])
 def test_shipped_flow_work_counts(monkeypatch, scenario, steps, evaluations):
@@ -519,7 +575,7 @@ def test_shipped_flow_time_error_is_a_tenth_of_its_spatial_error(monkeypatch, sc
     # max over samples of |difference| / max(|value|, 1), the time error (the
     # difference from the same flow at CFL/8) is at most a tenth of the
     # spatial error (|f_n - f_{n/2}| / 3, the grids being second order).  The
-    # worst columns read 5.1e-6 and 5.5e-5 of it; the integrating-factor
+    # worst columns read 1.7e-5 and 5.5e-5 of it; the integrating-factor
     # midpoint step at 0.1 read 0.012 and 0.005.
     with open(os.path.join(SCENARIO_DIR, scenario + ".cfg"), encoding="utf-8") as fh:
         text = fh.read()
