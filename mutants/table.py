@@ -131,23 +131,28 @@ MUTANTS = [
         "either side of 0; only the constant horizon slice may touch it"),
     Mutant(
         "cfl-min-as-max", FLOW,
-        "return CFL * grid.step_ratio * local.item(local.argmin())",
-        "return CFL * grid.step_ratio * local.item(local.argmax())",
+        "return CFL * grid.stable_step * local.item(local.argmin())",
+        "return CFL * grid.stable_step * local.item(local.argmax())",
         "the stable step is set by the most restrictive node; the least one "
         "lets the flow step past the stability limit"),
     Mutant(
         "sphere-step-ratio-dropped", BASE,
-        "    step_ratio = 1.5\n",
-        "    step_ratio = 1.0\n",
-        "the sphere steps at the torus's fraction of its bound, 24% of its own "
-        "stability limit: the same trace to within its time error, at 1.5 times "
-        "the steps"),
+        "    stable_step = 1.063\n",
+        "    stable_step = 0.645\n",
+        "the sphere takes the torus's stable step, 0.36 of its own stability "
+        "limit: the same trace to within its time error, at 1.65 times the steps"),
     Mutant(
         "torus-takes-the-sphere-ratio", BASE,
-        "    step_ratio = 1.0  # the reference",
-        "    step_ratio = 1.5  # the reference",
-        "the torus's two-axis stencil is 1.6 times stiffer than the sphere's: at "
-        "1.5 times its step fraction it steps at 58% of its stability limit"),
+        "    stable_step = 0.645\n",
+        "    stable_step = 1.063\n",
+        "the torus's two-axis stencil is 1.65 times stiffer than the sphere's: "
+        "with the sphere's stable step it steps at 0.99 of its own limit"),
+    Mutant(
+        "step-share-past-the-limit", FLOW,
+        "CFL = 0.6\n",
+        "CFL = 1.2\n",
+        "every grid steps at 1.2 times its own stability limit: each flow's "
+        "high modes grow instead of decaying"),
     # -- stepper inputs -------------------------------------------------------
     Mutant(
         "predicate-admits-inf", FLOW,

@@ -55,10 +55,10 @@ class AxisymmetricSphereGrid:
         inner = self.theta[1:-1]
         return np.concatenate(([0.0], np.cos(inner) / np.sin(inner), [0.0]))
 
-    # The flow's step fraction over the torus's (flow.cfl_limit): this stencil
-    # has one axis where the torus's has two, so its stable step is about 1.6
-    # times the torus's in units of the bound.
-    step_ratio = 1.5
+    # The SSPRK(4,3) stability limit near a slice, in units of the flow's
+    # bound (flow.cfl_limit), measured from the spectrum of the linearized
+    # speed: this stencil has one axis where the torus's has two.
+    stable_step = 1.063
 
     @cached_property
     def stencil_scales(self):
@@ -88,7 +88,9 @@ class FlatTorusGrid:
     def spacing(self):
         return self.side / self.n
 
-    step_ratio = 1.0  # the reference: flow.CFL is the torus's step fraction
+    # The SSPRK(4,3) stability limit near a slice, in units of the flow's
+    # bound: about 5.15/8, for the five-point stencil's two axes.
+    stable_step = 0.645
 
     @cached_property
     def stencil_scales(self):

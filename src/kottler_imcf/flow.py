@@ -39,19 +39,16 @@ __all__ = [
     "run_flow",
 ]
 
-# The step fraction of the CFL bound on the torus; each grid scales it by its
-# step_ratio.  A step aborts where H is at or below H_FLOOR, and a flow does
-# not start where the radial alignment drops below STAR_FLOOR.  SSPRK(4,3)'s
-# real stability interval, [-5.15, 0], is 2.57 times the midpoint step's,
-# and CFL is 2.57 times the midpoint's 0.1.  Measured from the spectrum of
-# the linearized speed, the stable step is about 0.65 of the bound near a
-# torus slice (5.15/8, the five-point stencil's two axes) and about 1.06 of
-# it near a sphere slice, whose stencil has one axis.  So the torus, at 0.25,
-# steps at 39% of its limit and the sphere, at 1.5 times that, at 35%; with
-# a 2D mode a 64^2 torus breaks at about 0.66 of the bound and sphere 128
-# with a cos 3 theta mode at 1.05-1.1.  At these steps each trace column's
-# time error is at most a tenth of its spatial error.
-CFL = 0.25
+# CFL is the share of its grid's own stability limit that a step takes:
+# cfl_limit returns CFL times the grid's stable_step, the SSPRK(4,3) limit
+# near a slice in units of the bound, times the bound.  A step aborts where H
+# is at or below H_FLOOR, and a flow does not start where the radial
+# alignment drops below STAR_FLOOR.  The limit holds off a slice too: 64^2
+# tori with two-axis modes and sphere 128 with cos 3 theta or cos 5 theta
+# modes, min H / max H down to 0.43, flow smoothly at 1.0 of their grid's
+# limit and break by 1.05, so the share leaves 1/CFL of headroom.  At this
+# share each trace column's time error is at most 2e-4 of its spatial error.
+CFL = 0.6
 H_FLOOR = 1e-6
 STAR_FLOOR = 0.1
 
@@ -139,14 +136,14 @@ def cfl_limit(surface):
     one grid direction.  So a perturbation moves the speed by
     delta v = delta r_tt / (H^2 gamma_tt): the graph factor cancels, and
     the linearized operator diffuses with coefficient 1 / (H r)^2 per unit
-    grid spacing squared.  The limit is CFL times the grid's step_ratio
+    grid spacing squared.  The limit is CFL times the grid's stable_step
     times min over nodes of (spacing r H)^2, in that operand order,
     computed on every call; ``step_graph_pde`` makes the one call of each
-    step.  The ratio is 1 on the torus and 1.5 on the sphere: the torus
-    diffuses along two grid axes, the axisymmetric sphere along one, so the
-    sphere's stable step is about 1.6 times the torus's in units of the
-    bound (CFL gives the measured limits).  A point-grid surface is a
-    slice: it has no spacing and steps by ``step_slice_ode``.
+    step.  stable_step is the grid's measured SSPRK(4,3) limit in units of
+    the bound: 0.645 on the torus, which diffuses along two grid axes, and
+    1.063 on the axisymmetric sphere, which diffuses along one.  So CFL is
+    the share of its own limit that every grid steps at.  A point-grid
+    surface is a slice: it has no spacing and steps by ``step_slice_ode``.
     """
     grid = surface.background.base.grid
     if isinstance(grid, PointGrid):
@@ -157,7 +154,7 @@ def cfl_limit(surface):
     np.square(local, out=local)
     # argmin finds the first NaN, as the reduction propagates it, at about a
     # third of its cost; a square holds no -0, so the bits agree.
-    return CFL * grid.step_ratio * local.item(local.argmin())
+    return CFL * grid.stable_step * local.item(local.argmin())
 
 
 def step_slice_ode(state, dt):
