@@ -72,6 +72,13 @@ MUTANTS = [
         "addition commutes, so -r_tt + f_r has the bits of f_r - r_tt for "
         "every pair of doubles, signed zeros included (a NaN, whose payload "
         "could differ, makes H non-finite and is rejected)"),
+    Mutant(
+        "sphere-f1-term-1e-6", SURFACES,
+        "    k1 += grad_sq * 0.5 * f1 / f\n",
+        "    k1 += grad_sq * 0.5000005 * f1 / f\n",
+        "a 1e-6 relative fault in the f'/(2f) term of h_tt, which the stencils' "
+        "O(h^2) error hides; only the oracles fed exact derivatives (through "
+        "_sphere_stencils) see it"),
     # -- one reduction of H and of r ------------------------------------------
     Mutant(
         "geometry-min-as-max", SURFACES,
@@ -273,6 +280,12 @@ MUTANTS = [
         "    g *= 2.0 * background.mass\n",
         "f r c G is 4 f r G + 3 m G, as r^3 = f r + 2m; 2m in place of 3m is the "
         "term of a lighter mass"),
+    Mutant(
+        "torus-mass-term-1e-6", SURFACES,
+        "    g *= 3.0 * background.mass\n",
+        "    g *= 3.000003 * background.mass\n",
+        "a 1e-6 relative fault in N's 3 m G term, far below the stencils' O(h^2) "
+        "error; the metric-inverse reference and H from exact derivatives see it"),
     Mutant(
         "torus-denominator-power", SURFACES,
         "    den = np.multiply(d, sqrt_d, a)\n",

@@ -199,13 +199,13 @@ def radius_bounds(kappa):
     return (kappa - disc) / 3.0, (kappa + disc) / 3.0
 
 
-def static_residual(background, sample_rho, potential=None):
+def static_residual(background, sample_rho):
     """Max norms of the static vacuum equation residuals at the sample radii.
 
     Returns (hessian_residual, laplace_residual), where the first is the
     g-norm of Hess W - W Ric - 3 W g and the second is |Lap W - 3 W|,
     all assembled from closed-form Christoffel symbols and analytic
-    derivatives of the potential W (the background's V by default).
+    derivatives of the background's potential W = V.
     """
     rho = np.atleast_1d(np.asarray(sample_rho, dtype=float))
     if np.any(rho <= background.horizon_rho * (1.0 + 1e-8)):
@@ -216,14 +216,9 @@ def static_residual(background, sample_rho, potential=None):
     f = background.v_squared(rho)  # V^2, the radial metric factor
     f1 = 2.0 * rho + 2.0 * m / rho**2
 
-    if potential is None:
-        w = background.potential(rho)
-        w1 = background.potential_d1(rho)
-        w2 = background.potential_d2(rho)
-    else:
-        w = potential.value(rho)
-        w1 = potential.d1(rho)
-        w2 = potential.d2(rho)
+    w = background.potential(rho)
+    w1 = background.potential_d1(rho)
+    w2 = background.potential_d2(rho)
 
     # Closed-form Ricci of the warped metric: Ric_rr and the ghat-coefficient
     # of the angular block.

@@ -202,7 +202,7 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         Node count (colatitude nodes for the sphere, n for the n x n torus
         grid).  "point" requests the single-point grid.
     area : float, optional
-        Overrides the flat-torus area (default 1).  Ignored for curved
+        Overrides the flat-torus area (default 1).  Rejected for curved
         bases, whose area is forced by Gauss-Bonnet.
     """
     if curvature_sign not in (-1, 0, 1):
@@ -222,7 +222,7 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
         w2 = 1.0 if area is None else float(area)
         if w2 <= 0:
             raise InvalidBaseError("torus area must be positive", "area")
-    if curvature_sign != 0 and area is not None and not np.isclose(area, w2):
+    if curvature_sign != 0 and area is not None:
         raise InvalidBaseError("area of a curved base is fixed by Gauss-Bonnet", "area")
 
     point = grid_resolution == "point"

@@ -119,9 +119,9 @@ class ScenarioConfig:
     base_area: float | None = _key("background", _positive, key="area")
     radius: float | None = _key("surface", _positive)
     amplitude: float = _key("surface", _nonnegative, 0.0)
-    mode: int | None = _key("surface", _mode)
-    mode1: int | None = _key("surface", _mode)
-    mode2: int | None = _key("surface", _mode)
+    mode: int = _key("surface", _mode, 1)
+    mode1: int = _key("surface", _mode, 1)
+    mode2: int = _key("surface", _mode, 0)
     t_end: float | None = _key("flow", _positive)
     sample_interval: float = _key("flow", _positive, 0.25)
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
@@ -202,8 +202,8 @@ def _validate(config, lines):
         key = "mass" if config.mass is not None else "horizon_radius"
         fail(f"key {key!r}: {err}", key)
     grid, rho_m = background.base.grid, background.horizon_rho
-    modes = _modes(config)
-    surface = (["amplitude"] if config.amplitude != 0.0 else []) + list(modes)
+    modes = [key for key in ("mode", "mode1", "mode2") if key in lines]
+    surface = (["amplitude"] if config.amplitude != 0.0 else []) + modes
     flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
     for section, given in (("surface", surface), ("flow", flow)):
         if config.radius is None and given:
@@ -231,14 +231,14 @@ def _validate(config, lines):
             ignored = sorted({"amplitude", *modes}.difference(keys))
             where = f"on a {type(grid).__name__} background"
             if not ignored and isinstance(grid, FlatTorusGrid) and _torus_modes_vanish(
-                    grid, **modes):
+                    grid, config.mode1, config.mode2):
                 ignored = ["amplitude", *sorted(modes)]
                 where = f"when resolution {grid.n} divides both 2*mode1 and 2*mode2"
         if ignored:
             fail(f"[surface] key(s) {', '.join(ignored)} have no effect {where}", ignored[0])
 
 
-def _torus_modes_vanish(grid, mode1=1, mode2=0):
+def _torus_modes_vanish(grid, mode1, mode2):
     # On node (j, k) the torus field is sin(2 pi (mode1 j + mode2 k) / n): 0
     # on every node iff n divides both 2*mode1 and 2*mode2.  In floating point
     # the Nyquist case sin(pi j) leaves round-off, so the rule is decided on
@@ -246,24 +246,19 @@ def _torus_modes_vanish(grid, mode1=1, mode2=0):
     return (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0
 
 
-def _torus_mode_field(grid, mode1=1, mode2=0):
-    return np.sin(2.0 * np.pi * (mode1 * grid.theta1 + mode2 * grid.theta2) / grid.side)
-
-
-def _modes(config):
-    """The mode keys that the config sets, with their values."""
-    return {key: getattr(config, key) for key in ("mode", "mode1", "mode2")
-            if getattr(config, key) is not None}
+def _torus_mode_field(grid, config):
+    return np.sin(2.0 * np.pi * (config.mode1 * grid.theta1 + config.mode2 * grid.theta2)
+                  / grid.side)
 
 
 # Per grid kind: the [surface] keys besides `radius` that it reads, and
-# the unit mode field those keys define (mode keys default as in the
-# signatures).  The point grid carries constant graphs only.
+# the unit mode field those keys define (with ScenarioConfig's mode
+# defaults).  The point grid carries constant graphs only.
 _MODE_FIELDS = {
     PointGrid: ((), None),
     AxisymmetricSphereGrid: (
         ("amplitude", "mode"),
-        lambda grid, mode=1: np.cos(mode * grid.theta),
+        lambda grid, config: np.cos(config.mode * grid.theta),
     ),
     FlatTorusGrid: (("amplitude", "mode1", "mode2"), _torus_mode_field),
 }
@@ -276,7 +271,7 @@ def build_initial_surface(config, background):
     if config.amplitude == 0.0:
         return GraphSurface(background, config.radius)
     grid = background.base.grid
-    unit = _MODE_FIELDS[type(grid)][1](grid, **_modes(config))
+    unit = _MODE_FIELDS[type(grid)][1](grid, config)
     return GraphSurface(background, config.radius + config.amplitude * unit)
 
 

@@ -70,11 +70,8 @@ def compute_Q(surface):
     Non-increasing along inverse mean curvature flow and constant, equal
     to 2 * k * sqrt(w2), precisely on Kottler slices.
     """
-    area = surface.area()
-    if area <= 0.0:
-        raise ValueError("surface area must be positive")
     return (total_mean_curvature(surface) - 6.0 * bulk_integral(surface)
-            + 4.0 * surface.background.chi_horizon_term) / np.sqrt(area)
+            + 4.0 * surface.background.chi_horizon_term) / np.sqrt(surface.area())
 
 
 def compute_P(surface):
@@ -86,8 +83,6 @@ def compute_P(surface):
     """
     background = surface.background
     area = surface.area()
-    if area <= 0.0:
-        raise ValueError("surface area must be positive")
     return (total_mean_curvature(surface) - 2.0 * area**1.5 / np.sqrt(background.base.area)
             + 4.0 * background.areal_horizon_term) / np.sqrt(area)
 

@@ -106,13 +106,32 @@ class SurfaceGeometry:
         return self._shape_fields[1]
 
 
+def _centred(up, down, two_r, scales, first=None, second=None):
+    """The second-order centred (up - down)/2h and (up - 2r + down)/h^2 by the
+    grid's stencil_scales, into first and second, or new arrays where None."""
+    (by_2h, two_h), (by_h_sq, h_sq) = scales[:2]
+    first = np.subtract(up, down, first)
+    by_2h(first, two_h, first)
+    second = np.subtract(up, two_r, second)
+    second += down
+    by_h_sq(second, h_sq, second)
+    return first, second
+
+
+def _sphere_stencils(grid, r, two_r):
+    # Reflective (even) extension across both poles in one gather, so that
+    # the Neumann condition r'(0) = r'(pi) = 0 holds: r_t at a pole is
+    # r[1] - r[1] (or r[-2] - r[-2]), exactly 0 for a finite field.
+    ext = r[grid.ext_index]
+    return _centred(ext[2:], ext[:-2], two_r, grid.stencil_scales)
+
+
 def _sphere_geometry(background, grid, r):
     # At 128 nodes this kernel is bound by per-call cost, not arithmetic, so it
     # makes few numpy calls, finishes each expression in place and takes its
     # scalars as 0-d arrays.  Each expression keeps its operand order, as goldens
     # and tests pin these bits (c - a*b is -a*b + c, 2r is r + r, exactly).
     k, two_m = background.v_squared_terms
-    (by_2h, two_h), (by_h_sq, h_sq) = grid.stencil_scales
     r_sq = r**2
     # V^2 = k + r^2 - 2m/r from r_sq, in KottlerBackground.v_squared's operand order.
     f = k + r_sq
@@ -120,15 +139,7 @@ def _sphere_geometry(background, grid, r):
     two_r = r + r
     f1 = two_r + two_m / r_sq
 
-    # Reflective (even) extension across both poles in one gather, so that
-    # the Neumann condition r'(0) = r'(pi) = 0 holds: r_t at a pole is
-    # r[1] - r[1] (or r[-2] - r[-2]), exactly 0 for a finite field.
-    ext = r[grid.ext_index]
-    r_t = ext[2:] - ext[:-2]
-    by_2h(r_t, two_h, r_t)
-    r_tt = ext[2:] - two_r
-    r_tt += ext[:-2]
-    by_h_sq(r_tt, h_sq, r_tt)
+    r_t, r_tt = _sphere_stencils(grid, r, two_r)
     grad_sq = r_t**2
     n_f = grad_sq / r_sq
     n_f = np.sqrt(np.add(f, n_f, out=n_f), out=n_f)
@@ -198,6 +209,27 @@ class _ThreadWorkspaces(threading.local):
 _workspaces = _ThreadWorkspaces()
 
 
+def _torus_stencils(grid, r, slots):
+    # r1, r2, r11, r22 and r12 into their slots (_torus_kernel), with 2r in D's.
+    # Periodic neighbours: c holds r with one more row on either side (row 0
+    # is row n, row n+1 is row 1), and right and left hold c[:, j+1] and
+    # c[:, j-1], so that every stencil term is one contiguous block.
+    _, d, _, r1, r2, r11, r22, r12, c, right, left = slots
+    scales = grid.stencil_scales
+    c[1:-1] = r
+    c[0], c[-1] = c[-2], c[1]
+    right[:, :-1], right[:, -1] = c[:, 1:], c[:, 0]
+    left[:, 1:], left[:, 0] = c[:, :-1], c[:, -1]
+    two_r = np.add(r, r, d)
+    _centred(c[2:], c[:-2], two_r, scales, r1, r11)
+    _centred(right[1:-1], left[1:-1], two_r, scales, r2, r22)
+    np.subtract(right[2:], left[2:], r12)
+    r12 -= right[:-2]
+    r12 += left[:-2]
+    by_4h_sq, four_h_sq = scales[2]
+    by_4h_sq(r12, four_h_sq, r12)
+
+
 def _torus_kernel(background, grid, r, slots):
     # H and the graph factor in closed form, without the metric's inverse.
     # With f = V^2, the centred differences r_i, r_ij, G = |grad r|^2 and
@@ -222,25 +254,7 @@ def _torus_kernel(background, grid, r, slots):
     # last three hold the periodic neighbours, then scratch.  V^2 is r^2 - 2m/r,
     # as k = 0 on every torus (BaseSurface).  Nothing is written into r.
     f, d, sqrt_d, r1, r2, r11, r22, r12, c, right, left = slots
-    (by_2h, two_h), (by_h_sq, h_sq), (by_4h_sq, four_h_sq) = grid.stencil_scales
-
-    # Periodic neighbours: c holds r with one more row on either side (row 0
-    # is row n, row n+1 is row 1), and right and left hold c[:, j+1] and
-    # c[:, j-1], so that every stencil term is one contiguous block.
-    c[1:-1] = r
-    c[0], c[-1] = c[-2], c[1]
-    right[:, :-1], right[:, -1] = c[:, 1:], c[:, 0]
-    left[:, 1:], left[:, 0] = c[:, :-1], c[:, -1]
-    by_2h(np.subtract(c[2:], c[:-2], r1), two_h, r1)
-    by_2h(np.subtract(right[1:-1], left[1:-1], r2), two_h, r2)
-    two_r = np.add(r, r, d)
-    for d2, up, down in ((r11, c[2:], c[:-2]), (r22, right[1:-1], left[1:-1])):
-        np.add(np.subtract(up, two_r, d2), down, d2)
-        by_h_sq(d2, h_sq, d2)
-    np.subtract(right[2:], left[2:], r12)
-    r12 -= right[:-2]
-    r12 += left[:-2]
-    by_4h_sq(r12, four_h_sq, r12)
+    _torus_stencils(grid, r, slots)
 
     # The neighbours are spent; their first n rows are scratch from here on.
     a, b, g = c[:-2], right[:-2], left[:-2]

@@ -224,8 +224,7 @@ def test_criterion_9_static_residual(capsys):
         rho = b.horizon_rho * (1.05 + 20.0 * frac)
         worst = max(worst, *static_residual(b, rho))
     b = make_background(1, 0, "point", mass=1.0)
-    detector = max(static_residual(b, [1.5, 2.0, 5.0],
-                                   potential=PerturbedPotential(b, 1e-3)))
+    detector = max(static_residual(PerturbedPotential.of(b, 1e-3), [1.5, 2.0, 5.0]))
     ok = worst <= 1e-9 and detector > 1e-4
     _verdict(capsys, 9, "static vacuum residual", ok,
              f"worst = {worst:.2e}, detector = {detector:.2e}")

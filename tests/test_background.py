@@ -179,8 +179,7 @@ def test_static_residual_vanishes(k, genus, mass):
 
 def test_static_residual_detects_perturbation():
     b = make_background(1, 0, "point", mass=1.0)
-    pert = PerturbedPotential(b, 1e-3)
-    hess, lap = static_residual(b, [1.5, 2.0, 5.0], potential=pert)
+    hess, lap = static_residual(PerturbedPotential.of(b, 1e-3), [1.5, 2.0, 5.0])
     assert max(hess, lap) > 1e-4
 
 

@@ -76,12 +76,13 @@ def test_curved_area_override_rejected():
     ((0, 0, 16), None, "genus"),
     ((0, 1, 16), -1.0, "area"),
     ((1, 0, 16), 5.0, "area"),
+    ((1, 0, 16), 4.0 * np.pi, "area"),
     ((1, 0, 4), None, "grid_resolution"),
     ((0, 1, MAX_RESOLUTION[0] + 1), None, "grid_resolution"),
     ((-1, 2, 16), None, "grid_resolution"),
     ((1, 0, 33.7), None, "grid_resolution"),
-], ids=["sign", "genus", "torus-area", "curved-area", "floor", "ceiling", "hyperbolic-grid",
-        "fraction"])
+], ids=["sign", "genus", "torus-area", "curved-area", "curved-area-gauss-bonnet", "floor",
+        "ceiling", "hyperbolic-grid", "fraction"])
 def test_each_base_error_names_its_argument(args, area, argument):
     with pytest.raises(InvalidBaseError) as err:
         make_base(*args, area=area)

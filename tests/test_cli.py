@@ -765,6 +765,9 @@ def test_cli_unknown_check_name_exit_two_before_any_flow(tmp_path, monkeypatch, 
     ("chmass", "slice-rigidity-hyperbolic", "resolution", "8", "only the point grid"),
     ("background", "slice-rigidity-sphere", "area", "5.0", "Gauss-Bonnet"),
     ("chmass", "slice-rigidity-hyperbolic", "area", "1.0", "Gauss-Bonnet"),
+    # The Gauss-Bonnet area, exact or rounded, too: on a curved base no area takes effect.
+    ("background", "slice-rigidity-sphere", "area", repr(4.0 * np.pi), "Gauss-Bonnet"),
+    ("background", "slice-rigidity-hyperbolic", "area", "12.5663706144", "Gauss-Bonnet"),
 ])
 def test_cli_base_rule_is_a_config_error_naming_the_key(tmp_path, capsys, command, scenario,
                                                        key, value, message):
@@ -927,11 +930,11 @@ def test_cli_torus_modes_that_vary_on_the_grid_still_run(tmp_path, mode1, mode2,
 
 
 def test_base_rules_accept_their_edges():
-    # The least grid, a torus area, and a curved area equal to Gauss-Bonnet's.
+    # The least grid and a torus area; a curved base takes its area from the genus.
     parse_config("[background]\ncurvature_sign = 1\nmass = 1.0\nresolution = 8\n")
     parse_config("[background]\ncurvature_sign = 0\nmass = 0.5\narea = 5.0\n")
     config = parse_config("[background]\ncurvature_sign = -1\ngenus = 3\nmass = 1.0\n"
-                          f"area = {8.0 * np.pi!r}\nresolution = point\n")
+                          "resolution = point\n")
     assert config.background.base.area == 8.0 * np.pi
 
 

@@ -475,6 +475,18 @@ def test_shipped_flow_work_counts(monkeypatch, scenario):
     assert per_row == [1] + [5] * (len(trace.data) - 1)
 
 
+@pytest.mark.parametrize("scenario", SHIPPED_FLOW_WORK)
+def test_shipped_flow_min_H_is_below_max_H(scenario):
+    # Neither shipped graph flow is a slice, so H varies over the nodes in
+    # every sample row, and the flow keeps it positive: 0 < min_H < max_H.
+    with open(os.path.join(SCENARIO_DIR, scenario + ".cfg"), encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    trace = run_flow(build_initial_surface(config, config.background), config.t_end,
+                     config.sample_interval)
+    min_h, max_h = trace.column("min_H"), trace.column("max_H")
+    assert trace.complete and np.all((0.0 < min_h) & (min_h < max_h)), (min_h, max_h)
+
+
 def test_torus_flow_and_audit_never_rerun_the_kernel(monkeypatch):
     # Every deferred read of a shipped torus scenario comes while the
     # workspace still holds its evaluation, so the kernel runs once per

@@ -109,6 +109,36 @@ def test_torus_mean_curvature_second_order():
     assert ratio == pytest.approx(4.0, rel=0.15)
 
 
+# The hand-differentiated derivatives of the two oracle fields, in place of
+# each kernel's stencil step (_sphere_stencils, _torus_stencils).
+
+
+def _exact_oracle_sphere_stencils(grid, r, two_r):
+    return -0.2 * np.sin(grid.theta), -0.2 * np.cos(grid.theta)
+
+
+def _exact_oracle_torus_stencils(grid, r, slots):
+    s = 2.0 * np.pi / grid.side
+    r1, r2, r11, r22, r12 = slots[3:8]
+    r1[...] = 0.1 * s * np.cos(s * grid.theta1)
+    r11[...] = -0.1 * s * s * np.sin(s * grid.theta1)
+    r2[...] = r22[...] = r12[...] = 0.0
+
+
+@pytest.mark.parametrize("step, stencils, oracle_error, n", [
+    ("_sphere_stencils", _exact_oracle_sphere_stencils, _sphere_oracle_error, 129),
+    ("_torus_stencils", _exact_oracle_torus_stencils, _torus_oracle_error, 64),
+], ids=["sphere", "torus"])
+def test_mean_curvature_with_exact_derivatives_matches_oracle(monkeypatch, step, stencils,
+                                                              oracle_error, n):
+    # Without the stencils' O(h^2) error only round-off is left between the
+    # kernel's algebra and the CAS values (measured 2.2e-16 on the sphere and
+    # 4.4e-16 on the torus; 1e-6 relative faults in the sphere's f'/(2f) term
+    # and the torus's 3 m G term read 2.8e-9 and 1.7e-10).
+    monkeypatch.setattr(kottler_imcf.surfaces, step, stencils)
+    assert oracle_error(n) <= 1e-13
+
+
 def test_alignment_bounded_by_one():
     for surface in (_sphere_surface(65)[0], _torus_surface(32)[0]):
         align = surface.geometry.alignment
@@ -492,6 +522,50 @@ def test_gauss_bonnet_second_order(surface, sizes, bound):
     orders = np.log2(errors[:-1] / errors[1:])
     assert np.all((orders >= 1.8) & (orders <= 2.2)), (errors, orders)
     assert errors[-1] <= bound, errors
+
+
+# The hand-differentiated derivatives of the two fields above, in place of each
+# kernel's stencil step: with no O(h^2) stencil error left to hide behind, the
+# Gauss-Bonnet error measures the kernel's algebra against the quadrature alone.
+
+
+def _exact_torus_stencils(grid, r, slots):
+    s = 2.0 * np.pi / grid.side
+    x, y = (s * t for t in (grid.theta1, grid.theta2))
+    r1, r2, r11, r22, r12 = slots[3:8]
+    r1[...] = s * (0.3 * np.cos(x + y) - 0.1 * np.sin(x - 2.0 * y))
+    r2[...] = s * (0.3 * np.cos(x + y) + 0.2 * np.sin(x - 2.0 * y))
+    r11[...] = s * s * (-0.3 * np.sin(x + y) - 0.1 * np.cos(x - 2.0 * y))
+    r22[...] = s * s * (-0.3 * np.sin(x + y) - 0.4 * np.cos(x - 2.0 * y))
+    r12[...] = s * s * (-0.3 * np.sin(x + y) + 0.2 * np.cos(x - 2.0 * y))
+
+
+def _exact_sphere_stencils(grid, r, two_r):
+    th = grid.theta
+    return (-0.2 * np.sin(th) - 0.2 * np.sin(2.0 * th),
+            -0.2 * np.cos(th) - 0.4 * np.cos(2.0 * th))
+
+
+def test_gauss_bonnet_torus_with_exact_derivatives(monkeypatch):
+    # The periodic trapezoid rule is spectral, so only round-off is left
+    # (measured 2.3e-17 and 1.0e-17; the stencils give 5.1e-3 and 1.3e-3).
+    # H cancels from the torus's K, which is ambient + f det(M)/D^2, so this
+    # checks the measure and shape algebra; the oracle above checks H.
+    monkeypatch.setattr(kottler_imcf.surfaces, "_torus_stencils", _exact_torus_stencils)
+    errors = [_gauss_bonnet_error(_gauss_bonnet_torus(n)) for n in (32, 64)]
+    assert max(errors) <= 1e-14, errors
+
+
+def test_gauss_bonnet_sphere_with_exact_derivatives(monkeypatch):
+    # Simpson's rule is left, whose error falls as h^4: measured 1.1e-7, 6.9e-9
+    # and 4.3e-10, falls of 16x.  A 1e-6 relative fault in the f'/(2f) term,
+    # which the stencils' 1.7e-5 and 4.3e-6 hide, reads 1.2e-7, 2.0e-8 and
+    # 1.4e-8 here: falls of 6.2x and 1.5x.
+    monkeypatch.setattr(kottler_imcf.surfaces, "_sphere_stencils", _exact_sphere_stencils)
+    errors = np.array([_gauss_bonnet_error(_gauss_bonnet_sphere(n)) for n in (65, 129, 257)])
+    falls = errors[:-1] / errors[1:]
+    assert np.all(falls >= 12.0), (errors, falls)
+    assert errors[-1] <= 1e-9, errors
 
 
 @pytest.mark.parametrize("surface, n", [(_gauss_bonnet_torus, 32), (_gauss_bonnet_sphere, 65)],
