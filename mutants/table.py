@@ -157,9 +157,9 @@ MUTANTS = [
     Mutant(
         "step-share-past-the-limit", FLOW,
         "CFL = 0.6\n",
-        "CFL = 1.2\n",
-        "every grid steps at 1.2 times its own stability limit: each flow's "
-        "high modes grow instead of decaying"),
+        "CFL = 1.5\n",
+        "a full step's lambda dt is 5.15 F CFL = 30.9, 1.21 times its row's "
+        "damped interval 25.57: each flow's high modes grow instead of decaying"),
     # -- stepper inputs -------------------------------------------------------
     Mutant(
         "predicate-admits-inf", FLOW,
@@ -176,15 +176,14 @@ MUTANTS = [
         "the whole field NaN"),
     Mutant(
         "step-dt-check-dropped", FLOW,
-        "    x = _velocity(surface)  # v(r), which becomes r1\n    _check_finite(\"dt\", dt)\n",
-        "    x = _velocity(surface)  # v(r), which becomes r1\n",
+        "    _check_finite(\"dt\", dt)\n    surface = state.surface\n",
+        "    surface = state.surface\n",
         "a negative dt steps the flow back in time, and an infinite one is "
         "cut to the limit instead of rejected"),
     Mutant(
         "step-dt-zero-admitted", FLOW,
-        "    x = _velocity(surface)  # v(r), which becomes r1\n    _check_finite(\"dt\", dt)\n",
-        "    x = _velocity(surface)  # v(r), which becomes r1\n"
-        "    if dt != 0.0:\n        _check_finite(\"dt\", dt)\n",
+        "    _check_finite(\"dt\", dt)\n    surface = state.surface\n",
+        "    if dt != 0.0:\n        _check_finite(\"dt\", dt)\n    surface = state.surface\n",
         "dt = 0 is counted as a step and never reaches t_end"),
     Mutant(
         "slice-dt-check-dropped", FLOW,
@@ -194,12 +193,12 @@ MUTANTS = [
         "the exact slice step accepts a negative dt, and dt = 0 counts as a step"),
     Mutant(
         "step-limit-ignored", FLOW,
-        "    dt = min(dt, cfl_limit(surface))\n",
-        "    cfl_limit(surface)\n",
+        "    dt = min(dt, F * limit)\n",
+        "",
         "the step computes its stability limit and takes the requested dt: "
-        "run_flow's request to the next sample time is then far past the "
-        "limit, and the flow goes unstable"),
-    # -- the integrating-factor SSPRK(4,3) step --------------------------------
+        "run_flow's request to the next sample time is then past every row's "
+        "damped interval, and no row covers it"),
+    # -- the integrating-factor stabilized step --------------------------------
     Mutant(
         "cfl-bound-graph-factor-restored", FLOW,
         "    local *= surface.geometry.mean_curvature\n",
@@ -209,45 +208,46 @@ MUTANTS = [
         "by its square again gives a trace as good, at about 13 times the steps "
         "on the torus acceptance flow"),
     Mutant(
-        "step-half-stage-factor-dropped", FLOW,
-        "    v *= quarter\n",
-        "",
-        "without e^{dt/4} each stage E evaluates k at the value of u, an r "
-        "short by that factor, so the step falls to first order"),
-    Mutant(
-        "step-full-stage-factor-dropped", FLOW,
-        "np.multiply(r, 2.0 / 3.0 * quarter)",
-        "np.multiply(r, 2.0 / 3.0)",
-        "r3 sits at t + dt/2, so r enters it carried there by e^{dt/4}; "
-        "without it r3 is short by about (2/3)(dt/4) r, and even a constant "
-        "graph misses its slice step"),
+        "step-stage-time-factor-dropped", FLOW,
+        "        stage = np.multiply(u, grown)\n",
+        "        stage = np.multiply(u, 1.0)\n",
+        "a substep at c dt evaluates k at r = e^{c dt/2} u; without the factor it "
+        "evaluates k at u, an r short by about c dt/2 r, so the step falls to "
+        "first order"),
     Mutant(
         "step-slice-growth-truncated", FLOW,
-        "quarter = math.exp(0.25 * dt)",
-        "quarter = 1.0 + 0.25 * dt + 0.03125 * dt * dt",
-        "the slice mode is exact only where every stage grows by e^{dt/4}; its "
-        "quadratic Taylor polynomial is short by dt^3/384 relative per stage"),
+        "    u *= math.exp(half)\n",
+        "    u *= 1.0 + half + 0.5 * half * half\n",
+        "the slice mode is exact only where u grows back by e^{dt/2}; its "
+        "quadratic Taylor polynomial is short by dt^3/48 relative per step"),
     Mutant(
-        "step-convex-weights-swapped", FLOW,
-        "    x *= math.exp(-0.5 * dt) / 3.0\n"
-        "    x += np.multiply(r, 2.0 / 3.0 * quarter)",
-        "    x *= 2.0 * math.exp(-0.5 * dt) / 3.0\n"
-        "    x += np.multiply(r, quarter / 3.0)",
-        "r3 takes 2/3 of r and 1/3 of E(r2); swapped, the weights still sum to "
-        "1, so a constant graph steps exactly, but the step loses third order"),
+        "step-gamma-off-order", FLOW,
+        "(0.24168015678963012, 0.1365168878358362, 1.0980351394884504)",
+        "(0.24168015678963012, 0.1365168878358362, 0.9)",
+        "the full step's row with its pair's middle stage at 0.9 in place of the "
+        "solved gamma: w1 and w2 follow gamma, so R, and with it a constant "
+        "graph's step, are unchanged, but sum b c^2 is off 1/3 and the step is "
+        "second order"),
     Mutant(
-        "step-r3-decay-dropped", FLOW,
-        "    x *= math.exp(-0.5 * dt) / 3.0\n",
-        "    x *= 1.0 / 3.0\n",
-        "E(r2) lands at t + dt, so r3, at t + dt/2, takes it back by e^{-dt/2}; "
-        "without it a constant graph outgrows its slice step"),
+        "step-row-one-too-small", FLOW,
+        "    _, (a, b, gamma), substeps = _ROWS[index]\n",
+        "    _, (a, b, gamma), substeps = _ROWS[index - 1]\n",
+        "each step takes the row below the one that covers it (a full step "
+        "s = 7, whose damped interval 19.18 falls short of 5.15 F = 20.6), and "
+        "the smallest steps the largest row"),
+    Mutant(
+        "step-factor-past-the-table", FLOW,
+        "F = 4\n",
+        "F = 5\n",
+        "a full step at 5 times the bound needs a damped interval of 25.75, past "
+        "the table's last row (25.57 at s = 8): no row covers it"),
     Mutant(
         "step-stage-skipped", FLOW,
-        "    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # r2\n",
-        "",
-        "with r2 skipped, E(r1) stands in for E(r2), half a step behind it: "
-        "three evaluations a step, and even a constant graph misses its slice "
-        "step"),
+        "    for h in substeps:\n",
+        "    for h in substeps[1:]:\n",
+        "with the stiffest substep skipped the weights sum to 1 - h_1, so the "
+        "step is not even consistent; a constant graph, whose k is 0, still "
+        "steps exactly, and a step makes one evaluation fewer"),
     # -- the flow's floors ----------------------------------------------------
     Mutant(
         "h_floor-edge-admitted", FLOW,
@@ -342,8 +342,8 @@ MUTANTS = [
     # -- pinned work counts ---------------------------------------------------
     Mutant(
         "flow-extra-cfl-bound", FLOW,
-        "    dt = min(dt, cfl_limit(surface))\n",
-        "    dt = min(dt, cfl_limit(surface), cfl_limit(surface))\n",
+        "    dt = min(dt, F * limit)\n",
+        "    dt = min(dt, F * limit, F * cfl_limit(surface))\n",
         "a second CFL bound per step: the same trace, more work"),
     Mutant(
         "held-always-reruns", SURFACES,

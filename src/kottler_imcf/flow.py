@@ -7,14 +7,16 @@ by the graphical flow equation
     dr/dt = v(r) = graph_factor / H,
 
 stepped under a parabolic CFL restriction by an integrating-factor
-third-order scheme: the four-stage strong-stability-preserving Runge-Kutta
-method SSPRK(4,3) (Kraaijevanger 1991; Spiteri & Ruuth 2002) on
-u = e^{-t/2} r, whose right-hand side is e^{-t/2} k(r) with
-k(r) = v(r) - r/2.  The slice mode r' = r/2, which a constant graph
-follows and which dominates every late flow, is integrated exactly, so
-the step is bounded by stability and the error of the deviation from a
-slice, not by the growth of r.  Traces record scalar functionals, not
-surfaces, at fixed sample times.
+third-order stabilized Runge-Kutta scheme on u = e^{-t/2} r, whose
+right-hand side is e^{-t/2} k(r) with k(r) = v(r) - r/2.  A step is at
+most F times the CFL bound, and its stage count s follows the step: a
+degree-s stability polynomial damped on a real interval that grows like
+s^2, as in DUMKA3 (Medovikov 1998) and ROCK4 (Abdulle 2002), so a step's
+cost grows only like the square root of its length.  The slice mode r' = r/2, which a
+constant graph follows and which dominates every late flow, is integrated
+exactly, so the step is bounded by stability and the error of the deviation
+from a slice, not by the growth of r.  Traces record scalar functionals,
+not surfaces, at fixed sample times.
 """
 
 from __future__ import annotations
@@ -41,16 +43,59 @@ __all__ = [
 
 # CFL is the share of its grid's own stability limit that a step takes:
 # cfl_limit returns CFL times the grid's stable_step, the SSPRK(4,3) limit
-# near a slice in units of the bound, times the bound.  A step aborts where H
-# is at or below H_FLOOR, and a flow does not start where the radial
-# alignment drops below STAR_FLOOR.  The limit holds off a slice too: 64^2
-# tori with two-axis modes and sphere 128 with cos 3 theta or cos 5 theta
-# modes, min H / max H down to 0.43, flow smoothly at 1.0 of their grid's
-# limit and break by 1.05, so the share leaves 1/CFL of headroom.  At this
-# share each trace column's time error is at most 2e-4 of its spatial error.
+# near a slice in units of the bound, times the bound.  So the bound puts the
+# largest eigenvalue of the linearized speed at lambda = 5.15 CFL / bound,
+# and a step of dt takes the smallest row of _ROWS whose damped interval
+# beta_s covers 5.15 dt / bound: lambda dt <= CFL beta_s.  A step is at most
+# F times the bound, where s = 8 covers it (5.15 F = 20.6 against 25.57).
+# The share holds off a slice too: 64^2 tori with two-axis modes and sphere
+# 128 with cos 3 theta or cos 5 theta modes, min H / max H down to 0.43, flow
+# smoothly where every step's lambda dt reaches its beta_s (CFL 1.0, F 4.96),
+# and the spheres break by 1.05 of that and the tori by 1.1, so the share
+# leaves 1/CFL of headroom.  At this share each trace column's time error is
+# at most 0.025 of its spatial error.  A step aborts where H is at or below
+# H_FLOOR, and a flow does not start where the radial alignment drops below
+# STAR_FLOOR.
 CFL = 0.6
+F = 4
 H_FLOOR = 1e-6
 STAR_FLOOR = 0.1
+
+# The interval [-5.15, 0] of SSPRK(4,3), in whose units stable_step is
+# measured.
+_SSP_INTERVAL = 5.15
+
+# One row per stage count s = 3, ..., 8, frozen from tests/step_table.py:
+# (beta_s, (a, b, gamma), substeps).  Each row's stability polynomial
+# R = (1 + a z + b z^2) prod (1 + h z) over its substeps h has R = 1 + z +
+# z^2/2 + z^3/6 + O(z^4), |R| <= 1 on [-beta_s, 0] and max |R| from 0.90
+# (s = 3) down to 0.49 (s = 8) on [-beta_s, -0.05 beta_s], with beta_s 0.85 of
+# the largest such interval.  The complex pair's factor is a two-stage group
+# whose middle stage sits at gamma, solved so that sum b c^2 = 1/3, which
+# makes the step third order for a nonlinear right-hand side; the real roots
+# follow as Euler substeps of length h, the stiffest first.
+_ROWS = (
+    (2.135833168029785,
+     (0.3734617067292006, 0.2660119396638871, 0.9245741122624592),
+     (0.6265382932707997,)),
+    (5.123170852661133,
+     (0.2923172277920086, 0.19495862140011616, 1.0098009445199474),
+     (0.18943270613813573, 0.5182500660698556)),
+    (8.955187201499939,
+     (0.26533086029525477, 0.16623163956780715, 1.0507071086303894),
+     (0.10925677796925794, 0.1475464716881281, 0.47786589004736)),
+    (13.639906167984009,
+     (0.24956204256131942, 0.14932143766373077, 1.0768978722974154),
+     (0.07460082947784082, 0.0888232377682251, 0.1344249579416686, 0.45258893225094765)),
+    (19.177014851570128,
+     (0.24433977212528524, 0.14134093958857138, 1.0900383579441408),
+     (0.05290019375408939, 0.05954901246580189, 0.07715638194916223, 0.12416668170039515,
+      0.44188795800526587)),
+    (25.566250610351563,
+     (0.24168015678963012, 0.1365168878358362, 1.0980351394884504),
+     (0.03953171987727444, 0.04311201247887353, 0.05180604991328851, 0.07053383066356808,
+      0.11783849723808208, 0.4354977330392859)),
+)
 
 TRACE_COLUMNS = (
     "t",
@@ -180,57 +225,69 @@ def _velocity(surface):
     return g.graph_factor / g.mean_curvature
 
 
-def _stage(v, x, dt, quarter):
-    """E(x) = e^{dt/4} (x + (dt/2) k(x)), the forward-Euler half step of
-    u = e^{-t/2} r, written into v = v(x), a fresh velocity array; quarter
-    is e^{dt/4}."""
-    # k is formed as (2v - x) / 2: doubling is exact, so 2v - x is 2k to the
-    # bit, with no array for x / 2.
-    v *= 2.0
-    v -= x
-    v *= 0.25 * dt
-    v += x
-    v *= quarter
-    return v
+def _twice_k(surface):
+    """2 k(r) = 2 v(r) - r of a surface, written into its fresh velocity
+    array: doubling is exact, so this is 2k to the bit, with no array for
+    r / 2."""
+    k = _velocity(surface)
+    k *= 2.0
+    k -= surface.radius_field
+    return k
 
 
 def step_graph_pde(state, dt):
-    """One integrating-factor SSPRK(4,3) step of the graphical flow equation.
+    """One integrating-factor stabilized third-order step of the graphical
+    flow equation.
 
-    With E(x) = e^{dt/4} (x + (dt/2) k(x)) and k(r) = v(r) - r/2, the stages
-    are
-
-        r1    = E(r)
-        r2    = E(r1)
-        r3    = (2/3) e^{dt/4} r + (1/3) e^{-dt/2} E(r2)
-        r_new = E(r3),
-
-    the four-stage third-order strong-stability-preserving Runge-Kutta step
-    of u = e^{-t/2} r: four geometry evaluations, the first of them the
-    input surface's own.  Its real stability interval is [-5.15, 0].  A
-    constant graph grows by e^{dt/2} as ``step_slice_ode`` grows it.  The
-    exponentials are scalar libm calls.  Every stage is a validated
-    GraphSurface whose mean curvature is checked against the floor.
-
-    The requested dt must be finite and positive; the step takes
-    min(dt, cfl_limit) and returns the state at the time it reached.
+    The requested dt must be finite and positive, and is checked before any
+    work; the step takes min(dt, F cfl_limit) and returns the state at the
+    time it reached.  It runs the smallest row of _ROWS whose damped
+    interval covers the step (see CFL), in s stages on u = e^{-t/2} r, with
+    u = r at the step's start.  A stage at time c dt is evaluated at
+    r = e^{c dt/2} u, where the right-hand side is e^{-c dt/2} k(r).  The
+    row's pair group takes the stages at c = 0, the input surface's own,
+    and c = gamma, and adds w1 = a - b / gamma and w2 = b / gamma of them;
+    each substep h is an Euler step from the time the groups before it
+    reached.  So a step takes s geometry evaluations, and r_new =
+    e^{dt/2} u: a constant graph, whose k rounds to 0, grows by e^{dt/2} as
+    ``step_slice_ode`` grows it.  The exponentials are scalar libm calls.
+    Every stage is a validated GraphSurface whose mean curvature is checked
+    against the floor.  At most four fields are held at a time, each
+    written in place: u, a stage, the stage's 2k and the pair's first 2k.
     """
+    _check_finite("dt", dt)
     surface = state.surface
     background = surface.background
-    x = _velocity(surface)  # v(r), which becomes r1
-    _check_finite("dt", dt)
-    dt = min(dt, cfl_limit(surface))
-    # Each stage is written into its fresh velocity array, and rebinding x
-    # frees the stage before it, so one stage field is held at a time.
-    r = surface.radius_field
-    quarter = math.exp(0.25 * dt)
-    x = _stage(x, r, dt, quarter)  # r1
-    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # r2
-    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # E(r2)
-    x *= math.exp(-0.5 * dt) / 3.0
-    x += np.multiply(r, 2.0 / 3.0 * quarter)  # r3
-    x = _stage(_velocity(GraphSurface(background, x)), x, dt, quarter)  # r_new
-    new_surface = GraphSurface(background, x)
+    first = _twice_k(surface)  # the floor check precedes the bound
+    limit = cfl_limit(surface)
+    dt = min(dt, F * limit)
+    need = _SSP_INTERVAL * dt / limit
+    index = next(i for i, row in enumerate(_ROWS) if row[0] >= need)
+    _, (a, b, gamma), substeps = _ROWS[index]
+    half = 0.5 * dt
+    u = surface.radius_field
+    # The pair: a stage at c = gamma from u + gamma dt k1, then
+    # u + dt (w1 k1 + w2 k2) at c = a.
+    grown = math.exp(gamma * half)
+    stage = np.multiply(first, gamma * half)
+    stage += u
+    stage *= grown
+    k = _twice_k(GraphSurface(background, stage))
+    first *= half * (a - b / gamma)
+    first += u
+    k *= half * b / (gamma * grown)
+    k += first
+    u, c = k, a
+    del first  # so that each substep holds u, its stage and the stage's 2k
+    for h in substeps:
+        grown = math.exp(c * half)
+        stage = np.multiply(u, grown)
+        k = _twice_k(GraphSurface(background, stage))
+        k *= h * half / grown
+        k += u
+        u, c = k, c + h
+    u *= math.exp(half)
+    new_surface = GraphSurface(background, u)
     _check_mean_convex(new_surface)  # mean-convexity must survive the step
     return FlowState(state.time + dt, new_surface, state.step_count + 1)
 
@@ -240,7 +297,7 @@ def run_flow(initial, t_end, sample_interval):
 
     Constant graphs take the exact ODE path directly between sample
     times; all other graphs request a step to the next sample time, which
-    ``step_graph_pde`` cuts to its stability limit.  A time within a slack
+    ``step_graph_pde`` cuts to F times its stability limit.  A time within a slack
     of a sample time has reached it: 1e-12, or a millionth of the first
     sample gap if that is smaller, so a complete trace ends at t_end even
     where t_end is at or below 1e-12.  On a flow abort the partial trace is

@@ -57,12 +57,13 @@ def test_readme_check_table_matches_the_check_rows():
 
 
 def test_readme_flow_defaults_are_the_flow_controls_defaults():
-    # The flow bullet gives the step fraction and the two floors as a bare
-    # triple; their names stay out of backquotes (test_readme_names_no_removed_key).
+    # The flow bullet gives the step share, the step factor and the two
+    # floors as one bare tuple; their names stay out of backquotes
+    # (test_readme_names_no_removed_key).
     section = _readme_section("Library overview")
     start = section.index("- `kottler_imcf.flow`")
     bullet = section[start:section.index("\n- ", start + 1)]
     triples = re.findall(r"\(([^()]*\d[^()]*)\)", bullet)
     assert len(triples) == 1, triples
     listed = tuple(float(value) for value in triples[0].split(","))
-    assert listed == (flow.CFL, flow.H_FLOOR, flow.STAR_FLOOR)
+    assert listed == (flow.CFL, flow.F, flow.H_FLOOR, flow.STAR_FLOOR)
