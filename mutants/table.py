@@ -158,7 +158,7 @@ MUTANTS = [
         "step-share-past-the-limit", FLOW,
         "CFL = 0.6\n",
         "CFL = 1.5\n",
-        "a full step's lambda dt is 5.15 F CFL = 30.9, 1.21 times its row's "
+        "a full step's lambda dt is 5.15 F CFL = 35.5, 1.39 times its row's "
         "damped interval 25.57: each flow's high modes grow instead of decaying"),
     # -- stepper inputs -------------------------------------------------------
     Mutant(
@@ -233,14 +233,21 @@ MUTANTS = [
         "    _, (a, b, gamma), substeps = _ROWS[index]\n",
         "    _, (a, b, gamma), substeps = _ROWS[index - 1]\n",
         "each step takes the row below the one that covers it (a full step "
-        "s = 7, whose damped interval 19.18 falls short of 5.15 F = 20.6), and "
+        "s = 7, whose damped interval 19.18 falls short of 5.15 F = 23.69), and "
         "the smallest steps the largest row"),
     Mutant(
         "step-factor-past-the-table", FLOW,
-        "F = 4\n",
+        "F = 4.6\n",
         "F = 5\n",
         "a full step at 5 times the bound needs a damped interval of 25.75, past "
         "the table's last row (25.57 at s = 8): no row covers it"),
+    Mutant(
+        "step-factor-short-of-the-last-row", FLOW,
+        "F = 4.6\n",
+        "F = 3.7\n",
+        "a full step at 3.7 times the bound needs 19.06, which s = 7 covers: the "
+        "table's last row is never taken, and each flow takes about a quarter "
+        "more steps"),
     Mutant(
         "step-stage-skipped", FLOW,
         "    for h in substeps:\n",

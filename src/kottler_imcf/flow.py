@@ -47,17 +47,23 @@ __all__ = [
 # largest eigenvalue of the linearized speed at lambda = 5.15 CFL / bound,
 # and a step of dt takes the smallest row of _ROWS whose damped interval
 # beta_s covers 5.15 dt / bound: lambda dt <= CFL beta_s.  A step is at most
-# F times the bound, where s = 8 covers it (5.15 F = 20.6 against 25.57).
+# F times the bound, which s = 8 covers and s = 7 does not (5.15 F = 23.69,
+# 0.93 of beta_8 = 25.57, against beta_7 = 19.18), so every full step runs the
+# last row.  F = beta_8 / 5.15 = 4.96, all of that row, is stable, but on the
+# 16^2 torus its full step is 0.2 of a time unit and the area's time error
+# breaks its order-2 convergence in space (the order, at least 1.8, reads
+# 1.782 at F = 4.96, 1.798 at 4.8 and 1.808 at 4.7); F keeps a tenth below
+# the largest such value that holds.
 # The share holds off a slice too: 64^2 tori with two-axis modes and sphere
 # 128 with cos 3 theta or cos 5 theta modes, min H / max H down to 0.43, flow
 # smoothly where every step's lambda dt reaches its beta_s (CFL 1.0, F 4.96),
 # and the spheres break by 1.05 of that and the tori by 1.1, so the share
 # leaves 1/CFL of headroom.  At this share each trace column's time error is
-# at most 0.025 of its spatial error.  A step aborts where H is at or below
+# at most 0.034 of its spatial error.  A step aborts where H is at or below
 # H_FLOOR, and a flow does not start where the radial alignment drops below
 # STAR_FLOOR.
 CFL = 0.6
-F = 4
+F = 4.6
 H_FLOOR = 1e-6
 STAR_FLOOR = 0.1
 
@@ -243,8 +249,9 @@ def step_graph_pde(state, dt):
     work; the step takes min(dt, F cfl_limit) and returns the state at the
     time it reached.  It runs the smallest row of _ROWS whose damped
     interval covers the step (see CFL), in s stages on u = e^{-t/2} r, with
-    u = r at the step's start.  A stage at time c dt is evaluated at
-    r = e^{c dt/2} u, where the right-hand side is e^{-c dt/2} k(r).  The
+    u = r at the step's start; a full step, F cfl_limit, runs the last
+    row, s = 8.  A stage at time c dt is evaluated at r = e^{c dt/2} u,
+    where the right-hand side is e^{-c dt/2} k(r).  The
     row's pair group takes the stages at c = 0, the input surface's own,
     and c = gamma, and adds w1 = a - b / gamma and w2 = b / gamma of them;
     each substep h is an Euler step from the time the groups before it

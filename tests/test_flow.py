@@ -203,36 +203,45 @@ def _two_mode_torus(n):
                         + 0.05 * np.cos(phase * (g.theta1 + 2.0 * g.theta2)))
 
 
-def _assert_flow_matches_its_half_step(monkeypatch, surface):
-    """The flow of surface to t = 1 completes at CFL, and its min_H stays
-    within 1e-5 of the same flow at half the step."""
-    trace = run_flow(surface, 1.0, 0.125)
-    monkeypatch.setattr(kottler_imcf.flow, "CFL", 0.5 * CFL)
-    half = run_flow(surface, 1.0, 0.125)
-    assert trace.complete and half.complete and trace.times[-1] == 1.0
-    assert np.max(np.abs(trace.column("min_H") - half.column("min_H"))) <= 1e-5
+def _assert_flow_converges_as_its_step_halves(monkeypatch, surface):
+    """The flow of surface to t = 1 completes at CFL, its min_H stays within
+    1e-5 of the same flow at half the step, and that difference falls at
+    least 4x when the step halves again.  A difference within the bound is
+    only the step's time error if the steps converge: a stable third-order
+    step's falls by about 8x, a second-order step's by about 4x, and an
+    unstable step's does not fall."""
+    traces = []
+    for share in (1.0, 0.5, 0.25):
+        monkeypatch.setattr(kottler_imcf.flow, "CFL", share * CFL)
+        traces.append(run_flow(surface, 1.0, 0.125))
+    assert all(trace.complete and trace.times[-1] == 1.0 for trace in traces)
+    full, half, quarter = (trace.column("min_H") for trace in traces)
+    difference = np.max(np.abs(full - half))
+    assert difference <= 1e-5
+    assert 4.0 * np.max(np.abs(half - quarter)) <= difference
 
 
 def test_torus_flow_with_a_two_dimensional_mode_is_stable(monkeypatch):
     # The acceptance torus input does not depend on theta_2, so its theta_2
     # modes are never seeded; this one seeds a mode in both directions.  At
     # CFL the flow runs to t = 1, and its min_H stays within 1e-5 of the same
-    # flow at half the step: the two differ by 6.4e-7.  Against the flow at
-    # CFL 0.3 it differs by 6.6e-6 where every step's lambda dt reaches its
-    # row's beta_s (CFL 1.0, F 4.96) and by 7.9e-6 at 1.05 of that, and it
-    # aborts at 1.1.
-    _assert_flow_matches_its_half_step(monkeypatch, _two_mode_torus(64))
+    # flow at half the step: the two differ by 9.9e-7, and that difference
+    # falls 8.4x as the step halves again.  Against the flow at CFL 0.3 it
+    # differs by 6.6e-6 where every step's lambda dt reaches its row's beta_s
+    # (CFL 1.0, F 4.96) and by 7.8e-6 at 1.05 of that, and it aborts at 1.1.
+    _assert_flow_converges_as_its_step_halves(monkeypatch, _two_mode_torus(64))
 
 
 def test_sphere_flow_with_a_higher_mode_is_stable(monkeypatch):
     # The sphere twin of the torus test above, on sphere 128.  A cos 3 theta
     # mode flows to t = 1 at CFL, and its min_H stays within 1e-5 of the same
-    # flow at half the step: the two differ by 7.0e-8.  Against the flow at
-    # CFL 0.3 it differs by 1.3e-6 where every step's lambda dt reaches its
-    # row's beta_s and by 3.3e-3 at 1.05 of that, where the step breaks.
+    # flow at half the step: the two differ by 1.3e-7, and that difference
+    # falls 6.5x as the step halves again.  Against the flow at CFL 0.3 it
+    # differs by 1.3e-6 where every step's lambda dt reaches its row's beta_s
+    # and by 3.0e-4 at 1.05 of that, where the step breaks.
     b = make_background(1, 0, 128, mass=1.0)
     surface = GraphSurface(b, 2.0 + 0.1 * np.cos(3.0 * b.base.grid.theta))
-    _assert_flow_matches_its_half_step(monkeypatch, surface)
+    _assert_flow_converges_as_its_step_halves(monkeypatch, surface)
 
 
 def _far_from_a_slice(kind):
@@ -250,12 +259,13 @@ def test_flow_far_from_a_slice_is_stable(monkeypatch, kind):
     # stable_step is measured near a slice.  These surfaces are far from one:
     # min H / max H reads 0.43 on the torus and 0.49 on the sphere.  At CFL
     # each flows to t = 1 with its min_H within 1e-5 of the same flow at half
-    # the step; the two differ by 1.1e-6 and 2.0e-6.  Against the flow at CFL
+    # the step; the two differ by 1.6e-6 and 3.2e-6, and those differences
+    # fall 7.5x and 8.3x as the step halves again.  Against the flow at CFL
     # 0.3 each stays smooth where every step's lambda dt reaches its row's
-    # beta_s (1.3e-5 and 2.1e-5); the sphere breaks by 1.05 of that (1.4e-4)
+    # beta_s (1.3e-5 and 2.1e-5); the sphere breaks by 1.05 of that (1.0e-4)
     # and the torus by 1.1 (an abort), so the near-slice limit holds here too
     # and CFL leaves 1/CFL of headroom.
-    _assert_flow_matches_its_half_step(monkeypatch, _far_from_a_slice(kind))
+    _assert_flow_converges_as_its_step_halves(monkeypatch, _far_from_a_slice(kind))
 
 
 def _spectral_radius(surface, eps=1e-7):
@@ -287,7 +297,7 @@ def test_each_grid_steps_at_its_share_of_the_stability_limit(kind):
     # with the sphere's on the torus the torus's reads 0.99), and a full step
     # of F times the bound takes a row whose damped interval beta_s covers
     # lambda_max dt at the same share: lambda_max dt <= CFL beta_s.  It reads
-    # 12.4 against 15.3 on both grids.
+    # 14.2 against 15.3 on both grids.
     if kind == "sphere-33":
         b = make_background(1, 0, 33, mass=1.0)
         surface = GraphSurface(b, 2.0 + 1e-3 * np.cos(b.base.grid.theta))
@@ -436,7 +446,7 @@ def test_run_flow_pde_area_growth_and_traceless_decay():
 
 
 # Steps and geometry evaluations of each shipped flow scenario.
-SHIPPED_FLOW_WORK = {"sphere-perturbed": (16, 107), "torus-perturbed": (20, 148)}
+SHIPPED_FLOW_WORK = {"sphere-perturbed": (13, 93), "torus-perturbed": (18, 133)}
 
 
 @pytest.mark.parametrize("scenario", SHIPPED_FLOW_WORK)
@@ -647,9 +657,10 @@ def test_shipped_flow_time_error_is_a_tenth_of_its_spatial_error(monkeypatch, sc
     # norm max over samples of |difference| / max(|value|, 1), the time error
     # (the difference from the same flow at CFL/8) is at most a tenth of the
     # spatial error (|f_n - f_{n/2}| / 3, the grids being second order).  The
-    # worst columns read 0.025 (P, sphere) and 0.021 (int_OmegaV, torus) of
-    # it; SSPRK(4,3) at the bound read 8.5e-5 and 2.0e-4, and the
-    # integrating-factor midpoint step at 0.1 of the bound 0.012 and 0.005.
+    # worst columns read 0.030 (P, sphere) and 0.034 (int_OmegaV, torus) of
+    # it; with a full step of 4 times the bound, 0.025 and 0.021; SSPRK(4,3)
+    # at the bound read 8.5e-5 and 2.0e-4, and the integrating-factor
+    # midpoint step at 0.1 of the bound 0.012 and 0.005.
     with open(os.path.join(SCENARIO_DIR, scenario + ".cfg"), encoding="utf-8") as fh:
         text = fh.read()
     n = parse_config(text).resolution

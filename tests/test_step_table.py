@@ -4,7 +4,7 @@ damped stability polynomial, and the generator in step_table.py gives it."""
 import numpy as np
 import pytest
 
-from kottler_imcf import flow
+from kottler_imcf import FlowState, GraphSurface, flow, make_background
 
 from step_table import DAMPED_FROM, row, stability, tableau
 
@@ -13,12 +13,47 @@ STAGE_COUNTS = [2 + len(substeps) for _, _, substeps in flow._ROWS]
 
 def test_rows_run_from_three_stages_and_cover_a_full_step():
     # One row per stage count from 3, the fewest a third-order step takes,
-    # in increasing order of beta, and the last covers a step of F times the
-    # bound: 5.15 F = 20.6 against 25.57 at s = 8.
+    # in increasing order of beta, and a full step of F times the bound is
+    # the last row's alone: 5.15 F = 23.69 against 25.57 at s = 8 and 19.18
+    # at s = 7, so the table holds no row that a step never takes.
     betas = [beta for beta, _, _ in flow._ROWS]
     assert STAGE_COUNTS == list(range(3, 3 + len(flow._ROWS)))
     assert betas == sorted(betas)
-    assert flow._SSP_INTERVAL * flow.F <= betas[-1] < flow._SSP_INTERVAL * (flow.F + 1)
+    assert betas[-2] < flow._SSP_INTERVAL * flow.F <= betas[-1]
+
+
+def test_a_step_at_its_cap_runs_the_last_row(monkeypatch):
+    # Seeded bounds, among them those where a capped step's need,
+    # 5.15 (F bound) / bound, rounds off 5.15 F.  A step at the cap, or a
+    # few ulps above or below it, runs s = 8 and ends at exactly min(dt,
+    # cap).  Each bound is at most the surface's own, so every step is
+    # stable.
+    b = make_background(1, 0, 17, mass=1.0)
+    state = FlowState(0.0, GraphSurface(b, 2.0 + 0.2 * np.cos(b.base.grid.theta)), 0)
+    bounds = flow.cfl_limit(state.surface) * np.random.default_rng(37).uniform(0.5, 1.0, 1000)
+    needs = flow._SSP_INTERVAL * (flow.F * bounds) / bounds
+    assert np.all((flow._ROWS[-2][0] < needs) & (needs <= flow._ROWS[-1][0]))
+    assert np.max(np.abs(needs / (flow._SSP_INTERVAL * flow.F) - 1.0)) <= 4e-16
+    off = needs != flow._SSP_INTERVAL * flow.F
+    assert 0 < off.sum() < len(bounds)
+    stages = []
+    twice_k = flow._twice_k
+
+    def counted(surface):
+        stages[-1] += 1
+        return twice_k(surface)
+
+    monkeypatch.setattr(flow, "_twice_k", counted)
+    for bound in (*bounds[off][:4], *bounds[~off][:2]):
+        monkeypatch.setattr(flow, "cfl_limit", lambda surface, bound=bound: bound)
+        cap = flow.F * bound
+        below = np.nextafter(np.nextafter(cap, 0.0), 0.0)
+        above = np.nextafter(np.nextafter(cap, np.inf), np.inf)
+        for dt in (cap, np.nextafter(cap, np.inf), above, np.nextafter(cap, 0.0), below):
+            stages.append(0)
+            stepped = flow.step_graph_pde(state, float(dt))
+            assert stepped.time == min(dt, cap), (bound, dt)
+            assert stages[-1] == 8, (bound, dt)
 
 
 @pytest.mark.parametrize("s", STAGE_COUNTS)
