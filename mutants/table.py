@@ -313,12 +313,28 @@ MUTANTS = [
         "of the mirrored cross derivative"),
     Mutant(
         "torus-grid-curvature-unchecked", BASE,
-        "        if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:\n"
-        "            raise InvalidBaseError(\"a flat torus grid needs curvature_sign 0\", "
-        "\"curvature_sign\")\n",
-        "",
+        "    curvature_sign = 0  # the torus kernel",
+        "    curvature_sign = None  # the torus kernel",
         "the torus kernel drops k from V^2 = k + r^2 - 2m/r, so a torus grid "
         "under a curved base would give the potential of the wrong background"),
+    Mutant(
+        "sphere-grid-curvature-unchecked", BASE,
+        "    curvature_sign = 1\n",
+        "    curvature_sign = None\n",
+        "the sphere grid's weights and cot(theta) are the round sphere's; without "
+        "its sign it would pass under a flat or a genus-2 hyperbolic base of area 4 pi"),
+    Mutant(
+        "point-grid-area-unchecked", BASE,
+        "        if self.grid.area != self.area:\n",
+        "        if self.grid.area != self.area and not isinstance(self.grid, PointGrid):\n",
+        "the point grid's one weight is its area; a point grid of area 1 under "
+        "the sphere would give a slice at rho = 2 the area 4, not 16 pi"),
+    Mutant(
+        "torus-grid-area-unchecked", BASE,
+        "        if self.grid.area != self.area:\n",
+        "        if self.grid.area != self.area and not isinstance(self.grid, FlatTorusGrid):\n",
+        "the torus weights integrate to side^2; a grid of area 1 under a base "
+        "of area 2 would halve every surface integral"),
     Mutant(
         "torus-wrap-row", SURFACES,
         "    c[0], c[-1] = c[-2], c[1]\n",
@@ -429,20 +445,26 @@ MUTANTS = [
     # -- the parse-time [surface] rules -----------------------------------------
     Mutant(
         "surface-zero-amplitude-modes-admitted", CLI,
-        "ignored, where = sorted(modes), \"when amplitude is 0\"",
-        "ignored, where = [], \"when amplitude is 0\"",
+        "        if modes and config.amplitude == 0.0:\n",
+        "        if False:\n",
         "a mode key with amplitude 0 changes nothing, so it must be an error "
         "where it is read, by every subcommand"),
     Mutant(
         "surface-unread-key-admitted", CLI,
-        "ignored = sorted({\"amplitude\", *modes}.difference(keys))",
-        "ignored = []",
-        "a key that the grid does not read (mode on a torus, amplitude on "
-        "the point grid) must not pass as if it took effect"),
+        "        if modes and len(config.mode) != grid.mode_axes:\n",
+        "        if False:\n",
+        "a mode list that the grid does not read (two numbers on a sphere, one "
+        "on a torus) must not pass as if it took effect, or be cut or padded"),
     Mutant(
-        "surface-vanishing-torus-modes-admitted", CLI,
-        "    return (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0\n",
-        "    return False\n",
+        "point-grid-amplitude-admitted", BASE,
+        "        raise ValueError(\"a point grid carries constant graphs only\")\n",
+        "        return np.zeros(1)\n",
+        "amplitude on the point grid changes nothing, so it must be an error, "
+        "not a slice audited as if the key took effect"),
+    Mutant(
+        "surface-vanishing-torus-modes-admitted", BASE,
+        "        if (2 * m1) % self.n == 0 and (2 * m2) % self.n == 0:\n",
+        "        if False:\n",
         "a torus field that is 0 on every node (up to round-off) would be "
         "audited as a non-slice graph"),
     # -- the parse-time key-value rules ------------------------------------------

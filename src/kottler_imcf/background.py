@@ -108,7 +108,7 @@ def hk_constant(area, euler_char):
     return area / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KottlerBackground:
     """The static triple (M^3, g, V) for one Kottler solution."""
 
@@ -153,7 +153,7 @@ class KottlerBackground:
     # -- horizon data -------------------------------------------------------
     # Pure functions of the frozen fields, each computed once per background.
     # cached_property writes to the instance __dict__, which a frozen
-    # dataclass allows; equality and hashing still compare the three fields.
+    # dataclass allows; equality and hashing are by identity (eq=False).
 
     @cached_property
     def surface_gravity(self):

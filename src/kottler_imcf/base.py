@@ -33,7 +33,7 @@ MIN_RESOLUTION = 8
 MAX_RESOLUTION = {1: 65_536, 0: 1_024}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisymmetricSphereGrid:
     """Uniform colatitude nodes on [0, pi]; fields depend on colatitude only.
 
@@ -44,6 +44,13 @@ class AxisymmetricSphereGrid:
     n_points: int
     theta: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    curvature_sign = 1
+    area = 4.0 * np.pi
+    mode_axes = 1
+
+    def mode_field(self, mode=1):
+        return np.cos(mode * self.theta)
 
     @property
     def spacing(self):
@@ -74,15 +81,29 @@ class AxisymmetricSphereGrid:
         return np.concatenate(([1], np.arange(n), [n - 2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatTorusGrid:
     """n x n periodic grid on [0, L)^2 with uniform trapezoid weights."""
 
     n: int
-    side: float
+    area: float
     theta1: np.ndarray = field(repr=False)
     theta2: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    curvature_sign = 0  # the torus kernel forms V^2 = rho^2 - 2m/rho, without k
+    mode_axes = 2
+
+    @cached_property
+    def side(self):
+        return np.sqrt(self.area)
+
+    def mode_field(self, m1=1, m2=0):
+        # On node (j, k): sin(2 pi (m1 j + m2 k) / n), 0 on every node iff n divides 2*m1
+        # and 2*m2; decided on the integers, as sin(pi j) leaves round-off.
+        if (2 * m1) % self.n == 0 and (2 * m2) % self.n == 0:
+            raise ValueError(f"resolution {self.n} divides both 2*m1 and 2*m2")
+        return np.sin(2.0 * np.pi * (m1 * self.theta1 + m2 * self.theta2) / self.side)
 
     @property
     def spacing(self):
@@ -117,12 +138,18 @@ class PointGrid:
 
     area: float
 
+    curvature_sign = None  # any
+    mode_axes = 0
+
     @property
     def weights(self):
         return np.array([self.area])
 
+    def mode_field(self):
+        raise ValueError("a point grid carries constant graphs only")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BaseSurface:
     """The cross-section (Sigma-hat, g-hat) with its grid and quadrature."""
 
@@ -136,9 +163,11 @@ class BaseSurface:
         return 2 - 2 * self.genus
 
     def __post_init__(self):
-        # The torus kernel forms V^2 = rho^2 - 2m/rho, with k = 0.
-        if isinstance(self.grid, FlatTorusGrid) and self.curvature_sign != 0:
-            raise InvalidBaseError("a flat torus grid needs curvature_sign 0", "curvature_sign")
+        if self.grid.curvature_sign not in (None, self.curvature_sign):
+            raise InvalidBaseError(f"{type(self.grid).__name__} needs curvature_sign "
+                                   f"{self.grid.curvature_sign}", "curvature_sign")
+        if self.grid.area != self.area:
+            raise InvalidBaseError(f"the grid's area is {self.grid.area}, not {self.area}", "area")
         # Gauss-Bonnet must hold exactly by construction: make_base's area follows the genus.
         if self.curvature_sign * self.area != 2.0 * np.pi * self.euler_char:
             raise InvalidBaseError(
@@ -183,11 +212,12 @@ def _sphere_grid(n_points):
     return AxisymmetricSphereGrid(n_points=n_points, theta=theta, weights=weights)
 
 
-def _torus_grid(n, side):
+def _torus_grid(n, area):
+    side = np.sqrt(area)
     t1 = np.arange(n) * (side / n)
     theta1, theta2 = np.meshgrid(t1, t1, indexing="ij")
     weights = np.full((n, n), (side / n) ** 2)
-    return FlatTorusGrid(n=n, side=side, theta1=theta1, theta2=theta2, weights=weights)
+    return FlatTorusGrid(n=n, area=area, theta1=theta1, theta2=theta2, weights=weights)
 
 
 def make_base(curvature_sign, genus, grid_resolution, area=None):
@@ -243,7 +273,7 @@ def make_base(curvature_sign, genus, grid_resolution, area=None):
     elif curvature_sign == 1:
         grid = _sphere_grid(resolution)
     elif curvature_sign == 0:
-        grid = _torus_grid(resolution, np.sqrt(w2))
+        grid = _torus_grid(resolution, w2)
     else:
         raise InvalidBaseError(
             f"hyperbolic bases support only the point grid, not {resolution}", "grid_resolution"

@@ -45,7 +45,7 @@ from .functionals import (
     surface_gravity_bound_deficit,
 )
 from .surfaces import GraphSurface
-from .base import MIN_RESOLUTION, AxisymmetricSphereGrid, FlatTorusGrid, PointGrid
+from .base import MIN_RESOLUTION
 
 __all__ = [
     "CheckResult",
@@ -87,7 +87,7 @@ _name = _require(str, bool, "must not be empty")
 # Integer bounds keep genus and modes inside float and C-long range; radii
 # in [1e-50, 1e50] keep rho**2 and the Richardson ratio (r2/r1)**3 finite.
 _genus = _within(int, 0, 10**6)
-_mode = _within(int, -10**6, 10**6)
+_modes = _list(_within(int, -10**6, 10**6))
 _resolution = _require(lambda text: text if text == "point" else int(text),
                        lambda value: value == "point" or value >= MIN_RESOLUTION,
                        f"must be an integer >= {MIN_RESOLUTION} or 'point'")
@@ -119,9 +119,7 @@ class ScenarioConfig:
     base_area: float | None = _key("background", _positive, key="area")
     radius: float | None = _key("surface", _positive)
     amplitude: float = _key("surface", _nonnegative, 0.0)
-    mode: int = _key("surface", _mode, 1)
-    mode1: int = _key("surface", _mode, 1)
-    mode2: int = _key("surface", _mode, 0)
+    mode: tuple = _key("surface", _modes, ())  # one per grid axis; () takes the grid's defaults
     t_end: float | None = _key("flow", _positive)
     sample_interval: float = _key("flow", _positive, 0.25)
     rho_eval: tuple = _key("audit", _radii, (10.0, 20.0, 40.0, 80.0))
@@ -202,7 +200,7 @@ def _validate(config, lines):
         key = "mass" if config.mass is not None else "horizon_radius"
         fail(f"key {key!r}: {err}", key)
     grid, rho_m = background.base.grid, background.horizon_rho
-    modes = [key for key in ("mode", "mode1", "mode2") if key in lines]
+    modes = ["mode"] if "mode" in lines else []
     surface = (["amplitude"] if config.amplitude != 0.0 else []) + modes
     flow = [f.name for f in fields(config) if f.metadata["section"] == "flow" and f.name in lines]
     for section, given in (("surface", surface), ("flow", flow)):
@@ -224,44 +222,16 @@ def _validate(config, lines):
                 f"= {config.radius - rho_m:.6g}",
                 "amplitude",
             )
-        keys, _ = _MODE_FIELDS[type(grid)]
-        if config.amplitude == 0.0:
-            ignored, where = sorted(modes), "when amplitude is 0"
-        else:
-            ignored = sorted({"amplitude", *modes}.difference(keys))
-            where = f"on a {type(grid).__name__} background"
-            if not ignored and isinstance(grid, FlatTorusGrid) and _torus_modes_vanish(
-                    grid, config.mode1, config.mode2):
-                ignored = ["amplitude", *sorted(modes)]
-                where = f"when resolution {grid.n} divides both 2*mode1 and 2*mode2"
-        if ignored:
-            fail(f"[surface] key(s) {', '.join(ignored)} have no effect {where}", ignored[0])
-
-
-def _torus_modes_vanish(grid, mode1, mode2):
-    # On node (j, k) the torus field is sin(2 pi (mode1 j + mode2 k) / n): 0
-    # on every node iff n divides both 2*mode1 and 2*mode2.  In floating point
-    # the Nyquist case sin(pi j) leaves round-off, so the rule is decided on
-    # the integers.
-    return (2 * mode1) % grid.n == 0 and (2 * mode2) % grid.n == 0
-
-
-def _torus_mode_field(grid, config):
-    return np.sin(2.0 * np.pi * (config.mode1 * grid.theta1 + config.mode2 * grid.theta2)
-                  / grid.side)
-
-
-# Per grid kind: the [surface] keys besides `radius` that it reads, and
-# the unit mode field those keys define (with ScenarioConfig's mode
-# defaults).  The point grid carries constant graphs only.
-_MODE_FIELDS = {
-    PointGrid: ((), None),
-    AxisymmetricSphereGrid: (
-        ("amplitude", "mode"),
-        lambda grid, config: np.cos(config.mode * grid.theta),
-    ),
-    FlatTorusGrid: (("amplitude", "mode1", "mode2"), _torus_mode_field),
-}
+        if modes and config.amplitude == 0.0:
+            fail("[surface] key(s) mode have no effect when amplitude is 0", "mode")
+        if modes and len(config.mode) != grid.mode_axes:
+            fail(f"[surface] key(s) mode have no effect as this grid reads {grid.mode_axes} "
+                 f"mode number(s), one per axis, not {len(config.mode)}", "mode")
+        if config.amplitude != 0.0:
+            try:
+                grid.mode_field(*config.mode)
+            except ValueError as err:
+                fail(f"[surface] key(s) {', '.join(surface)} have no effect as {err}", "amplitude")
 
 
 def build_initial_surface(config, background):
@@ -270,8 +240,7 @@ def build_initial_surface(config, background):
         raise ConfigError("missing required key 'radius' in [surface]")
     if config.amplitude == 0.0:
         return GraphSurface(background, config.radius)
-    grid = background.base.grid
-    unit = _MODE_FIELDS[type(grid)][1](grid, config)
+    unit = background.base.grid.mode_field(*config.mode)
     return GraphSurface(background, config.radius + config.amplitude * unit)
 
 

@@ -118,7 +118,7 @@ TRACE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
     """One instant of a flow: time, surface, and accepted step count."""
 
@@ -127,7 +127,7 @@ class FlowState:
     step_count: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowTrace:
     """Time series of scalar functionals sampled along one flow."""
 

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
     """Per-node geometric data of a radial graph.
 
@@ -67,9 +67,9 @@ class SurfaceGeometry:
 
     mean_curvature: np.ndarray
     graph_factor: np.ndarray
-    measure: Callable[[], tuple] = dataclass_field(repr=False, compare=False)
-    min_mean_curvature: float = dataclass_field(init=False, compare=False)
-    derived: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    measure: Callable[[], tuple] = dataclass_field(repr=False)
+    min_mean_curvature: float = dataclass_field(init=False)
+    derived: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # argmin finds the first NaN, as the reduction propagates it, at about
@@ -338,7 +338,7 @@ def _slice_geometry(background, r):
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphSurface:
     """A radial graph rho = r(theta) in a Kottler background.
 
@@ -352,7 +352,7 @@ class GraphSurface:
 
     background: KottlerBackground
     radius_field: np.ndarray
-    is_constant: bool = dataclass_field(init=False, repr=False, compare=False)
+    is_constant: bool = dataclass_field(init=False, repr=False)
     _geometry: SurfaceGeometry | None = dataclass_field(default=None, init=False, repr=False)
 
     def __post_init__(self):

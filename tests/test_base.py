@@ -14,7 +14,7 @@ from kottler_imcf import (
     integrate,
     make_base,
 )
-from kottler_imcf.base import MAX_RESOLUTION, FlatTorusGrid, _sphere_grid
+from kottler_imcf.base import MAX_RESOLUTION, FlatTorusGrid, PointGrid, _sphere_grid
 
 
 def test_sphere_base_defaults():
@@ -118,7 +118,7 @@ def test_no_torus_base_has_curvature():
     # The torus kernel forms V^2 = rho^2 - 2m/rho: it relies on k = 0.
     torus = make_base(0, 1, 16).grid
     for k, genus in ((1, 0), (-1, 2)):
-        with pytest.raises(InvalidBaseError, match="flat torus grid needs curvature_sign 0"):
+        with pytest.raises(InvalidBaseError, match="FlatTorusGrid needs curvature_sign 0"):
             BaseSurface(curvature_sign=k, area=4.0 * np.pi, genus=genus, grid=torus)
     for k in (-1, 0, 1):
         for genus in range(4):
@@ -128,6 +128,36 @@ def test_no_torus_base_has_curvature():
                 except InvalidBaseError:
                     continue
                 assert isinstance(base.grid, FlatTorusGrid) == (k == 0 and resolution != "point")
+
+
+@pytest.mark.parametrize("k, area, genus, grid, argument", [
+    (0, 1.0, 1, "sphere", "curvature_sign"),
+    (-1, 4.0 * np.pi, 2, "sphere", "curvature_sign"),
+    (1, 4.0 * np.pi, 0, "point", "area"),
+    (0, 2.0, 1, "torus", "area"),
+    (1, 4.0 * np.pi, 1, "sphere", "genus"),
+], ids=["sphere-flat", "sphere-hyperbolic", "point-area", "torus-area", "gauss-bonnet"])
+def test_base_rejects_a_grid_built_for_another_base(k, area, genus, grid, argument):
+    # Each grid states the curvature sign it serves and the area it integrates
+    # to.  Accepted, the sphere grid under k = 0 gives a slice at rho = 3 an
+    # area of 113.1 instead of 9.0, the point grid of area 1 one of 4.0
+    # instead of 50.27 at rho = 2, and the torus of area 1 under a base of
+    # area 2 one of 9.0 instead of 18.0 at rho = 3.
+    grid = {"sphere": make_base(1, 0, 33).grid, "point": PointGrid(area=1.0),
+            "torus": make_base(0, 1, 16).grid}[grid]
+    with pytest.raises(InvalidBaseError) as err:
+        BaseSurface(k, area, genus, grid)
+    assert err.value.argument == argument
+
+
+@pytest.mark.parametrize("area", [1e-3, 0.5, 2.0, 3.0, 7.3, 1e6])
+def test_make_base_grids_hold_the_base_area(area):
+    # Every torus area that make_base takes constructs: its grids hold the
+    # area itself, and the torus side is its square root.
+    for resolution in (8, 16, "point"):
+        base = make_base(0, 1, resolution, area=area)
+        assert base.grid.area == base.area == area
+    assert make_base(0, 1, 16, area=area).grid.side == np.sqrt(area)
 
 
 @pytest.mark.parametrize("k, genus", [(1, 0), (0, 1)], ids=["sphere", "torus"])

@@ -126,7 +126,7 @@ resolution = point
 
 def test_build_initial_surface_kinds():
     c = parse_config(MINIMAL.replace("radius = 2.0",
-                                     "radius = 3.0\namplitude = 0.1\nmode1 = 1"))
+                                     "radius = 3.0\namplitude = 0.1\nmode = 1, 0"))
     b = c.background
     s = build_initial_surface(c, b)
     assert not s.is_constant
@@ -279,14 +279,16 @@ UNREAD_SURFACE_KEYS = [
                  id="hyperbolic-point-amplitude"),
     pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = point", "amplitude = 0.1",
                  id="torus-point-amplitude"),
-    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode1 = 2",
+    # A sphere reads one mode number and a torus two: a list of another length
+    # is rejected, not cut or padded.
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode = 2, 0",
                  id="sphere-mode1"),
-    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode2 = 1",
+    pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.1\nmode = 1, 1",
                  id="sphere-mode2"),
     pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1\nmode = 2",
                  id="torus-mode"),
     pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16",
-                 "amplitude = 0.1\nmode1 = 0\nmode2 = 0", id="torus-zero-modes"),
+                 "amplitude = 0.1\nmode = 0, 0", id="torus-zero-modes"),
 ]
 
 
@@ -308,7 +310,7 @@ KEYS_WITHOUT_RADIUS = [
     pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 2", id="sphere-mode"),
     pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.1",
                  id="torus-amplitude"),
-    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode2 = 1",
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "amplitude = 0.0\nmode = 0, 1",
                  id="torus-zero-amplitude-mode2"),
     pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = point", "[flow]\nt_end = 1.0",
                  id="flow-t_end"),
@@ -338,9 +340,10 @@ MODES_WITH_ZERO_AMPLITUDE = [
     pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "mode = 3", id="sphere-unset"),
     pytest.param("curvature_sign = 1\nmass = 1.0\nresolution = 16", "amplitude = 0.0\nmode = 3",
                  id="sphere-explicit-zero"),
-    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "mode1 = 2", id="torus-unset"),
+    pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16", "mode = 2, 0",
+                 id="torus-unset"),
     pytest.param("curvature_sign = 0\nmass = 0.5\nresolution = 16",
-                 "amplitude = 0.0\nmode1 = 1\nmode2 = 1", id="torus-explicit-zero"),
+                 "amplitude = 0.0\nmode = 1, 1", id="torus-explicit-zero"),
 ]
 
 
@@ -570,9 +573,10 @@ def test_cli_non_finite_horizon_data_exit_two(tmp_path, capsys, key, value):
     ("chmass", "slice-rigidity-sphere", "audit", "rho_eval", "1e-250, 1e100"),
     pytest.param("audit", "sphere-perturbed", "surface", "mode", "9" * 400,
                  id="audit-mode-400-digits"),
-    pytest.param("audit", "torus-perturbed", "surface", "mode1", "9" * 30,
+    # The ids name the list entry: m1 with 30 digits, m2 with 400.
+    pytest.param("audit", "torus-perturbed", "surface", "mode", "9" * 30 + ", 0",
                  id="audit-mode1-30-digits"),
-    pytest.param("audit", "torus-perturbed", "surface", "mode2", "-" + "9" * 400,
+    pytest.param("audit", "torus-perturbed", "surface", "mode", "1, -" + "9" * 400,
                  id="audit-mode2-400-digits"),
 ])
 def test_cli_out_of_range_value_exit_two(tmp_path, capsys, command, scenario, section, key,
@@ -601,6 +605,7 @@ def test_cli_flow_key_without_t_end_exit_two(tmp_path, capsys, flow):
 @pytest.mark.parametrize("section, key, value", [
     ("flow", "max_dt", "0.01"), ("audit", "seed", "0"), ("flow", "cfl", "0.1"),
     ("flow", "h_floor", "1e-3"), ("flow", "star_floor", "0.2"), ("audit", "checks", "all"),
+    ("surface", "mode1", "1"), ("surface", "mode2", "0"),
 ])
 def test_removed_key_is_unknown_exit_two(tmp_path, capsys, section, key, value):
     # The flow runs with the library's flow controls and every check that
@@ -828,7 +833,13 @@ def test_cli_resolution_above_the_grid_bound_exit_two(tmp_path, capsys, scenario
      "key 'rho_eval': radii must be distinct"),
     (MINIMAL.replace("curvature_sign = 0\n", ""), None,
      "missing required key 'curvature_sign' in [background]"),
-], ids=["rho_eval-repeated", "curvature_sign-missing"])
+    (MINIMAL + "amplitude = 0.1\nmode = 3\n", "mode = 3",
+     "[surface] key(s) mode have no effect as this grid reads 2 mode number(s), one per axis, "
+     "not 1"),
+    (MINIMAL.replace("mass = 0.5", "mass = 0.5\nresolution = point") + "amplitude = 0.1\n",
+     "amplitude = 0.1",
+     "[surface] key(s) amplitude have no effect as a point grid carries constant graphs only"),
+], ids=["rho_eval-repeated", "curvature_sign-missing", "torus-one-mode", "point-amplitude"])
 def test_config_error_message_in_full(text, line, message):
     # The full message, with the line of the key where one is named.
     if line is not None:
@@ -851,26 +862,25 @@ def test_hyperbolic_default_resolution_is_point(tmp_path):
         parse_config("[background]\ncurvature_sign = -1\nmass = 1.0\nresolution = 64\n")
 
 
-def _torus_with_modes(mode1, mode2):
-    text = _scenario_with("torus-perturbed", "surface", "mode1", str(mode1))
-    return text.replace("mode2 = 0", f"mode2 = {mode2}")
+def _torus_with_modes(m1, m2):
+    return _scenario_with("torus-perturbed", "surface", "mode", f"{m1}, {m2}")
 
 
 VANISHING_TORUS_MODES = [(16, 0), (32, 0), (0, 16), (16, 16)]
 
 
-@pytest.mark.parametrize("mode1, mode2", VANISHING_TORUS_MODES)
-def test_cli_torus_modes_that_vanish_on_the_grid_exit_two(tmp_path, capsys, mode1, mode2):
-    # At resolution 32, sin(2 pi (mode1 j + mode2 k) / 32) is 0 on every node
-    # when 32 divides 2*mode1 and 2*mode2; at mode 16 floating point leaves a
-    # field of about 1e-15, which must not be audited as a non-slice.
-    text = _torus_with_modes(mode1, mode2)
+@pytest.mark.parametrize("m1, m2", VANISHING_TORUS_MODES)
+def test_cli_torus_modes_that_vanish_on_the_grid_exit_two(tmp_path, capsys, m1, m2):
+    # At resolution 32, sin(2 pi (m1 j + m2 k) / 32) is 0 on every node when
+    # 32 divides 2*m1 and 2*m2; at mode 16 floating point leaves a field of
+    # about 1e-15, which must not be audited as a non-slice.
+    text = _torus_with_modes(m1, m2)
     assert main(["audit", "--config", _write(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
         f"config error: line {_line_of(text, 'amplitude = 0.1')}: [surface] key(s) amplitude, "
-        "mode1, mode2 have no effect when resolution 32 divides both 2*mode1 and 2*mode2")
+        "mode have no effect as resolution 32 divides both 2*m1 and 2*m2")
 
 
 SURFACE_KEY_ERRORS = [
@@ -918,11 +928,11 @@ def test_cli_flag_prefix_is_unrecognized(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode1, mode2, code", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (15, 0, 3)])
-def test_cli_torus_modes_that_vary_on_the_grid_still_run(tmp_path, mode1, mode2, code):
+@pytest.mark.parametrize("m1, m2, code", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (15, 0, 3)])
+def test_cli_torus_modes_that_vary_on_the_grid_still_run(tmp_path, m1, m2, code):
     # Mode 15 at resolution 32 varies on the grid, so it is no config error;
     # its surface is not mean-convex, so the audit aborts (exit 3).
-    text = _torus_with_modes(mode1, mode2)
+    text = _torus_with_modes(m1, m2)
     config = parse_config(text)
     surface = build_initial_surface(config, config.background)
     assert np.ptp(surface.radius_field) > config.amplitude

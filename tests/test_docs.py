@@ -10,7 +10,7 @@ from kottler_imcf.cli import _CHECKS, ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Keys that no longer exist; the parser rejects them as unknown.
-REMOVED_KEYS = {"max_dt", "seed", "cfl", "h_floor", "star_floor", "checks"}
+REMOVED_KEYS = {"max_dt", "seed", "cfl", "h_floor", "star_floor", "checks", "mode1", "mode2"}
 # Flags that no longer exist; argparse rejects them as unrecognized.
 REMOVED_FLAGS = ("--tolerance-scale", "--scenario")
 

@@ -900,3 +900,26 @@ def test_graph_step_leaves_its_input_unchanged():
     assert np.array_equal(r, state.surface.radius_field)
     assert np.array_equal(stepped.surface.radius_field,
                           step_graph_pde(state, dt).surface.radius_field)
+
+
+def _array_records():
+    background = make_background(1, 0, 33, mass=1.0)
+    surface = GraphSurface(background, 2.0 + 0.1 * np.cos(background.base.grid.theta))
+    return {"background": background, "base": background.base,
+            "sphere-grid": background.base.grid,
+            "torus-grid": make_background(0, 1, 16, mass=0.5).base.grid,
+            "surface": surface, "geometry": surface.geometry,
+            "state": FlowState(0.0, surface, 0),
+            "trace": FlowTrace(np.zeros((2, len(TRACE_COLUMNS))))}
+
+
+# Named here, not read from _array_records(): a collection-time build would
+# turn a broken base into an error of the whole suite.
+@pytest.mark.parametrize("name", ["background", "base", "sphere-grid", "torus-grid", "surface",
+                                  "geometry", "state", "trace"])
+def test_records_that_hold_arrays_compare_and_hash_by_identity(name):
+    # A generated __eq__ compares the array fields, whose truth value raises
+    # ValueError, and a generated frozen __hash__ hashes them (TypeError).
+    record, twin = _array_records()[name], _array_records()[name]
+    assert record == record and record != twin
+    assert hash(record) == hash(record) and len({record, twin}) == 2

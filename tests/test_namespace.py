@@ -123,3 +123,40 @@ def test_every_public_name_is_read_by_the_library_or_the_benchmark():
             if reads[public] == own:
                 unread.append(f"{name}.{public}")
     assert unread == []
+
+
+GRID_CLASSES = {name for name in importlib.import_module("kottler_imcf.base").__all__
+                if name.endswith("Grid")}
+# The one geometry dispatch and the one argument check.  Every other fact
+# about a grid kind (its curvature sign, area, mode axes and mode field) is
+# read from the grid, so no other code needs to know which grid it holds.
+GRID_DISPATCH = {"surfaces.compute_geometry", "flow.cfl_limit"}
+
+
+def _grid_class_reads(module, tree):
+    """module.definition for each top-level definition of a module that reads
+    a grid class, by name or as its name in a string."""
+    found = set()
+    for top in tree.body:
+        strings = [node.value for node in ast.walk(top) if isinstance(node, ast.Constant)]
+        if GRID_CLASSES.intersection(_loads(top) + strings):
+            found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_the_geometry_dispatch_and_the_point_grid_check_name_a_grid_class():
+    trees = _parse_all(PACKAGE_DIR)
+    reads = set().union(*(_grid_class_reads(module, tree)
+                          for module, tree in trees.items() if module != "base"))
+    assert reads == GRID_DISPATCH
+    imported = {alias.name for node in ast.walk(trees["cli"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint(GRID_CLASSES)
+
+
+def test_the_grid_class_check_finds_names_and_strings():
+    tree = ast.parse("def f(grid):\n    return isinstance(grid, base.PointGrid)\n"
+                     "def g(grid):\n    return type(grid).__name__ == 'FlatTorusGrid'\n"
+                     "def h(grid):\n    return grid.mode_field(1, 0)\n"
+                     "K = {AxisymmetricSphereGrid: 1}\n")
+    assert _grid_class_reads("m", tree) == {"m.f", "m.g", "m.<module>"}
